@@ -8,8 +8,10 @@ from .combinat import binom, compositions, divisors, gcd_many, totient
 from .counts import (
     CountRow,
     Type3Params,
+    columns,
     count_by_type,
     count_row,
+    count_rows,
     count_type1,
     count_type1_alt,
     count_type2,
@@ -47,10 +49,12 @@ __all__ = [
     "binom",
     "bracelet_count",
     "canonicalize",
+    "columns",
     "composition_class_count",
     "compositions",
     "count_by_type",
     "count_row",
+    "count_rows",
     "count_type1",
     "count_type1_alt",
     "count_type2",

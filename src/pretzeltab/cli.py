@@ -83,7 +83,7 @@ def _cmd_table(args) -> int:
         print(f"pretzeltab table: need 1 <= min <= max, got {args.min_c}..{args.max_c}",
               file=sys.stderr)
         return EXIT_USAGE
-    rows = [counts.count_row(c) for c in range(args.min_c, args.max_c + 1)]
+    rows = counts.count_rows(args.min_c, args.max_c)
     if args.format == "csv":
         text = "\n".join(_csv_lines(rows)) + "\n"
     else:
@@ -106,8 +106,7 @@ def _cmd_count(args) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     if args.type == "all":
-        values = [counts.count_by_type(args.c, t) for t in (1, 2, 3)]
-        print(" ".join(str(v) for v in values))
+        print(" ".join(str(column[args.c]) for column in counts.columns(args.c)))
     else:
         print(counts.count_by_type(args.c, int(args.type)))
     return EXIT_OK
@@ -146,12 +145,13 @@ def _cmd_verify(args) -> int:
             f"verify up to {args.max_c} crossings exceeds the ceiling of {ceiling}")
         print(f"pretzeltab verify: {_ceiling_hint(exc)}", file=sys.stderr)
         return EXIT_RESOURCE
+    columns = counts.columns(args.max_c)
     failures = 0
     checks = 0
     print("   c  type     formula  enumerated  result")
     for c in range(1, args.max_c + 1):
         for link_type in (1, 2, 3):
-            formula = counts.count_by_type(c, link_type)
+            formula = columns[link_type - 1][c]
             enumerated = len(tcodes.enumerate_classes(c, link_type, ceiling=ceiling))
             ok = formula == enumerated
             checks += 1

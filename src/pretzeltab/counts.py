@@ -12,12 +12,26 @@ necklace or bracelet count over strip-size tuples:
 
 Counts cover one link per mirror pair; ``CountRow.total`` doubles the sum
 because every such link is chiral.
+
+Two routes compute the same numbers.  ``columns(C)`` gives every count for
+c <= C at once from the Polya cycle index (Flajolet & Sedgewick, *Analytic
+Combinatorics*, Ch. I): a strip is a power series in x marking its crossings,
+and the cycle index of the cyclic or dihedral group, summed over the strip
+count k, turns it into the series of classes.  Every series involved is a
+rational function with a denominator of degree at most 6, so each coefficient
+costs O(1) big-integer operations and the cyclic divisor sums O(C log C) in
+all.  ``count_row``, ``count_rows`` and ``count_by_type`` read from it.
+
+``count_type1``, ``count_type2`` and ``count_type3`` are the paper's formula:
+a Burnside count at every admissible parameter point, O(c^4) points for
+type 3.  They are kept as the independent check of ``columns``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
+from .combinat import totient
 from .necklaces import bracelet_count, necklace_count
 from .signed_bracelets import signed_bracelet_count
 
@@ -118,11 +132,149 @@ def count_type3(c: int) -> int:
     return sum(signed_bracelet_count(p.n1, p.k1, p.n2, p.k2) for p in type3_params(c))
 
 
+# Truncated power series are lists of coefficients, constant term first.  A
+# strip family is a rational function (numerator, 1 - x^2): positive strips
+# P = x^2/(1 - x) = x^2 (1 + x)/(1 - x^2), negative strips N = x^2/(1 - x^2)
+# and the odd strips of type 1 Q = x^3/(1 - x^2).
+_ONE_MINUS_X2 = [1, 0, -1]
+_ODD_STRIPS = [0, 0, 0, 1]
+
+
+def _signed_strips(u: int) -> list[int]:
+    """Numerator of u*P + N over 1 - x^2: x^2 (u (1 + x) + 1)."""
+    return [0, 0, u + 1, u]
+
+
+def _mul(a: list[int], b: list[int], n: int) -> list[int]:
+    """First n coefficients of a*b; len(a) * len(b) operations at most."""
+    out = [0] * min(n, len(a) + len(b) - 1)
+    for i, ai in enumerate(a[:n]):
+        if ai:
+            for j, bj in enumerate(b[:n - i]):
+                out[i + j] += ai * bj
+    return out
+
+
+def _div(a: list[int], b: list[int], n: int) -> list[int]:
+    """First n coefficients of a/b for b[0] == 1; n * len(b) operations."""
+    out = []
+    for m in range(n):
+        value = a[m] if m < len(a) else 0
+        for j in range(1, min(m, len(b) - 1) + 1):
+            value -= b[j] * out[m - j]
+        out.append(value)
+    return out
+
+
+def _sub(a: list[int], b: list[int]) -> list[int]:
+    width = max(len(a), len(b))
+    return [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(width)]
+
+
+def _stretch(a: list[int], d: int) -> list[int]:
+    """Coefficients of a(x^d)."""
+    out = [0] * ((len(a) - 1) * d + 1)
+    out[::d] = a
+    return out
+
+
+def _exact(value: int, divisor: int, what: str) -> int:
+    quotient, rem = divmod(value, divisor)
+    if rem:
+        raise ArithmeticError(f"{what} {value} not divisible by {divisor}")
+    return quotient
+
+
+def _log_derivative(a: list[int], n: int) -> list[int]:
+    """h = x f'/(1 - f) for f = a/(1 - x^2), so that [x^m] log 1/(1 - f) = h_m/m.
+
+    With f = a/D: h = (x a' D - a x D') / (D (D - a)), integer coefficients.
+    """
+    d = _ONE_MINUS_X2
+    xa = [i * v for i, v in enumerate(a)]
+    xd = [i * v for i, v in enumerate(d)]
+    return _div(_sub(_mul(xa, d, n), _mul(a, xd, n)), _mul(d, _sub(d, a), n), n)
+
+
+def _cycle_sum(h_of: Callable[[int], list[int]], n: int) -> list[int]:
+    """[x^c] sum_{k>=1} Z(C_k) for c < n, where h_of(d) is the log-derivative
+    series of the substitution for p_d before x -> x^d:
+
+    [x^c] = (1/c) sum_{d | c} phi(d) h^(d)_{c/d}.
+    """
+    out = [0] * n
+    for d in range(1, n):
+        h = h_of(d)
+        phi = totient(d)
+        for m in range(1, (n - 1) // d + 1):
+            out[m * d] += phi * h[m]
+    return [0] + [_exact(out[c], c, "cyclic sum") for c in range(1, n)]
+
+
+def _low_terms(a: list[int], a2: list[int], n: int) -> tuple[list[int], list[int], list[int]]:
+    """Series of p1 = a/D, p2 = a2(x^2)/D(x^2) and p1^2, for D = 1 - x^2."""
+    d = _ONE_MINUS_X2
+    return (_div(a, d, n), _div(_stretch(a2, 2), _stretch(d, 2), n),
+            _div(_mul(a, a, n), _mul(d, d, n), n))
+
+
+def _dihedral_sum(u: int, h: dict[int, list[int]], n: int) -> list[int]:
+    """[x^c] sum_{k>=3} Z(D_k) for c < n with p_d <- u^d P(x^d) + N(x^d).
+
+    h[v] is the log-derivative series of v*P + N.  Z(D_k) is half the cyclic
+    part plus the reflection part; summed over k >= 1 the reflections give
+    (2 p1 + p2 + p1^2) / (4 (1 - p2)).  The k = 1 term p1 and the k = 2 term
+    (p1^2 + p2)/2 are taken off.
+    """
+    a, a2 = _signed_strips(u), _signed_strips(u * u)
+    p1, p2, p11 = _low_terms(a, a2, n)
+    d2 = _stretch(_ONE_MINUS_X2, 2)
+    # 1/(1 - p2) = D(x^2) / (D(x^2) - a2(x^2)).
+    mirrored = _div(_mul([2 * v1 + v2 + v11 for v1, v2, v11 in zip(p1, p2, p11)], d2, n),
+                    _sub(d2, _stretch(a2, 2)), n)
+    cyclic = _cycle_sum(lambda d: h[u ** d], n)
+    return [_exact(2 * cyc + mir - 4 * v1 - 2 * v11 - 2 * v2, 4, "dihedral sum")
+            for cyc, mir, v1, v2, v11 in zip(cyclic, mirrored, p1, p2, p11)]
+
+
+def columns(max_c: int) -> tuple[list[int], list[int], list[int]]:
+    """The p1, p2 and p3 columns for 0 <= c <= max_c, from the cycle index.
+
+    * type 1: sum_{k>=3} Z(C_k) with p_d <- Q(x^d), times 1/(1 - x) for
+      delta >= 0;
+    * type 2: sum_{k>=3} Z(D_k) with p_d <- N(x^d);
+    * type 3: B_u = sum_{k>=3} Z(D_k) with p_d <- u^d P(x^d) + N(x^d), so
+      that B_even = (B_1 + B_-1)/2 counts an even number k1 of positive
+      strips and B_odd = (B_1 - B_-1)/2 an odd one.  The horizontal twists
+      delta make delta + k1 even, hence the factors 1/(1 - x^2) and
+      x/(1 - x^2); taking off p2 drops the excluded k1 = delta = 0 classes.
+
+    Index c of each list is the count at crossing number c.
+    """
+    _check_c(max_c)
+    n = max_c + 1
+    h_q = _log_derivative(_ODD_STRIPS, n)
+    q1, q2, q11 = _low_terms(_ODD_STRIPS, _ODD_STRIPS, n)
+    # Z(C_1) = p1 and Z(C_2) = (p1^2 + p2)/2 are taken off the cyclic sum.
+    necklaces = [_exact(2 * cyc - 2 * v1 - v11 - v2, 2, "cyclic sum")
+                 for cyc, v1, v2, v11 in zip(_cycle_sum(lambda d: h_q, n), q1, q2, q11)]
+    p1 = _div(necklaces, [1, -1], n)
+
+    h = {u: _log_derivative(_signed_strips(u), n) for u in (1, -1, 0)}
+    p2 = _dihedral_sum(0, h, n)
+    b_plus, b_minus = _dihedral_sum(1, h, n), _dihedral_sum(-1, h, n)
+    b_even = [_exact(v + w, 2, "even-k1 sum") for v, w in zip(b_plus, b_minus)]
+    b_odd = [_exact(v - w, 2, "odd-k1 sum") for v, w in zip(b_plus, b_minus)]
+    twisted = _div([e + o for e, o in zip(b_even, [0] + b_odd)], _ONE_MINUS_X2, n)
+    p3 = [v - w for v, w in zip(twisted, p2)]
+    return p1, p2, p3
+
+
 def count_by_type(c: int, link_type: int) -> int:
-    counters = {1: count_type1, 2: count_type2, 3: count_type3}
-    if link_type not in counters:
+    """The type 1, 2 or 3 count at crossing number c, read from ``columns(c)``."""
+    if link_type not in (1, 2, 3):
         raise ValueError(f"link type must be 1, 2 or 3, got {link_type}")
-    return counters[link_type](c)
+    return columns(c)[link_type - 1][c]
 
 
 @dataclass(frozen=True)
@@ -137,10 +289,17 @@ class CountRow:
     total: int
 
 
+def count_rows(min_c: int, max_c: int) -> list[CountRow]:
+    """Rows for min_c <= c <= max_c, all read from one ``columns(max_c)``."""
+    _check_c(min_c)
+    p1, p2, p3 = columns(max_c)
+    rows = []
+    for c in range(min_c, max_c + 1):
+        p = p1[c] + p2[c] + p3[c]
+        rows.append(CountRow(c, p1[c], p2[c], p3[c], p, 2 * p))
+    return rows
+
+
 def count_row(c: int) -> CountRow:
     """Assemble the full row for crossing number c."""
-    p1 = count_type1(c)
-    p2 = count_type2(c)
-    p3 = count_type3(c)
-    p = p1 + p2 + p3
-    return CountRow(c, p1, p2, p3, p, 2 * p)
+    return count_rows(c, c)[0]

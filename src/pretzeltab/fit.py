@@ -5,7 +5,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .counts import count_row
+from .counts import count_rows
 
 
 @dataclass(frozen=True)
@@ -49,5 +49,4 @@ def fit_growth(min_c: int = 6, max_c: int = 50) -> FitResult:
     """Fit the mirror-pair count p(c) over min_c <= c <= max_c."""
     if min_c >= max_c:
         raise ValueError(f"need min_c < max_c, got {min_c} >= {max_c}")
-    rows = (count_row(c) for c in range(min_c, max_c + 1))
-    return fit_points((row.c, row.p) for row in rows)
+    return fit_points((row.c, row.p) for row in count_rows(min_c, max_c))

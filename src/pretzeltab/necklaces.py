@@ -3,8 +3,8 @@
 A composition of n into k positive parts is read as a circular arrangement of
 k beads whose weights sum to n.  ``necklace_count`` counts arrangements up to
 rotation, ``bracelet_count`` up to rotation and reversal.  Both are evaluated
-by Burnside averaging in exact integer arithmetic; every division is checked
-to be exact.
+by Burnside averaging in exact integer arithmetic; a division that leaves a
+remainder raises ``ArithmeticError``.
 """
 from __future__ import annotations
 
@@ -25,7 +25,8 @@ def necklace_count(n: int, k: int) -> int:
     for d in divisors(math.gcd(n, k)):
         total += totient(d) * binom(n // d - 1, k // d - 1)
     count, rem = divmod(total, k)
-    assert rem == 0, f"rotation-fixed sum {total} not divisible by k={k}"
+    if rem:
+        raise ArithmeticError(f"rotation-fixed sum {total} not divisible by k={k}")
     return count
 
 
@@ -57,5 +58,6 @@ def bracelet_count(n: int, k: int) -> int:
         return 0
     doubled = necklace_count(n, k) + reflection_fixed_count(n, k)
     count, rem = divmod(doubled, 2)
-    assert rem == 0, f"dihedral Burnside sum odd for (n={n}, k={k})"
+    if rem:
+        raise ArithmeticError(f"dihedral Burnside sum odd for (n={n}, k={k})")
     return count

@@ -89,7 +89,8 @@ def signed_reflection_fixed_count(n1: int, k1: int, n2: int, k2: int) -> int:
                           + binom(k // 2, k1 // 2) * binom(n1 // 2 - 1, k1 // 2 - 1)
                           * binom(n2 // 2 - 1, k2 // 2 - 1))
     count, rem = divmod(quadrupled, 2)
-    assert rem == 0, f"reflection term not integral at ({n1},{k1},{n2},{k2})"
+    if rem:
+        raise ArithmeticError(f"reflection term not integral at ({n1},{k1},{n2},{k2})")
     return count
 
 
@@ -115,5 +116,7 @@ def signed_bracelet_count(n1: int, k1: int, n2: int, k2: int) -> int:
                            * binom(n2 // d - 1, k2 // d - 1))
     doubled = rotation_fixed + k * signed_reflection_fixed_count(n1, k1, n2, k2)
     count, rem = divmod(doubled, 2 * k)
-    assert rem == 0, f"Burnside sum {doubled} not divisible by 2k={2 * k} at ({n1},{k1},{n2},{k2})"
+    if rem:
+        raise ArithmeticError(
+            f"Burnside sum {doubled} not divisible by 2k={2 * k} at ({n1},{k1},{n2},{k2})")
     return count

@@ -128,7 +128,14 @@ class TestVerify:
         assert "30/30 checks passed" in out
 
     def test_mismatch_detected(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli.counts, "count_type2", lambda c: 99)
+        columns = cli.counts.columns
+
+        def one_wrong_type2(max_c):
+            p1, p2, p3 = columns(max_c)
+            p2[6] = 99
+            return p1, p2, p3
+
+        monkeypatch.setattr(cli.counts, "columns", one_wrong_type2)
         assert main(["verify", "--max", "6"]) == EXIT_MISMATCH
         out = capsys.readouterr().out
         assert "FAIL" in out and "99" in out

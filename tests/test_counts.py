@@ -3,8 +3,10 @@ import pytest
 from pretzeltab.counts import (
     CountRow,
     Type3Params,
+    columns,
     count_by_type,
     count_row,
+    count_rows,
     count_type1,
     count_type1_alt,
     count_type2,
@@ -100,3 +102,30 @@ class TestCountRow:
         for c in (6, 7, 12, 19, 30, 44):
             row = count_row(c)
             assert (row.p1, row.p2, row.p3, row.p) == COUNT_TABLE[c]
+
+
+class TestColumns:
+    def test_matches_per_point_route(self):
+        p1, p2, p3 = columns(60)
+        for c in range(1, 61):
+            assert (p1[c], p2[c], p3[c]) == (count_type1(c), count_type2(c), count_type3(c)), c
+
+    def test_spot_check_at_one_hundred(self):
+        p1, p2, p3 = columns(100)
+        assert (p1[100], p2[100], p3[100]) == (count_type1(100), count_type2(100),
+                                               count_type3(100))
+
+    def test_zero_below_six(self):
+        assert columns(5) == ([0] * 6, [0] * 6, [0] * 6)
+
+    def test_rejects_non_positive_max(self):
+        for max_c in (0, -1, -7):
+            with pytest.raises(ValueError):
+                columns(max_c)
+
+    def test_rows_read_a_longer_column(self):
+        p1, p2, p3 = columns(40)
+        for c in (6, 17, 33):
+            p = p1[c] + p2[c] + p3[c]
+            assert count_row(c) == CountRow(c, p1[c], p2[c], p3[c], p, 2 * p)
+        assert count_rows(30, 40)[3] == count_row(33)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from pretzeltab.combinat import compositions
@@ -83,3 +88,28 @@ def test_divisibility_assertions_hold_up_to_40():
         for k in range(1, n + 1):
             necklace_count(n, k)
             bracelet_count(n, k)
+
+
+_OFF_BY_ONE_UNDER_O = """
+import math
+from pretzeltab import counts, necklaces
+assert False, "assert statements must be stripped by -O"
+necklaces.binom = lambda a, b: math.comb(a, b) + 1
+counts.totient = lambda d: d
+for call in (lambda: necklaces.necklace_count(7, 3), lambda: counts.columns(20)):
+    try:
+        call()
+    except ArithmeticError as exc:
+        print("ArithmeticError:", exc)
+"""
+
+
+def test_exactness_checks_survive_optimize_flag():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-O", "-c", _OFF_BY_ONE_UNDER_O],
+                            env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert len(lines) == 2 and all(line.startswith("ArithmeticError:") for line in lines), lines
