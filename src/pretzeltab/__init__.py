@@ -4,7 +4,7 @@ Closed-form counters (cyclic and dihedral Burnside counts over strip-size
 tuples), an exhaustive strip-code oracle that verifies them, canonical class
 representatives, and an exponential growth fit.
 """
-from .combinat import binom, compositions, divisors, gcd_many, totient
+from .combinat import binom, compositions, divisors, totient
 from .counts import (
     CountRow,
     Type3Params,
@@ -65,7 +65,6 @@ __all__ = [
     "enumerate_classes",
     "fit_growth",
     "fit_points",
-    "gcd_many",
     "is_valid",
     "necklace_count",
     "reflection_fixed_count",

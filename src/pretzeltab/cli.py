@@ -1,7 +1,8 @@
 """Command-line interface: table, count, list, verify and fit subcommands.
 
 Exit codes: 0 success, 1 argument error, 2 verification mismatch,
-3 enumeration ceiling exceeded, 4 I/O error.
+3 resource ceiling exceeded (the enumeration ceiling or ``counts.MAX_C``),
+4 I/O error.
 """
 from __future__ import annotations
 
@@ -79,10 +80,6 @@ def _json_text(rows) -> str:
 
 
 def _cmd_table(args) -> int:
-    if not 1 <= args.min_c <= args.max_c:
-        print(f"pretzeltab table: need 1 <= min <= max, got {args.min_c}..{args.max_c}",
-              file=sys.stderr)
-        return EXIT_USAGE
     rows = counts.count_rows(args.min_c, args.max_c)
     if args.format == "csv":
         text = "\n".join(_csv_lines(rows)) + "\n"
@@ -101,10 +98,6 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    if args.c < 1:
-        print(f"pretzeltab count: crossing number must be positive, got {args.c}",
-              file=sys.stderr)
-        return EXIT_USAGE
     if args.type == "all":
         print(" ".join(str(column[args.c]) for column in counts.columns(args.c)))
     else:
@@ -112,20 +105,8 @@ def _cmd_count(args) -> int:
     return EXIT_OK
 
 
-def _ceiling_hint(exc: ResourceLimitError) -> str:
-    return f"{exc} (raise it with --ceiling or {CEILING_ENV_VAR})"
-
-
 def _cmd_list(args) -> int:
-    if args.c < 1:
-        print(f"pretzeltab list: crossing number must be positive, got {args.c}",
-              file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        classes = tcodes.enumerate_classes(args.c, int(args.type), ceiling=args.ceiling)
-    except ResourceLimitError as exc:
-        print(f"pretzeltab list: {_ceiling_hint(exc)}", file=sys.stderr)
-        return EXIT_RESOURCE
+    classes = tcodes.enumerate_classes(args.c, int(args.type), ceiling=args.ceiling)
     if args.format == "lines":
         for code in classes:
             print(code)
@@ -135,16 +116,12 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.max_c < 1:
-        print(f"pretzeltab verify: --max must be positive, got {args.max_c}",
-              file=sys.stderr)
-        return EXIT_USAGE
     ceiling = args.ceiling if args.ceiling is not None else tcodes.enum_ceiling()
+    # Refuse before any enumeration runs, not at the first row past the ceiling.
     if args.max_c > ceiling:
-        exc = ResourceLimitError(
-            f"verify up to {args.max_c} crossings exceeds the ceiling of {ceiling}")
-        print(f"pretzeltab verify: {_ceiling_hint(exc)}", file=sys.stderr)
-        return EXIT_RESOURCE
+        raise ResourceLimitError(
+            f"verify up to {args.max_c} crossings exceeds the ceiling of {ceiling}"
+            f" (raise it with --ceiling or {CEILING_ENV_VAR})")
     columns = counts.columns(args.max_c)
     failures = 0
     checks = 0
@@ -163,11 +140,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    try:
-        result = fit_growth(args.min_c, args.max_c)
-    except ValueError as exc:
-        print(f"pretzeltab fit: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    result = fit_growth(args.min_c, args.max_c)
     print("model: p(c) ~ a * exp(b * c)")
     print(f"range: c = {result.c_min}..{result.c_max} ({result.n_points} points)")
     print(f"a  = {result.a:.6g}")
@@ -194,9 +167,9 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except ValueError as exc:
-        print(f"pretzeltab: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except (ValueError, ResourceLimitError) as exc:
+        print(f"pretzeltab {args.command}: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE if isinstance(exc, ResourceLimitError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator
 
 
 @lru_cache(maxsize=None)
@@ -57,16 +57,6 @@ def binom(a: int, b: int) -> int:
     if a < 0 or b < 0 or b > a:
         return 0
     return math.comb(a, b)
-
-
-def gcd_many(values: Sequence[int]) -> int:
-    """gcd of a non-empty sequence of non-negative integers.
-
-    gcd(0, x) = x; the gcd of an all-zero sequence is 0.
-    """
-    if not values:
-        raise ValueError("gcd_many requires at least one value")
-    return math.gcd(*values)
 
 
 def compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:

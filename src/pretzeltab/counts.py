@@ -34,6 +34,12 @@ from typing import Callable, NamedTuple
 from .combinat import totient
 from .necklaces import bracelet_count, necklace_count
 from .signed_bracelets import signed_bracelet_count
+from .tcodes import ResourceLimitError
+
+# Largest max_c that ``columns`` accepts: its lists hold big integers of up to
+# about 0.9 * c bits each, so its memory grows as max_c^2 (about 73 MiB of
+# peak RSS at 10,000).
+MAX_C = 10_000
 
 
 class Type3Params(NamedTuple):
@@ -249,9 +255,13 @@ def columns(max_c: int) -> tuple[list[int], list[int], list[int]]:
       delta make delta + k1 even, hence the factors 1/(1 - x^2) and
       x/(1 - x^2); taking off p2 drops the excluded k1 = delta = 0 classes.
 
-    Index c of each list is the count at crossing number c.
+    Index c of each list is the count at crossing number c.  Refuses max_c
+    above MAX_C.
     """
     _check_c(max_c)
+    if max_c > MAX_C:
+        raise ResourceLimitError(
+            f"counts up to {max_c} crossings exceed the limit of {MAX_C} (counts.MAX_C)")
     n = max_c + 1
     h_q = _log_derivative(_ODD_STRIPS, n)
     q1, q2, q11 = _low_terms(_ODD_STRIPS, _ODD_STRIPS, n)
@@ -292,6 +302,8 @@ class CountRow:
 def count_rows(min_c: int, max_c: int) -> list[CountRow]:
     """Rows for min_c <= c <= max_c, all read from one ``columns(max_c)``."""
     _check_c(min_c)
+    if min_c > max_c:
+        raise ValueError(f"need min_c <= max_c, got {min_c} > {max_c}")
     p1, p2, p3 = columns(max_c)
     rows = []
     for c in range(min_c, max_c + 1):

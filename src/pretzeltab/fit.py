@@ -47,6 +47,4 @@ def fit_points(points: Iterable[tuple[int, int]]) -> FitResult:
 
 def fit_growth(min_c: int = 6, max_c: int = 50) -> FitResult:
     """Fit the mirror-pair count p(c) over min_c <= c <= max_c."""
-    if min_c >= max_c:
-        raise ValueError(f"need min_c < max_c, got {min_c} >= {max_c}")
     return fit_points((row.c, row.p) for row in count_rows(min_c, max_c))

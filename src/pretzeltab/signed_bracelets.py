@@ -20,7 +20,9 @@ All arithmetic is exact; the final division by the group order is checked.
 """
 from __future__ import annotations
 
-from .combinat import binom, divisors, gcd_many, totient
+import math
+
+from .combinat import binom, divisors, totient
 from .necklaces import bracelet_count
 
 
@@ -109,7 +111,7 @@ def signed_bracelet_count(n1: int, k1: int, n2: int, k2: int) -> int:
         return bracelet_count(n2, k2)
     k = k1 + k2
     rotation_fixed = 0
-    for d in divisors(gcd_many((k1, k2, n1, n2))):
+    for d in divisors(math.gcd(k1, k2, n1, n2)):
         rotation_fixed += (totient(d)
                            * binom(k // d, k1 // d)
                            * binom(n1 // d - 1, k1 // d - 1)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from typing import Iterator
 
 from .combinat import binom, compositions
@@ -27,7 +27,7 @@ DEFAULT_FAMILY_LIMIT = 5_000_000
 
 
 class ResourceLimitError(RuntimeError):
-    """Raised when an exhaustive enumeration would exceed its size ceiling."""
+    """Raised when a computation would exceed its size ceiling."""
 
 
 def enum_ceiling() -> int:
@@ -120,6 +120,9 @@ def _least_dihedral(t: tuple[int, ...]) -> tuple[int, ...]:
     return min(_least_rotation(t), _least_rotation(t[::-1]))
 
 
+_LEAST = {1: _least_rotation, 2: _least_dihedral, 3: _least_dihedral}
+
+
 def canonicalize(code: TCode) -> TCode:
     """The representative of the code's equivalence class.
 
@@ -129,54 +132,59 @@ def canonicalize(code: TCode) -> TCode:
     Idempotent; delta and type are preserved.
     """
     _require_valid(code)
-    if code.link_type == 1:
-        strips = _least_rotation(code.strips)
-    else:
-        strips = _least_dihedral(code.strips)
-    return TCode(code.link_type, code.delta, strips)
+    return TCode(code.link_type, code.delta, _LEAST[code.link_type](code.strips))
 
 
-def _generate_type1(c: int) -> Iterator[TCode]:
+def _signed_tuples(positives: list[tuple[int, ...]], negatives: list[tuple[int, ...]],
+                   k1: int, k2: int) -> Iterator[tuple[int, ...]]:
+    """Every interleaving of one k1-entry positive part tuple and one k2-entry
+    negative part tuple, the negative entries at each choice of k2 of the
+    k1 + k2 positions; each tuple once."""
+    k = k1 + k2
+    for negative_spots in combinations(range(k), k2):
+        spots = set(negative_spots)
+        for pos_parts in positives:
+            for neg_parts in negatives:
+                pos = iter(pos_parts)
+                neg = iter(neg_parts)
+                yield tuple(next(neg) if i in spots else next(pos) for i in range(k))
+
+
+# The generators below yield (delta, strips) for every valid code, each once.
+
+def _generate_type1(c: int) -> Iterator[tuple[int, tuple[int, ...]]]:
     for delta in range(max(0, c - 8)):
         budget = c - delta
         for k in range(3, budget // 3 + 1):
             if (budget - k) % 2:
                 continue
             for parts in compositions((budget - k) // 2, k):
-                yield TCode(1, delta, tuple(2 * a + 1 for a in parts))
+                yield delta, tuple(2 * a + 1 for a in parts)
 
 
-def _generate_type2(c: int) -> Iterator[TCode]:
+def _generate_type2(c: int) -> Iterator[tuple[int, tuple[int, ...]]]:
     if c % 2 or c < 6:
         return
     half = c // 2
     for k in range(3, half + 1):
         for parts in compositions(half, k):
-            yield TCode(2, 0, tuple(2 * a for a in parts))
+            yield 0, tuple(2 * a for a in parts)
 
 
-def _generate_type3(c: int) -> Iterator[TCode]:
+def _generate_type3(c: int) -> Iterator[tuple[int, tuple[int, ...]]]:
     for delta in range(max(0, c - 5)):
         budget = c - delta
         for k in range(3, budget // 2 + 1):
-            for signs in product((1, -1), repeat=k):
-                k1 = sum(1 for s in signs if s > 0)
+            # k1 positive strips with delta + k1 even and at least 2
+            for k1 in range(max(2 - delta, delta % 2), k + 1, 2):
                 k2 = k - k1
-                if (delta + k1) % 2 or delta + k1 < 2:
-                    continue
-                for m1 in range(2 * k1, budget - 2 * k2 + 1):
-                    m2 = budget - m1
-                    if m2 % 2:
-                        continue
-                    for pos_parts in compositions(m1 - k1, k1):
-                        for neg_parts in compositions(m2 // 2, k2):
-                            pos = iter(pos_parts)
-                            neg = iter(neg_parts)
-                            strips = tuple(
-                                next(pos) + 1 if s > 0 else -2 * next(neg)
-                                for s in signs
-                            )
-                            yield TCode(3, delta, strips)
+                for m2 in range(2 * k2, budget - 2 * k1 + 1, 2):
+                    positives = [tuple(a + 1 for a in parts)
+                                 for parts in compositions(budget - m2 - k1, k1)]
+                    negatives = [tuple(-2 * a for a in parts)
+                                 for parts in compositions(m2 // 2, k2)]
+                    for strips in _signed_tuples(positives, negatives, k1, k2):
+                        yield delta, strips
 
 
 _GENERATORS = {1: _generate_type1, 2: _generate_type2, 3: _generate_type3}
@@ -200,9 +208,12 @@ def enumerate_classes(c: int, link_type: int, ceiling: int | None = None) -> lis
     if c > limit:
         raise ResourceLimitError(
             f"exhaustive enumeration at {c} crossings exceeds the ceiling of {limit}"
+            f" (raise it with --ceiling or {CEILING_ENV_VAR})"
         )
-    classes = {canonicalize(code) for code in _GENERATORS[link_type](c)}
-    return sorted(classes, key=lambda t: (t.delta, len(t.strips), t.strips))
+    least = _LEAST[link_type]
+    classes = {(delta, least(strips)) for delta, strips in _GENERATORS[link_type](c)}
+    return [TCode(link_type, delta, strips)
+            for delta, strips in sorted(classes, key=lambda t: (t[0], len(t[1]), t[1]))]
 
 
 _CANON = {"cyclic": _least_rotation, "dihedral": _least_dihedral}
@@ -229,22 +240,12 @@ def composition_class_count(n: int, k: int, symmetry: str = "cyclic",
     return len({canon(t) for t in compositions(n, k)})
 
 
-def signed_class_count(n1: int, k1: int, n2: int, k2: int, symmetry: str = "dihedral",
+def signed_class_count(n1: int, k1: int, n2: int, k2: int,
                        *, limit: int = DEFAULT_FAMILY_LIMIT) -> int:
-    """Brute-force orbit count of signed tuples: k1 positive entries summing
-    to n1 and k2 negative entries whose sizes sum to n2, under the chosen
-    symmetry of the k1 + k2 positions."""
-    canon = _canon_for(symmetry)
-    k = k1 + k2
-    _guard_family(binom(k, k2) * binom(n1 - 1, k1 - 1) * binom(n2 - 1, k2 - 1), limit)
-    seen = set()
-    for negatives in combinations(range(k), k2):
-        spots = set(negatives)
-        for pos_parts in compositions(n1, k1):
-            for neg_parts in compositions(n2, k2):
-                pos = iter(pos_parts)
-                neg = iter(neg_parts)
-                seen.add(canon(tuple(
-                    -next(neg) if i in spots else next(pos) for i in range(k)
-                )))
-    return len(seen)
+    """Brute-force count of dihedral classes of signed tuples: k1 positive
+    entries summing to n1 and k2 negative entries whose sizes sum to n2,
+    under rotation and reversal of the k1 + k2 positions."""
+    _guard_family(binom(k1 + k2, k2) * binom(n1 - 1, k1 - 1) * binom(n2 - 1, k2 - 1), limit)
+    positives = list(compositions(n1, k1))
+    negatives = [tuple(-a for a in parts) for parts in compositions(n2, k2)]
+    return len({_least_dihedral(t) for t in _signed_tuples(positives, negatives, k1, k2)})

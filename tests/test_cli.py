@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from pretzeltab import cli
+from pretzeltab import cli, counts
 from pretzeltab.cli import EXIT_IO, EXIT_MISMATCH, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
 
 
@@ -83,6 +83,16 @@ class TestCount:
         assert main(["count", "-c", "0"]) == EXIT_USAGE
         assert main(["count", "-c", "10", "--type", "9"]) == EXIT_USAGE
         capsys.readouterr()
+
+    def test_above_max_c_is_resource_error(self, capsys):
+        above = str(counts.MAX_C + 1)
+        assert main(["count", "-c", above]) == EXIT_RESOURCE
+        assert main(["table", "--max", above]) == EXIT_RESOURCE
+        assert main(["fit", "--max", above]) == EXIT_RESOURCE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 3
+        for command, line in zip(("count", "table", "fit"), err):
+            assert line.startswith(f"pretzeltab {command}: ") and "MAX_C" in line
 
 
 class TestList:

@@ -1,6 +1,6 @@
 import pytest
 
-from pretzeltab.combinat import binom, compositions, divisors, gcd_many, totient
+from pretzeltab.combinat import binom, compositions, divisors, totient
 
 
 def brute_totient(d):
@@ -93,22 +93,6 @@ class TestBinom:
         for n in range(1, 41):
             for k in range(1, n + 1):
                 assert binom(n, k - 1) + binom(n, k) == binom(n + 1, k)
-
-
-class TestGcdMany:
-    def test_examples(self):
-        assert gcd_many([4, 2, 2, 2]) == 2
-        assert gcd_many([0, 3, 0, 3]) == 3
-        assert gcd_many([7, 3]) == 1
-
-    def test_single_and_zero(self):
-        assert gcd_many([5]) == 5
-        assert gcd_many([0]) == 0
-        assert gcd_many([0, 0, 0]) == 0
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            gcd_many([])
 
 
 class TestCompositions:

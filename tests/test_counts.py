@@ -1,6 +1,8 @@
 import pytest
 
+from pretzeltab import counts
 from pretzeltab.counts import (
+    MAX_C,
     CountRow,
     Type3Params,
     columns,
@@ -13,7 +15,7 @@ from pretzeltab.counts import (
     count_type3,
     type3_params,
 )
-from pretzeltab.tcodes import enumerate_classes
+from pretzeltab.tcodes import ResourceLimitError, enumerate_classes
 
 from reference_data import COUNT_TABLE, TYPE3_PARAMS_10
 
@@ -129,3 +131,16 @@ class TestColumns:
             p = p1[c] + p2[c] + p3[c]
             assert count_row(c) == CountRow(c, p1[c], p2[c], p3[c], p, 2 * p)
         assert count_rows(30, 40)[3] == count_row(33)
+
+    def test_rows_reject_a_reversed_range(self):
+        with pytest.raises(ValueError):
+            count_rows(9, 6)
+        assert len(count_rows(9, 9)) == 1
+
+    def test_refuses_max_c_above_the_limit(self, monkeypatch):
+        with pytest.raises(ResourceLimitError):
+            columns(MAX_C + 1)
+        monkeypatch.setattr(counts, "MAX_C", 50)
+        assert columns(50)[2][50] == COUNT_TABLE[50][2]
+        with pytest.raises(ResourceLimitError):
+            columns(51)

@@ -85,7 +85,7 @@ class TestSignedBraceletCount:
         # full sweep of the documented verification range
         for n1, k1, n2, k2 in param_grid(max_k=7, max_n=9):
             assert signed_bracelet_count(n1, k1, n2, k2) == \
-                signed_class_count(n1, k1, n2, k2, "dihedral"), (n1, k1, n2, k2)
+                signed_class_count(n1, k1, n2, k2), (n1, k1, n2, k2)
 
     def test_rejects_invalid_params(self):
         with pytest.raises(ValueError):

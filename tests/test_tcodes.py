@@ -1,6 +1,7 @@
 import pytest
 
 from pretzeltab.tcodes import (
+    _GENERATORS,
     CEILING_ENV_VAR,
     DEFAULT_ENUM_CEILING,
     ResourceLimitError,
@@ -133,6 +134,18 @@ class TestEnumerateClasses:
             enumerate_classes(10, 5)
 
 
+class TestGenerators:
+    def test_raw_codes_are_valid_sized_and_distinct(self):
+        for link_type, generate in _GENERATORS.items():
+            for c in range(1, 15):
+                raw = list(generate(c))
+                assert len(raw) == len(set(raw)), (link_type, c)
+                for delta, strips in raw:
+                    code = TCode(link_type, delta, strips)
+                    assert violation(code) is None, code
+                    assert crossing_number(code) == c, code
+
+
 class TestCeiling:
     def test_default_ceiling_enforced(self, monkeypatch):
         monkeypatch.delenv(CEILING_ENV_VAR, raising=False)
@@ -163,7 +176,7 @@ class TestOrbitCounts:
         assert composition_class_count(7, 3, "dihedral") == 4
 
     def test_signed_example(self):
-        assert signed_class_count(4, 2, 2, 2, "dihedral") == 4
+        assert signed_class_count(4, 2, 2, 2) == 4
 
     def test_family_size_guard(self):
         with pytest.raises(ResourceLimitError):
