@@ -22,14 +22,12 @@ from .fit import FitResult, fit_growth, fit_points
 from .necklaces import bracelet_count, necklace_count, reflection_fixed_count
 from .signed_bracelets import signed_bracelet_count, signed_reflection_fixed_count
 from .tcodes import (
-    CEILING_ENV_VAR,
     DEFAULT_ENUM_CEILING,
     ResourceLimitError,
     TCode,
     canonicalize,
     composition_class_count,
     crossing_number,
-    enum_ceiling,
     enumerate_classes,
     is_valid,
     signed_class_count,
@@ -39,7 +37,6 @@ from .tcodes import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CEILING_ENV_VAR",
     "CountRow",
     "DEFAULT_ENUM_CEILING",
     "FitResult",
@@ -61,7 +58,6 @@ __all__ = [
     "count_type3",
     "crossing_number",
     "divisors",
-    "enum_ceiling",
     "enumerate_classes",
     "fit_growth",
     "fit_points",

@@ -12,7 +12,7 @@ import sys
 
 from . import counts, tcodes
 from .fit import fit_growth
-from .tcodes import CEILING_ENV_VAR, ResourceLimitError
+from .tcodes import DEFAULT_ENUM_CEILING, ResourceLimitError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -49,13 +49,13 @@ def _build_parser() -> _Parser:
     lst.add_argument("-c", type=int, required=True, metavar="N")
     lst.add_argument("--type", choices=("1", "2", "3"), required=True)
     lst.add_argument("--format", choices=("lines", "json"), default="lines")
-    lst.add_argument("--ceiling", type=int, metavar="N",
-                     help="override the exhaustive-enumeration ceiling")
+    lst.add_argument("--ceiling", type=int, default=DEFAULT_ENUM_CEILING, metavar="N",
+                     help="exhaustive-enumeration ceiling (default: %(default)s)")
 
     verify = sub.add_parser("verify", help="check closed-form counts against exhaustive enumeration")
     verify.add_argument("--max", type=int, default=16, dest="max_c", metavar="N")
-    verify.add_argument("--ceiling", type=int, metavar="N",
-                        help="override the exhaustive-enumeration ceiling")
+    verify.add_argument("--ceiling", type=int, default=DEFAULT_ENUM_CEILING, metavar="N",
+                        help="exhaustive-enumeration ceiling (default: %(default)s)")
 
     fit = sub.add_parser("fit", help="least-squares exponential growth fit of the counts")
     fit.add_argument("--min", type=int, default=6, dest="min_c", metavar="N")
@@ -116,12 +116,8 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    ceiling = args.ceiling if args.ceiling is not None else tcodes.enum_ceiling()
     # Refuse before any enumeration runs, not at the first row past the ceiling.
-    if args.max_c > ceiling:
-        raise ResourceLimitError(
-            f"verify up to {args.max_c} crossings exceeds the ceiling of {ceiling}"
-            f" (raise it with --ceiling or {CEILING_ENV_VAR})")
+    tcodes.check_ceiling(args.max_c, args.ceiling)
     columns = counts.columns(args.max_c)
     failures = 0
     checks = 0
@@ -129,7 +125,7 @@ def _cmd_verify(args) -> int:
     for c in range(1, args.max_c + 1):
         for link_type in (1, 2, 3):
             formula = columns[link_type - 1][c]
-            enumerated = len(tcodes.enumerate_classes(c, link_type, ceiling=ceiling))
+            enumerated = len(tcodes.enumerate_classes(c, link_type, ceiling=args.ceiling))
             ok = formula == enumerated
             checks += 1
             failures += 0 if ok else 1

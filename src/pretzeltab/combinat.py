@@ -59,6 +59,18 @@ def binom(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
+def exact_div(value: int, divisor: int, what: str) -> int:
+    """value / divisor, raising ArithmeticError unless the division is exact.
+
+    Guards every Burnside average and series division; unlike an assert, the
+    check also runs under ``python -O``.
+    """
+    quotient, rem = divmod(value, divisor)
+    if rem:
+        raise ArithmeticError(f"{what}: {value} not divisible by {divisor}")
+    return quotient
+
+
 def compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
     """Yield every k-tuple of positive integers summing to n, each once.
 

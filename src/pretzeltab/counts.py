@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .combinat import totient
+from .combinat import exact_div, totient
 from .necklaces import bracelet_count, necklace_count
 from .signed_bracelets import signed_bracelet_count
 from .tcodes import ResourceLimitError
@@ -184,13 +184,6 @@ def _stretch(a: list[int], d: int) -> list[int]:
     return out
 
 
-def _exact(value: int, divisor: int, what: str) -> int:
-    quotient, rem = divmod(value, divisor)
-    if rem:
-        raise ArithmeticError(f"{what} {value} not divisible by {divisor}")
-    return quotient
-
-
 def _log_derivative(a: list[int], n: int) -> list[int]:
     """h = x f'/(1 - f) for f = a/(1 - x^2), so that [x^m] log 1/(1 - f) = h_m/m.
 
@@ -214,7 +207,7 @@ def _cycle_sum(h_of: Callable[[int], list[int]], n: int) -> list[int]:
         phi = totient(d)
         for m in range(1, (n - 1) // d + 1):
             out[m * d] += phi * h[m]
-    return [0] + [_exact(out[c], c, "cyclic sum") for c in range(1, n)]
+    return [0] + [exact_div(out[c], c, "cyclic sum") for c in range(1, n)]
 
 
 def _low_terms(a: list[int], a2: list[int], n: int) -> tuple[list[int], list[int], list[int]]:
@@ -239,7 +232,7 @@ def _dihedral_sum(u: int, h: dict[int, list[int]], n: int) -> list[int]:
     mirrored = _div(_mul([2 * v1 + v2 + v11 for v1, v2, v11 in zip(p1, p2, p11)], d2, n),
                     _sub(d2, _stretch(a2, 2)), n)
     cyclic = _cycle_sum(lambda d: h[u ** d], n)
-    return [_exact(2 * cyc + mir - 4 * v1 - 2 * v11 - 2 * v2, 4, "dihedral sum")
+    return [exact_div(2 * cyc + mir - 4 * v1 - 2 * v11 - 2 * v2, 4, "dihedral sum")
             for cyc, mir, v1, v2, v11 in zip(cyclic, mirrored, p1, p2, p11)]
 
 
@@ -266,15 +259,15 @@ def columns(max_c: int) -> tuple[list[int], list[int], list[int]]:
     h_q = _log_derivative(_ODD_STRIPS, n)
     q1, q2, q11 = _low_terms(_ODD_STRIPS, _ODD_STRIPS, n)
     # Z(C_1) = p1 and Z(C_2) = (p1^2 + p2)/2 are taken off the cyclic sum.
-    necklaces = [_exact(2 * cyc - 2 * v1 - v11 - v2, 2, "cyclic sum")
+    necklaces = [exact_div(2 * cyc - 2 * v1 - v11 - v2, 2, "cyclic sum")
                  for cyc, v1, v2, v11 in zip(_cycle_sum(lambda d: h_q, n), q1, q2, q11)]
     p1 = _div(necklaces, [1, -1], n)
 
     h = {u: _log_derivative(_signed_strips(u), n) for u in (1, -1, 0)}
     p2 = _dihedral_sum(0, h, n)
     b_plus, b_minus = _dihedral_sum(1, h, n), _dihedral_sum(-1, h, n)
-    b_even = [_exact(v + w, 2, "even-k1 sum") for v, w in zip(b_plus, b_minus)]
-    b_odd = [_exact(v - w, 2, "odd-k1 sum") for v, w in zip(b_plus, b_minus)]
+    b_even = [exact_div(v + w, 2, "even-k1 sum") for v, w in zip(b_plus, b_minus)]
+    b_odd = [exact_div(v - w, 2, "odd-k1 sum") for v, w in zip(b_plus, b_minus)]
     twisted = _div([e + o for e, o in zip(b_even, [0] + b_odd)], _ONE_MINUS_X2, n)
     p3 = [v - w for v, w in zip(twisted, p2)]
     return p1, p2, p3

@@ -1,16 +1,69 @@
-"""Weighted necklace and bracelet counts for compositions.
+"""Burnside counts for circles of one or two families of weighted beads.
 
-A composition of n into k positive parts is read as a circular arrangement of
-k beads whose weights sum to n.  ``necklace_count`` counts arrangements up to
-rotation, ``bracelet_count`` up to rotation and reversal.  Both are evaluated
-by Burnside averaging in exact integer arithmetic; a division that leaves a
-remainder raises ``ArithmeticError``.
+A circle holds k1 positive beads of total weight n1 and k2 negative beads of
+total weight n2; an empty family (n = k = 0) leaves the one-family case, k
+beads whose weights are a composition of n.  ``_rotation_sum`` and
+``_reflection_sum`` add up the arrangements fixed by each rotation and each
+reflection of the k = k1 + k2 positions.  Every counter here and in
+``signed_bracelets`` is one exact division of them; a remainder raises
+``ArithmeticError``.  For odd k each of the k reflection axes passes through
+one bead; for even k, k/2 axes pass through two beads and k/2 through none.
+The other beads form mirrored pairs.
 """
 from __future__ import annotations
 
 import math
 
-from .combinat import binom, divisors, totient
+from .combinat import binom, divisors, exact_div, totient
+
+
+def _compositions(n: int, k: int) -> int:
+    """Number of k-part compositions of n; the empty family has exactly one."""
+    return 1 if n == k == 0 else binom(n - 1, k - 1)
+
+
+def _weightings(n: int, a: int, m: int) -> int:
+    """[x^n] (x/(1-x))^a (x^2/(1-x^2))^m, for a in {0, 1, 2} beads on the axis
+    and m mirrored pairs."""
+    if a == 0:
+        return 0 if n % 2 else _compositions(n // 2, m)
+    if a == 1:
+        return binom((n - 1) // 2, m)
+    return binom(n // 2, m + 1) + binom((n - 1) // 2, m + 1)
+
+
+def _rotation_sum(n1: int, k1: int, n2: int, k2: int) -> int:
+    """Arrangements fixed by each of the k1 + k2 rotations, summed: a rotation
+    of order d fixes those made of d copies of one block."""
+    k = k1 + k2
+    total = 0
+    for d in divisors(math.gcd(k1, k2, n1, n2)):
+        total += (totient(d) * binom(k // d, k1 // d)
+                  * _compositions(n1 // d, k1 // d) * _compositions(n2 // d, k2 // d))
+    return total
+
+
+def _reflection_sum(n1: int, k1: int, n2: int, k2: int) -> int:
+    """Arrangements fixed by each of the k1 + k2 reflections, summed: per axis
+    type and split of its beads into a1 positive and a2 negative, the ways to
+    sign the axis beads and the pairs, times each family's weightings."""
+    k = k1 + k2
+    axis_types = ((k, 1),) if k % 2 else ((k // 2, 2), (k // 2, 0))
+    total = 0
+    for axes, on_axis in axis_types:
+        # a family with too few beads for the axis gets m = -1: binom(m1 + m2, m1) = 0
+        for a1 in range(k1 % 2, on_axis + 1, 2):
+            a2 = on_axis - a1
+            m1, m2 = (k1 - a1) // 2, (k2 - a2) // 2
+            total += (axes * binom(on_axis, a1) * binom(m1 + m2, m1)
+                      * _weightings(n1, a1, m1) * _weightings(n2, a2, m2))
+    return total
+
+
+def _bracelets(n1: int, k1: int, n2: int, k2: int) -> int:
+    """Dihedral classes of arrangements with k1 + k2 >= 1 beads."""
+    return exact_div(_rotation_sum(n1, k1, n2, k2) + _reflection_sum(n1, k1, n2, k2),
+                     2 * (k1 + k2), "dihedral Burnside sum")
 
 
 def necklace_count(n: int, k: int) -> int:
@@ -21,43 +74,26 @@ def necklace_count(n: int, k: int) -> int:
     """
     if k <= 0 or n < k:
         return 0
-    total = 0
-    for d in divisors(math.gcd(n, k)):
-        total += totient(d) * binom(n // d - 1, k // d - 1)
-    count, rem = divmod(total, k)
-    if rem:
-        raise ArithmeticError(f"rotation-fixed sum {total} not divisible by k={k}")
-    return count
+    return exact_div(_rotation_sum(n, k, 0, 0), k, "rotation-fixed sum")
 
 
 def reflection_fixed_count(n: int, k: int) -> int:
     """Average number of k-part compositions of n fixed by a reflection.
 
     The average over the k reflections of the dihedral group is always an
-    integer; it is the second Burnside term in ``bracelet_count``.  Which
-    binomial applies depends only on the parities of n and k.
+    integer; it is the second Burnside term in ``bracelet_count``.
     """
     if n < 1 or k < 1:
         raise ValueError(f"reflection count needs n >= 1 and k >= 1, got ({n}, {k})")
-    if n % 2:
-        if k % 2:
-            return binom((n - 1) // 2, (k - 1) // 2)
-        return binom((n - 1) // 2, k // 2)
-    if k % 2:
-        return binom(n // 2 - 1, (k - 1) // 2)
-    return binom(n // 2, k // 2)
+    return exact_div(_reflection_sum(n, k, 0, 0), k, "reflection-fixed sum")
 
 
 def bracelet_count(n: int, k: int) -> int:
     """Number of dihedral classes of k-part compositions of n.
 
-    Burnside over the dihedral group: the mean of the rotation term
-    (``necklace_count``) and the reflection term; zero when k = 0 or n < k.
+    Burnside over the dihedral group: the mean of the rotation-fixed and
+    reflection-fixed counts over its 2k elements; zero when k = 0 or n < k.
     """
     if k <= 0 or n < k:
         return 0
-    doubled = necklace_count(n, k) + reflection_fixed_count(n, k)
-    count, rem = divmod(doubled, 2)
-    if rem:
-        raise ArithmeticError(f"dihedral Burnside sum odd for (n={n}, k={k})")
-    return count
+    return _bracelets(n, k, 0, 0)

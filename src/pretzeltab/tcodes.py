@@ -10,11 +10,10 @@ rotation and reversal (types 2 and 3).
 canonicalizes, and deduplicates; it is the brute-force ground truth that the
 closed-form counters in ``counts`` are checked against.  Exhaustive
 enumeration grows exponentially with the crossing number, so it refuses to
-run above a configurable ceiling.
+run above a ceiling (``ceiling`` argument, the CLI's ``--ceiling``).
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
@@ -22,30 +21,22 @@ from typing import Iterator
 from .combinat import binom, compositions
 
 DEFAULT_ENUM_CEILING = 22
-CEILING_ENV_VAR = "PRETZELTAB_ENUM_CEILING"
-DEFAULT_FAMILY_LIMIT = 5_000_000
+# Largest family the brute-force orbit counters below will materialise.
+FAMILY_LIMIT = 5_000_000
 
 
 class ResourceLimitError(RuntimeError):
     """Raised when a computation would exceed its size ceiling."""
 
 
-def enum_ceiling() -> int:
-    """Crossing-number ceiling for exhaustive enumeration.
-
-    Defaults to DEFAULT_ENUM_CEILING; the PRETZELTAB_ENUM_CEILING environment
-    variable overrides it.
-    """
-    raw = os.environ.get(CEILING_ENV_VAR)
-    if raw is None:
-        return DEFAULT_ENUM_CEILING
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{CEILING_ENV_VAR} must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ValueError(f"{CEILING_ENV_VAR} must be positive, got {value}")
-    return value
+def check_ceiling(c: int, ceiling: int) -> None:
+    """Refuse exhaustive enumeration at c crossings above the ceiling."""
+    if ceiling < 1:
+        raise ValueError(f"the enumeration ceiling must be positive, got {ceiling}")
+    if c > ceiling:
+        raise ResourceLimitError(
+            f"exhaustive enumeration at {c} crossings exceeds the ceiling of {ceiling}"
+            " (raise it with --ceiling)")
 
 
 @dataclass(frozen=True)
@@ -190,26 +181,20 @@ def _generate_type3(c: int) -> Iterator[tuple[int, tuple[int, ...]]]:
 _GENERATORS = {1: _generate_type1, 2: _generate_type2, 3: _generate_type3}
 
 
-def enumerate_classes(c: int, link_type: int, ceiling: int | None = None) -> list[TCode]:
+def enumerate_classes(c: int, link_type: int, ceiling: int = DEFAULT_ENUM_CEILING) -> list[TCode]:
     """All equivalence classes of the given type at crossing number c.
 
     Generates every valid code, canonicalizes and deduplicates; returns the
     representatives sorted by (delta, strip count, strips).  Only positive
     type 1 and type 2 codes are generated (one link per mirror pair).
 
-    Refuses c above the enumeration ceiling (``ceiling`` argument, else the
-    environment override, else DEFAULT_ENUM_CEILING).
+    Refuses c above the enumeration ceiling (``check_ceiling``).
     """
     if c < 1:
         raise ValueError(f"crossing number must be positive, got {c}")
     if link_type not in _GENERATORS:
         raise ValueError(f"link type must be 1, 2 or 3, got {link_type}")
-    limit = enum_ceiling() if ceiling is None else ceiling
-    if c > limit:
-        raise ResourceLimitError(
-            f"exhaustive enumeration at {c} crossings exceeds the ceiling of {limit}"
-            f" (raise it with --ceiling or {CEILING_ENV_VAR})"
-        )
+    check_ceiling(c, ceiling)
     least = _LEAST[link_type]
     classes = {(delta, least(strips)) for delta, strips in _GENERATORS[link_type](c)}
     return [TCode(link_type, delta, strips)
@@ -226,26 +211,26 @@ def _canon_for(symmetry: str):
         raise ValueError(f"symmetry must be 'cyclic' or 'dihedral', got {symmetry!r}") from None
 
 
-def _guard_family(size: int, limit: int) -> None:
-    if size > limit:
-        raise ResourceLimitError(f"family of {size} tuples exceeds the limit of {limit}")
+def _guard_family(size: int) -> None:
+    if size > FAMILY_LIMIT:
+        raise ResourceLimitError(f"family of {size} tuples exceeds the limit of {FAMILY_LIMIT}")
 
 
-def composition_class_count(n: int, k: int, symmetry: str = "cyclic",
-                            *, limit: int = DEFAULT_FAMILY_LIMIT) -> int:
+def composition_class_count(n: int, k: int, symmetry: str = "cyclic") -> int:
     """Brute-force orbit count of k-part compositions of n under the chosen
     symmetry, by canonical-form deduplication of the full family."""
     canon = _canon_for(symmetry)
-    _guard_family(binom(n - 1, k - 1), limit)
+    _guard_family(binom(n - 1, k - 1))
     return len({canon(t) for t in compositions(n, k)})
 
 
-def signed_class_count(n1: int, k1: int, n2: int, k2: int,
-                       *, limit: int = DEFAULT_FAMILY_LIMIT) -> int:
+def signed_class_count(n1: int, k1: int, n2: int, k2: int) -> int:
     """Brute-force count of dihedral classes of signed tuples: k1 positive
     entries summing to n1 and k2 negative entries whose sizes sum to n2,
     under rotation and reversal of the k1 + k2 positions."""
-    _guard_family(binom(k1 + k2, k2) * binom(n1 - 1, k1 - 1) * binom(n2 - 1, k2 - 1), limit)
+    # an empty family contributes one empty tuple, not binom(-1, -1) = 0
+    _guard_family(binom(k1 + k2, k2) * (binom(n1 - 1, k1 - 1) if k1 else 1)
+                  * (binom(n2 - 1, k2 - 1) if k2 else 1))
     positives = list(compositions(n1, k1))
     negatives = [tuple(-a for a in parts) for parts in compositions(n2, k2)]
     return len({_least_dihedral(t) for t in _signed_tuples(positives, negatives, k1, k2)})

@@ -115,15 +115,19 @@ class TestList:
         main(["list", "-c", "10", "--type", "3"])
         assert codes == capsys.readouterr().out.splitlines()
 
-    def test_ceiling_exceeded(self, capsys, monkeypatch):
-        monkeypatch.delenv(cli.CEILING_ENV_VAR, raising=False)
+    def test_ceiling_exceeded(self, capsys):
         assert main(["list", "-c", "40", "--type", "3"]) == EXIT_RESOURCE
-        err = capsys.readouterr().err
-        assert "--ceiling" in err and cli.CEILING_ENV_VAR in err
+        assert "--ceiling" in capsys.readouterr().err
 
     def test_ceiling_flag(self, capsys):
         assert main(["list", "-c", "23", "--type", "1", "--ceiling", "23"]) == EXIT_OK
         capsys.readouterr()
+
+    def test_ceiling_below_one_is_usage_error(self, capsys):
+        assert main(["list", "-c", "5", "--type", "1", "--ceiling", "0"]) == EXIT_USAGE
+        assert main(["verify", "--max", "3", "--ceiling", "-2"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("ceiling must be positive") == 2 and "raise it" not in err
 
     def test_type_is_required(self, capsys):
         assert main(["list", "-c", "9"]) == EXIT_USAGE
@@ -150,8 +154,7 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "FAIL" in out and "99" in out
 
-    def test_max_above_ceiling(self, capsys, monkeypatch):
-        monkeypatch.delenv(cli.CEILING_ENV_VAR, raising=False)
+    def test_max_above_ceiling(self, capsys):
         assert main(["verify", "--max", "40"]) == EXIT_RESOURCE
         assert "--ceiling" in capsys.readouterr().err
 

@@ -1,0 +1,66 @@
+"""Invariants checked on random inputs, on top of the fixed sweeps.
+
+Examples are drawn deterministically (``derandomize=True``), so a failure
+reproduces on every run.
+"""
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from pretzeltab.signed_bracelets import signed_bracelet_count
+from pretzeltab.tcodes import TCode, canonicalize, signed_class_count, violation
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=200)
+
+
+@st.composite
+def signed_params(draw):
+    """(n1, k1, n2, k2) with at most 6 beads and a family possibly empty."""
+    k1 = draw(st.integers(0, 6))
+    k2 = draw(st.integers(0 if k1 else 1, 6 - k1))
+    n1 = draw(st.integers(k1, k1 + 4)) if k1 else 0
+    n2 = draw(st.integers(k2, k2 + 4)) if k2 else 0
+    return n1, k1, n2, k2
+
+
+@st.composite
+def valid_codes(draw):
+    link_type = draw(st.sampled_from((1, 2, 3)))
+    if link_type == 1:
+        entries, delta = st.integers(1, 4).map(lambda a: 2 * a + 1), None
+    elif link_type == 2:
+        entries, delta = st.integers(1, 4).map(lambda a: 2 * a), 0
+    else:
+        entries, delta = st.integers(2, 6) | st.integers(1, 3).map(lambda a: -2 * a), None
+    strips = tuple(draw(st.lists(entries, min_size=3, max_size=7)))
+    if link_type == 1:
+        delta = draw(st.integers(0, 4))
+    elif link_type == 3:
+        positives = sum(1 for s in strips if s > 0)
+        # delta + positives must be even and at least 2
+        delta = 2 * draw(st.integers(0 if positives else 1, 2)) + positives % 2
+    return TCode(link_type, delta, strips)
+
+
+def orbit(code):
+    """Every rotation of the code's strips and, for types 2 and 3, of their reversal."""
+    k = len(code.strips)
+    bases = (code.strips,) if code.link_type == 1 else (code.strips, code.strips[::-1])
+    return [TCode(code.link_type, code.delta, (base + base)[i:i + k])
+            for base in bases for i in range(k)]
+
+
+@PROPERTY
+@given(signed_params())
+@example((5, 3, 0, 0))
+@example((0, 0, 6, 4))
+def test_signed_bracelet_count_matches_brute_force(params):
+    assert signed_bracelet_count(*params) == signed_class_count(*params)
+
+
+@PROPERTY
+@given(valid_codes())
+def test_canonical_form_is_constant_on_the_orbit_and_idempotent(code):
+    assert violation(code) is None
+    canonical = canonicalize(code)
+    assert all(canonicalize(image) == canonical for image in orbit(code))
+    assert canonicalize(canonical) == canonical

@@ -1,15 +1,14 @@
 import pytest
 
+from pretzeltab import tcodes
 from pretzeltab.tcodes import (
     _GENERATORS,
-    CEILING_ENV_VAR,
     DEFAULT_ENUM_CEILING,
     ResourceLimitError,
     TCode,
     canonicalize,
     composition_class_count,
     crossing_number,
-    enum_ceiling,
     enumerate_classes,
     is_valid,
     signed_class_count,
@@ -147,27 +146,22 @@ class TestGenerators:
 
 
 class TestCeiling:
-    def test_default_ceiling_enforced(self, monkeypatch):
-        monkeypatch.delenv(CEILING_ENV_VAR, raising=False)
-        assert enum_ceiling() == DEFAULT_ENUM_CEILING
+    def test_default_ceiling_enforced(self):
         with pytest.raises(ResourceLimitError):
             enumerate_classes(DEFAULT_ENUM_CEILING + 1, 3)
 
-    def test_environment_override(self, monkeypatch):
-        monkeypatch.setenv(CEILING_ENV_VAR, "8")
-        assert enum_ceiling() == 8
+    def test_explicit_argument_wins(self):
+        # over the default, both below it and above it
         with pytest.raises(ResourceLimitError):
-            enumerate_classes(9, 2)
-        assert enumerate_classes(8, 2)  # at the ceiling is allowed
-
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv(CEILING_ENV_VAR, "6")
+            enumerate_classes(9, 2, ceiling=8)
+        assert enumerate_classes(8, 2, ceiling=8)  # at the ceiling is allowed
         assert len(enumerate_classes(10, 3, ceiling=10)) == 38
+        assert enumerate_classes(DEFAULT_ENUM_CEILING + 1, 1, ceiling=DEFAULT_ENUM_CEILING + 1)
 
-    def test_bad_environment_value(self, monkeypatch):
-        monkeypatch.setenv(CEILING_ENV_VAR, "many")
-        with pytest.raises(ValueError):
-            enum_ceiling()
+    def test_rejects_ceiling_below_one(self):
+        for ceiling in (0, -2):
+            with pytest.raises(ValueError):
+                enumerate_classes(5, 1, ceiling=ceiling)
 
 
 class TestOrbitCounts:
@@ -178,11 +172,14 @@ class TestOrbitCounts:
     def test_signed_example(self):
         assert signed_class_count(4, 2, 2, 2) == 4
 
-    def test_family_size_guard(self):
+    def test_family_size_guard(self, monkeypatch):
+        monkeypatch.setattr(tcodes, "FAMILY_LIMIT", 1000)
         with pytest.raises(ResourceLimitError):
-            composition_class_count(60, 30, "cyclic", limit=1000)
+            composition_class_count(60, 30, "cyclic")
         with pytest.raises(ResourceLimitError):
-            signed_class_count(20, 10, 20, 10, limit=1000)
+            signed_class_count(20, 10, 20, 10)
+        with pytest.raises(ResourceLimitError):
+            signed_class_count(14, 7, 0, 0)  # 1716 tuples, the second family empty
 
     def test_rejects_unknown_symmetry(self):
         with pytest.raises(ValueError):
