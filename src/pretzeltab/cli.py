@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 argument error, 2 verification mismatch,
 3 resource ceiling exceeded (the enumeration ceiling or ``counts.MAX_C``),
-4 I/O error.
+4 I/O error, 5 internal error (a failed exactness check, ``ArithmeticError``).
 """
 from __future__ import annotations
 
@@ -19,6 +19,7 @@ EXIT_USAGE = 1
 EXIT_MISMATCH = 2
 EXIT_RESOURCE = 3
 EXIT_IO = 4
+EXIT_INTERNAL = 5
 
 CSV_HEADER = "c,p1,p2,p3,p,total"
 
@@ -119,7 +120,7 @@ def _cmd_verify(args) -> int:
     # Refuse before any enumeration runs, not at the first row past the ceiling.
     tcodes.check_ceiling(args.max_c, args.ceiling)
     columns = counts.columns(args.max_c)
-    failures = 0
+    failures = []
     checks = 0
     print("   c  type     formula  enumerated  result")
     for c in range(1, args.max_c + 1):
@@ -128,11 +129,16 @@ def _cmd_verify(args) -> int:
             enumerated = len(tcodes.enumerate_classes(c, link_type, ceiling=args.ceiling))
             ok = formula == enumerated
             checks += 1
-            failures += 0 if ok else 1
+            if not ok:
+                failures.append(f"c={c} type {link_type} "
+                                f"(formula {formula}, enumerated {enumerated})")
             print(f"{c:4d}  {link_type:4d}  {formula:10d}  {enumerated:10d}  "
                   f"{'PASS' if ok else 'FAIL'}")
-    print(f"verify: {checks - failures}/{checks} checks passed")
-    return EXIT_OK if failures == 0 else EXIT_MISMATCH
+    print(f"verify: {checks - len(failures)}/{checks} checks passed")
+    if failures:
+        print(f"pretzeltab verify: first failure at {failures[0]}", file=sys.stderr)
+        return EXIT_MISMATCH
+    return EXIT_OK
 
 
 def _cmd_fit(args) -> int:
@@ -166,6 +172,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ResourceLimitError) as exc:
         print(f"pretzeltab {args.command}: {exc}", file=sys.stderr)
         return EXIT_RESOURCE if isinstance(exc, ResourceLimitError) else EXIT_USAGE
+    except ArithmeticError as exc:
+        print(f"pretzeltab {args.command}: internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

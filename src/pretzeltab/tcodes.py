@@ -6,16 +6,20 @@ strips).  Two codes describe the same link exactly when they have equal type
 and delta and their strip tuples agree up to rotation (type 1) or up to
 rotation and reversal (types 2 and 3).
 
-``enumerate_classes`` generates every valid code at a crossing number,
-canonicalizes, and deduplicates; it is the brute-force ground truth that the
-closed-form counters in ``counts`` are checked against.  Exhaustive
-enumeration grows exponentially with the crossing number, so it refuses to
-run above a ceiling (``ceiling`` argument, the CLI's ``--ceiling``).
+``enumerate_classes`` generates the valid codes at a crossing number whose
+strips start with their least entry (the min anchor), canonicalizes, and
+deduplicates; it is the brute-force ground truth that the closed-form
+counters in ``counts`` are checked against.  The anchor loses no class,
+because a canonical form, the least rotation of the strips or of their
+reversal, always starts with the least entry.  Exhaustive enumeration grows
+exponentially with the crossing number, so it refuses to run above a
+ceiling (``ceiling`` argument, the CLI's ``--ceiling``).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import itemgetter
 from typing import Iterator
 
 from .combinat import binom, compositions
@@ -99,16 +103,31 @@ def crossing_number(code: TCode) -> int:
     return code.delta + sum(abs(s) for s in code.strips)
 
 
+def _rotation_starts(t: tuple[int, ...]) -> list[int]:
+    """The positions holding the least entry of t; a least rotation starts at one."""
+    least = min(t)
+    if t.count(least) == 1:
+        return [t.index(least)]
+    return [i for i, s in enumerate(t) if s == least]
+
+
 def _least_rotation(t: tuple[int, ...]) -> tuple[int, ...]:
     if not t:
         return t
-    doubled = t + t
     k = len(t)
-    return min(doubled[i:i + k] for i in range(k))
+    doubled = t + t
+    return min(doubled[i:i + k] for i in _rotation_starts(t))
 
 
 def _least_dihedral(t: tuple[int, ...]) -> tuple[int, ...]:
-    return min(_least_rotation(t), _least_rotation(t[::-1]))
+    if not t:
+        return t
+    k = len(t)
+    doubled = t + t
+    # the reversal read from t[i] backwards is backward[k - 1 - i:2 * k - 1 - i]
+    backward = doubled[::-1]
+    return min(min(doubled[i:i + k], backward[k - 1 - i:2 * k - 1 - i])
+               for i in _rotation_starts(t))
 
 
 _LEAST = {1: _least_rotation, 2: _least_dihedral, 3: _least_dihedral}
@@ -126,22 +145,51 @@ def canonicalize(code: TCode) -> TCode:
     return TCode(code.link_type, code.delta, _LEAST[code.link_type](code.strips))
 
 
+def _anchored_compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
+    """The k-part compositions of n whose first part is their least, each once."""
+    if k == 0:
+        yield from compositions(n, 0)
+        return
+    for least in range(1, n // k + 1):
+        # the other k - 1 parts are at least `least`: shift a composition of the rest
+        shift = least - 1
+        for tail in compositions(n - least - shift * (k - 1), k - 1):
+            yield (least,) + tuple(a + shift for a in tail)
+
+
 def _signed_tuples(positives: list[tuple[int, ...]], negatives: list[tuple[int, ...]],
                    k1: int, k2: int) -> Iterator[tuple[int, ...]]:
-    """Every interleaving of one k1-entry positive part tuple and one k2-entry
-    negative part tuple, the negative entries at each choice of k2 of the
-    k1 + k2 positions; each tuple once."""
+    """Every interleaving of one k1-entry tuple of positive entries and one
+    k2-entry tuple of negative entries that starts with its least entry and
+    whose second entry is at most its last, each once (see
+    ``enumerate_classes``).
+
+    With k2 > 0 the least entry is negative: position 0 is a negative spot
+    and only negative part tuples led by their least are placed.
+    """
     k = k1 + k2
-    for negative_spots in combinations(range(k), k2):
-        spots = set(negative_spots)
+    if k2:
+        negatives = [parts for parts in negatives if parts[0] == min(parts)]
+        spot_sets = [(0,) + rest for rest in combinations(range(1, k), k2 - 1)]
+    else:
+        positives = [parts for parts in positives if not parts or parts[0] == min(parts)]
+        spot_sets = [()]
+    for negative_spots in spot_sets:
+        # position i of the tuple takes entry order[i] of pos_parts + neg_parts
+        pos_at = iter(range(k1))
+        neg_at = iter(range(k1, k))
+        order = [next(neg_at) if i in negative_spots else next(pos_at) for i in range(k)]
+        # itemgetter of one index returns a bare entry; with k < 2 the order is the identity
+        pick = itemgetter(*order) if k > 1 else tuple
         for pos_parts in positives:
             for neg_parts in negatives:
-                pos = iter(pos_parts)
-                neg = iter(neg_parts)
-                yield tuple(next(neg) if i in spots else next(pos) for i in range(k))
+                t = pick(pos_parts + neg_parts)
+                if k < 2 or t[1] <= t[-1]:
+                    yield t
 
 
-# The generators below yield (delta, strips) for every valid code, each once.
+# The generators below yield (delta, strips) for valid codes only, each once,
+# and only the strips that ``enumerate_classes`` describes.
 
 def _generate_type1(c: int) -> Iterator[tuple[int, tuple[int, ...]]]:
     for delta in range(max(0, c - 8)):
@@ -149,7 +197,7 @@ def _generate_type1(c: int) -> Iterator[tuple[int, tuple[int, ...]]]:
         for k in range(3, budget // 3 + 1):
             if (budget - k) % 2:
                 continue
-            for parts in compositions((budget - k) // 2, k):
+            for parts in _anchored_compositions((budget - k) // 2, k):
                 yield delta, tuple(2 * a + 1 for a in parts)
 
 
@@ -158,8 +206,9 @@ def _generate_type2(c: int) -> Iterator[tuple[int, tuple[int, ...]]]:
         return
     half = c // 2
     for k in range(3, half + 1):
-        for parts in compositions(half, k):
-            yield 0, tuple(2 * a for a in parts)
+        for parts in _anchored_compositions(half, k):
+            if parts[1] <= parts[-1]:
+                yield 0, tuple(2 * a for a in parts)
 
 
 def _generate_type3(c: int) -> Iterator[tuple[int, tuple[int, ...]]]:
@@ -184,9 +233,16 @@ _GENERATORS = {1: _generate_type1, 2: _generate_type2, 3: _generate_type3}
 def enumerate_classes(c: int, link_type: int, ceiling: int = DEFAULT_ENUM_CEILING) -> list[TCode]:
     """All equivalence classes of the given type at crossing number c.
 
-    Generates every valid code, canonicalizes and deduplicates; returns the
+    Generates valid codes, canonicalizes and deduplicates; returns the
     representatives sorted by (delta, strip count, strips).  Only positive
     type 1 and type 2 codes are generated (one link per mirror pair).
+
+    Only codes whose strips start with their least entry are generated (the
+    min anchor), and for types 2 and 3 only those with strips[1] <=
+    strips[-1].  No class is lost: its canonical form, the least rotation of
+    the strips or (types 2 and 3) of their reversal, starts with the least
+    entry, and its second entry is at most its last, because otherwise the
+    reversal read backwards from that first entry would be less.
 
     Refuses c above the enumeration ceiling (``check_ceiling``).
     """
@@ -218,10 +274,11 @@ def _guard_family(size: int) -> None:
 
 def composition_class_count(n: int, k: int, symmetry: str = "cyclic") -> int:
     """Brute-force orbit count of k-part compositions of n under the chosen
-    symmetry, by canonical-form deduplication of the full family."""
+    symmetry, by canonical-form deduplication of the compositions whose
+    first part is their least (every canonical form is one of them)."""
     canon = _canon_for(symmetry)
     _guard_family(binom(n - 1, k - 1))
-    return len({canon(t) for t in compositions(n, k)})
+    return len({canon(t) for t in _anchored_compositions(n, k)})
 
 
 def signed_class_count(n1: int, k1: int, n2: int, k2: int) -> int:

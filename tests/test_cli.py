@@ -3,7 +3,15 @@ import json
 import pytest
 
 from pretzeltab import cli, counts
-from pretzeltab.cli import EXIT_IO, EXIT_MISMATCH, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
+from pretzeltab.cli import (
+    EXIT_INTERNAL,
+    EXIT_IO,
+    EXIT_MISMATCH,
+    EXIT_OK,
+    EXIT_RESOURCE,
+    EXIT_USAGE,
+    main,
+)
 
 
 class TestTable:
@@ -151,8 +159,10 @@ class TestVerify:
 
         monkeypatch.setattr(cli.counts, "columns", one_wrong_type2)
         assert main(["verify", "--max", "6"]) == EXIT_MISMATCH
-        out = capsys.readouterr().out
-        assert "FAIL" in out and "99" in out
+        captured = capsys.readouterr()
+        assert "FAIL" in captured.out and "99" in captured.out
+        assert captured.err == (
+            "pretzeltab verify: first failure at c=6 type 2 (formula 99, enumerated 1)\n")
 
     def test_max_above_ceiling(self, capsys):
         assert main(["verify", "--max", "40"]) == EXIT_RESOURCE
@@ -191,3 +201,14 @@ class TestParsing:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == EXIT_OK
         capsys.readouterr()
+
+
+class TestInternalError:
+    def test_failed_exactness_check_exits_with_one_line(self, capsys, monkeypatch):
+        # a wrong totient makes a Burnside sum indivisible: ArithmeticError
+        monkeypatch.setattr(counts, "totient", lambda d: d)
+        assert main(["count", "-c", "20"]) == EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("pretzeltab count: internal error: ")
+        assert len(captured.err.splitlines()) == 1

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from pretzeltab import tcodes
@@ -25,6 +27,26 @@ def dihedral_images(strips):
     reverse = strips[::-1]
     doubled_r = reverse + reverse
     return rotations + [doubled_r[i:i + k] for i in range(k)]
+
+
+def strip_values(link_type, top):
+    """The strip entries a code of the type may hold, of size at most top."""
+    if link_type == 1:
+        return range(3, top + 1, 2)
+    if link_type == 2:
+        return range(2, top + 1, 2)
+    return [s for s in range(-top, top + 1) if s >= 2 or (s <= -2 and s % 2 == 0)]
+
+
+def brute_force_codes(c, link_type):
+    """Every valid code of the type at c crossings, from a plain product over
+    strip values; independent of the oracle's generators."""
+    for k in range(3, c // 2 + 1):
+        # the other k - 1 strips take at least 2 crossings each
+        for strips in product(strip_values(link_type, c - 2 * (k - 1)), repeat=k):
+            code = TCode(link_type, c - sum(abs(s) for s in strips), strips)
+            if violation(code) is None:
+                yield code
 
 
 class TestValidate:
@@ -120,6 +142,12 @@ class TestEnumerateClasses:
                     assert is_valid(code)
                     assert code.link_type == link_type
                     assert crossing_number(code) == c
+
+    def test_anchored_generation_loses_no_class(self):
+        for c in range(1, 13):
+            for link_type in (1, 2, 3):
+                expected = {canonicalize(code) for code in brute_force_codes(c, link_type)}
+                assert set(enumerate_classes(c, link_type)) == expected, (c, link_type)
 
     def test_empty_below_thresholds(self):
         assert enumerate_classes(5, 3) == []
