@@ -120,7 +120,8 @@ def _cmd_verify(args) -> int:
     # Refuse before any enumeration runs, not at the first row past the ceiling.
     tcodes.check_ceiling(args.max_c, args.ceiling)
     columns = counts.columns(args.max_c)
-    failures = []
+    failures = 0
+    first_failure = None
     checks = 0
     print("   c  type     formula  enumerated  result")
     for c in range(1, args.max_c + 1):
@@ -129,14 +130,14 @@ def _cmd_verify(args) -> int:
             enumerated = len(tcodes.enumerate_classes(c, link_type, ceiling=args.ceiling))
             ok = formula == enumerated
             checks += 1
-            if not ok:
-                failures.append(f"c={c} type {link_type} "
-                                f"(formula {formula}, enumerated {enumerated})")
+            failures += 0 if ok else 1
+            if not ok and first_failure is None:
+                first_failure = f"c={c} type {link_type} (formula {formula}, enumerated {enumerated})"
             print(f"{c:4d}  {link_type:4d}  {formula:10d}  {enumerated:10d}  "
                   f"{'PASS' if ok else 'FAIL'}")
-    print(f"verify: {checks - len(failures)}/{checks} checks passed")
-    if failures:
-        print(f"pretzeltab verify: first failure at {failures[0]}", file=sys.stderr)
+    print(f"verify: {checks - failures}/{checks} checks passed")
+    if first_failure is not None:
+        print(f"pretzeltab verify: first failure at {first_failure}", file=sys.stderr)
         return EXIT_MISMATCH
     return EXIT_OK
 

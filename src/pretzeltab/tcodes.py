@@ -103,31 +103,18 @@ def crossing_number(code: TCode) -> int:
     return code.delta + sum(abs(s) for s in code.strips)
 
 
-def _rotation_starts(t: tuple[int, ...]) -> list[int]:
-    """The positions holding the least entry of t; a least rotation starts at one."""
-    least = min(t)
-    if t.count(least) == 1:
-        return [t.index(least)]
-    return [i for i, s in enumerate(t) if s == least]
-
-
 def _least_rotation(t: tuple[int, ...]) -> tuple[int, ...]:
     if not t:
         return t
+    # a least rotation starts at a position holding the least entry
+    least = min(t)
     k = len(t)
     doubled = t + t
-    return min(doubled[i:i + k] for i in _rotation_starts(t))
+    return min(doubled[i:i + k] for i, s in enumerate(t) if s == least)
 
 
 def _least_dihedral(t: tuple[int, ...]) -> tuple[int, ...]:
-    if not t:
-        return t
-    k = len(t)
-    doubled = t + t
-    # the reversal read from t[i] backwards is backward[k - 1 - i:2 * k - 1 - i]
-    backward = doubled[::-1]
-    return min(min(doubled[i:i + k], backward[k - 1 - i:2 * k - 1 - i])
-               for i in _rotation_starts(t))
+    return min(_least_rotation(t), _least_rotation(t[::-1]))
 
 
 _LEAST = {1: _least_rotation, 2: _least_dihedral, 3: _least_dihedral}
