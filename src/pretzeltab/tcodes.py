@@ -6,17 +6,20 @@ strips).  Two codes describe the same link exactly when they have equal type
 and delta and their strip tuples agree up to rotation (type 1) or up to
 rotation and reversal (types 2 and 3).
 
-``enumerate_classes`` generates the valid codes at a crossing number whose
-strips start with their least entry (the min anchor), canonicalizes, and
-deduplicates; it is the brute-force ground truth that the closed-form
-counters in ``counts`` are checked against.  The anchor loses no class,
-because a canonical form, the least rotation of the strips or of their
-reversal, always starts with the least entry.  Exhaustive enumeration grows
-exponentially with the crossing number, so it refuses to run above a
+``enumerate_classes`` is the brute-force ground truth that the closed-form
+counters in ``counts`` are checked against.  It produces each class once, as
+its canonical form, by orderly generation: a prenecklace generator (Cattell,
+Ruskey, Sawada, Serra and Miers, J. Algorithms 37, 2000) extends only the
+prefixes that can still be the least rotation of a strip tuple, and for types
+2 and 3 Sawada's reversal test (SIAM J. Comput. 31, 2001) keeps a necklace
+only when no rotation of its reversal is less.  Tuples come out in
+lexicographic order, so no dedup set and no sort is needed.  Enumeration
+grows exponentially with the crossing number, so it refuses to run above a
 ceiling (``ceiling`` argument, the CLI's ``--ceiling``).
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import combinations
 from operator import itemgetter
@@ -25,7 +28,7 @@ from typing import Iterator
 from .combinat import binom, compositions
 
 DEFAULT_ENUM_CEILING = 22
-# Largest family the brute-force orbit counters below will materialise.
+# Largest family (tuples before symmetry) the orbit counters below accept.
 FAMILY_LIMIT = 5_000_000
 
 
@@ -104,8 +107,6 @@ def crossing_number(code: TCode) -> int:
 
 
 def _least_rotation(t: tuple[int, ...]) -> tuple[int, ...]:
-    if not t:
-        return t
     # a least rotation starts at a position holding the least entry
     least = min(t)
     k = len(t)
@@ -117,9 +118,6 @@ def _least_dihedral(t: tuple[int, ...]) -> tuple[int, ...]:
     return min(_least_rotation(t), _least_rotation(t[::-1]))
 
 
-_LEAST = {1: _least_rotation, 2: _least_dihedral, 3: _least_dihedral}
-
-
 def canonicalize(code: TCode) -> TCode:
     """The representative of the code's equivalence class.
 
@@ -129,27 +127,17 @@ def canonicalize(code: TCode) -> TCode:
     Idempotent; delta and type are preserved.
     """
     _require_valid(code)
-    return TCode(code.link_type, code.delta, _LEAST[code.link_type](code.strips))
-
-
-def _anchored_compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """The k-part compositions of n whose first part is their least, each once."""
-    if k == 0:
-        yield from compositions(n, 0)
-        return
-    for least in range(1, n // k + 1):
-        # the other k - 1 parts are at least `least`: shift a composition of the rest
-        shift = least - 1
-        for tail in compositions(n - least - shift * (k - 1), k - 1):
-            yield (least,) + tuple(a + shift for a in tail)
+    least = _least_rotation if code.link_type == 1 else _least_dihedral
+    return TCode(code.link_type, code.delta, least(code.strips))
 
 
 def _signed_tuples(positives: list[tuple[int, ...]], negatives: list[tuple[int, ...]],
                    k1: int, k2: int) -> Iterator[tuple[int, ...]]:
     """Every interleaving of one k1-entry tuple of positive entries and one
     k2-entry tuple of negative entries that starts with its least entry and
-    whose second entry is at most its last, each once (see
-    ``enumerate_classes``).
+    whose second entry is at most its last, each once.  Every dihedral
+    canonical form is one of them: otherwise a rotation of the tuple or of
+    its reversal would be less.
 
     With k2 > 0 the least entry is negative: position 0 is a negative spot
     and only negative part tuples led by their least are placed.
@@ -175,83 +163,89 @@ def _signed_tuples(positives: list[tuple[int, ...]], negatives: list[tuple[int, 
                     yield t
 
 
-# The generators below yield (delta, strips) for valid codes only, each once,
-# and only the strips that ``enumerate_classes`` describes.
+def _necklaces(values: list[int], k: int, budget: int,
+               parity: int | None = None) -> list[tuple[int, ...]]:
+    """Every k-entry tuple over the sorted values whose sizes (absolute
+    values) sum to budget and that is the least of its rotations, each once,
+    in lexicographic order; with a parity, only those whose count of positive
+    entries has that parity.
 
-def _generate_type1(c: int) -> Iterator[tuple[int, tuple[int, ...]]]:
-    for delta in range(max(0, c - 8)):
-        budget = c - delta
-        for k in range(3, budget // 3 + 1):
-            if (budget - k) % 2:
-                continue
-            for parts in _anchored_compositions((budget - k) // 2, k):
-                yield delta, tuple(2 * a + 1 for a in parts)
+    Position t takes only values at least a[t - p], p being the period of the
+    prefix, and a full tuple is a necklace when p divides k.  A prefix is
+    dropped when the rest of the budget cannot fill the remaining positions at
+    the least size; the last entry takes exactly what is left, signed to fit
+    the parity.
+    """
+    least = min(map(abs, values))
+    present = set(values)
+    found = []
+    a = [values[0]] * (k + 1)  # a[0] is a sentinel no entry is below
 
+    def extend(t: int, p: int, rem: int, odd: int) -> None:
+        prev = a[t - p]
+        if t == k:
+            for v in (-rem, rem) if parity is None else (rem if odd != parity else -rem,):
+                if v >= prev and v in present:
+                    a[t] = v
+                    if k % (p if v == prev else t) == 0:
+                        found.append(tuple(a[1:]))
+            return
+        cap = rem - (k - t) * least  # the largest size position t may take
+        for i in range(max(bisect_left(values, prev), bisect_left(values, -cap)),
+                       bisect_right(values, cap)):
+            v = a[t] = values[i]
+            extend(t + 1, p if v == prev else t, rem - abs(v), odd ^ (v > 0))
 
-def _generate_type2(c: int) -> Iterator[tuple[int, tuple[int, ...]]]:
-    if c % 2 or c < 6:
-        return
-    half = c // 2
-    for k in range(3, half + 1):
-        for parts in _anchored_compositions(half, k):
-            if parts[1] <= parts[-1]:
-                yield 0, tuple(2 * a for a in parts)
-
-
-def _generate_type3(c: int) -> Iterator[tuple[int, tuple[int, ...]]]:
-    for delta in range(max(0, c - 5)):
-        budget = c - delta
-        for k in range(3, budget // 2 + 1):
-            # k1 positive strips with delta + k1 even and at least 2
-            for k1 in range(max(2 - delta, delta % 2), k + 1, 2):
-                k2 = k - k1
-                for m2 in range(2 * k2, budget - 2 * k1 + 1, 2):
-                    positives = [tuple(a + 1 for a in parts)
-                                 for parts in compositions(budget - m2 - k1, k1)]
-                    negatives = [tuple(-2 * a for a in parts)
-                                 for parts in compositions(m2 // 2, k2)]
-                    for strips in _signed_tuples(positives, negatives, k1, k2):
-                        yield delta, strips
+    extend(1, 1, budget, 0)
+    return found
 
 
-_GENERATORS = {1: _generate_type1, 2: _generate_type2, 3: _generate_type3}
+def _is_bracelet(necklace: tuple[int, ...]) -> bool:
+    """Whether a necklace is no greater than any rotation of its reversal
+    (only a rotation that starts with the least entry can be less)."""
+    k = len(necklace)
+    reverse = necklace[::-1]
+    doubled = reverse + reverse
+    for i, s in enumerate(reverse):
+        if s == necklace[0] and doubled[i:i + k] < necklace:
+            return False
+    return True
 
 
 def enumerate_classes(c: int, link_type: int, ceiling: int = DEFAULT_ENUM_CEILING) -> list[TCode]:
     """All equivalence classes of the given type at crossing number c.
 
-    Generates valid codes, canonicalizes and deduplicates; returns the
-    representatives sorted by (delta, strip count, strips).  Only positive
-    type 1 and type 2 codes are generated (one link per mirror pair).
-
-    Only codes whose strips start with their least entry are generated (the
-    min anchor), and for types 2 and 3 only those with strips[1] <=
-    strips[-1].  No class is lost: its canonical form, the least rotation of
-    the strips or (types 2 and 3) of their reversal, starts with the least
-    entry, and its second entry is at most its last, because otherwise the
-    reversal read backwards from that first entry would be less.
+    Each class comes once, as its canonical form, ordered by (delta, strip
+    count, strips).  Only positive type 1 and type 2 codes are generated (one
+    link per mirror pair).  For each delta and strip count, ascending,
+    ``_necklaces`` yields the strip tuples that are their own least rotation
+    in lexicographic order.  Types 2 and 3 keep the bracelets among them, and
+    type 3 those whose positive strip count k1 makes delta + k1 even and at
+    least 2: exactly the canonical forms, already in output order.
 
     Refuses c above the enumeration ceiling (``check_ceiling``).
     """
     if c < 1:
         raise ValueError(f"crossing number must be positive, got {c}")
-    if link_type not in _GENERATORS:
+    if link_type not in (1, 2, 3):
         raise ValueError(f"link type must be 1, 2 or 3, got {link_type}")
     check_ceiling(c, ceiling)
-    least = _LEAST[link_type]
-    classes = {(delta, least(strips)) for delta, strips in _GENERATORS[link_type](c)}
-    return [TCode(link_type, delta, strips)
-            for delta, strips in sorted(classes, key=lambda t: (t[0], len(t[1]), t[1]))]
-
-
-_CANON = {"cyclic": _least_rotation, "dihedral": _least_dihedral}
-
-
-def _canon_for(symmetry: str):
-    try:
-        return _CANON[symmetry]
-    except KeyError:
-        raise ValueError(f"symmetry must be 'cyclic' or 'dihedral', got {symmetry!r}") from None
+    if link_type == 1:
+        values = list(range(3, c + 1, 2))
+    elif link_type == 2:
+        values = list(range(2, c + 1, 2))
+    else:
+        values = list(range(-c + c % 2, -1, 2)) + list(range(2, c + 1))
+    classes = []
+    for delta in range(1 if link_type == 2 else c):
+        budget = c - delta
+        for k in range(3, budget // 2 + 1):  # every strip takes at least 2 crossings
+            for strips in _necklaces(values, k, budget, None if link_type < 3 else delta % 2):
+                if link_type == 3 and not delta and max(strips) < 0:
+                    continue  # k1 = 0: delta + k1 is below 2
+                if link_type == 1 or _is_bracelet(strips):
+                    classes.append(TCode(link_type, delta, strips))
+    return classes
 
 
 def _guard_family(size: int) -> None:
@@ -260,18 +254,23 @@ def _guard_family(size: int) -> None:
 
 
 def composition_class_count(n: int, k: int, symmetry: str = "cyclic") -> int:
-    """Brute-force orbit count of k-part compositions of n under the chosen
-    symmetry, by canonical-form deduplication of the compositions whose
-    first part is their least (every canonical form is one of them)."""
-    canon = _canon_for(symmetry)
+    """Orbit count of k-part compositions of n under the chosen symmetry: the
+    orderly generator's necklaces, or for the dihedral symmetry its bracelets."""
+    if symmetry not in ("cyclic", "dihedral"):
+        raise ValueError(f"symmetry must be 'cyclic' or 'dihedral', got {symmetry!r}")
     _guard_family(binom(n - 1, k - 1))
-    return len({canon(t) for t in _anchored_compositions(n, k)})
+    if not 0 < k <= n:
+        return 0
+    necklaces = _necklaces(list(range(1, n + 1)), k, n)
+    return sum(1 for t in necklaces if symmetry == "cyclic" or _is_bracelet(t))
 
 
 def signed_class_count(n1: int, k1: int, n2: int, k2: int) -> int:
     """Brute-force count of dihedral classes of signed tuples: k1 positive
     entries summing to n1 and k2 negative entries whose sizes sum to n2,
     under rotation and reversal of the k1 + k2 positions."""
+    if k1 + k2 == 0:
+        return 0  # the empty tuple is no pretzel code
     # an empty family contributes one empty tuple, not binom(-1, -1) = 0
     _guard_family(binom(k1 + k2, k2) * (binom(n1 - 1, k1 - 1) if k1 else 1)
                   * (binom(n2 - 1, k2 - 1) if k2 else 1))

@@ -4,6 +4,7 @@ import pytest
 
 from pretzeltab import cli, counts
 from pretzeltab.cli import (
+    CSV_HEADER,
     EXIT_INTERNAL,
     EXIT_IO,
     EXIT_MISMATCH,
@@ -56,6 +57,14 @@ class TestTable:
         (row,) = json.loads(capsys.readouterr().out)
         assert row["c"] == 48
         assert row["p3"] == "162274113329"
+
+    def test_row_at_max_c(self, capsys):
+        # the longest count that table prints must fit str()'s digit limit
+        top = str(counts.MAX_C)
+        assert main(["table", "--min", top, "--max", top]) == EXIT_OK
+        row = counts.count_row(counts.MAX_C)
+        expected = ",".join(str(n) for n in (row.c, row.p1, row.p2, row.p3, row.p, row.total))
+        assert capsys.readouterr().out.splitlines() == [CSV_HEADER, expected]
 
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "table.csv"

@@ -76,7 +76,7 @@ class TestTypeCounters:
             assert count_type3(c) == 0
 
     def test_counters_match_enumeration_on_small_range(self):
-        for c in range(1, 13):
+        for c in range(1, 21):
             for link_type in (1, 2, 3):
                 assert count_by_type(c, link_type) == len(enumerate_classes(c, link_type)), \
                     (c, link_type)

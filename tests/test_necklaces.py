@@ -33,6 +33,8 @@ class TestNecklaceCount:
         assert necklace_count(0, 0) == 0
         assert necklace_count(5, 0) == 0
         assert necklace_count(4, 9) == 0
+        assert composition_class_count(0, 0, "cyclic") == 0
+        assert composition_class_count(0, 0, "dihedral") == 0
 
     def test_matches_brute_force(self):
         for n in range(1, 19):

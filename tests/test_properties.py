@@ -54,6 +54,7 @@ def orbit(code):
 @given(signed_params())
 @example((5, 3, 0, 0))
 @example((0, 0, 6, 4))
+@example((0, 0, 0, 0))
 def test_signed_bracelet_count_matches_brute_force(params):
     assert signed_bracelet_count(*params) == signed_class_count(*params)
 
@@ -70,7 +71,7 @@ def test_canonical_form_is_constant_on_the_orbit_and_idempotent(code):
 @PROPERTY
 @given(valid_codes())
 def test_canonical_form_starts_with_its_least_entry(code):
-    # the oracle generates only such strips (tcodes.enumerate_classes)
+    # signed_class_count generates only such strips (tcodes._signed_tuples)
     strips = canonicalize(code).strips
     assert strips[0] == min(strips)
     if code.link_type != 1:

@@ -4,7 +4,6 @@ import pytest
 
 from pretzeltab import tcodes
 from pretzeltab.tcodes import (
-    _GENERATORS,
     DEFAULT_ENUM_CEILING,
     ResourceLimitError,
     TCode,
@@ -134,14 +133,17 @@ class TestEnumerateClasses:
         assert set(classes) == expected
 
     def test_representatives_are_valid_and_sized(self):
-        for c in (10, 11):
+        # each class once, in output order: strictly increasing without a set or a sort
+        for c in range(1, 15):
             for link_type in (1, 2, 3):
                 classes = enumerate_classes(c, link_type)
-                assert len(classes) == len(set(classes))
                 for code in classes:
-                    assert is_valid(code)
+                    assert is_valid(code), code
                     assert code.link_type == link_type
-                    assert crossing_number(code) == c
+                    assert crossing_number(code) == c, code
+                    assert canonicalize(code) == code, code
+                keys = [(code.delta, len(code.strips), code.strips) for code in classes]
+                assert all(a < b for a, b in zip(keys, keys[1:])), (c, link_type)
 
     def test_anchored_generation_loses_no_class(self):
         for c in range(1, 13):
@@ -159,18 +161,6 @@ class TestEnumerateClasses:
             enumerate_classes(0, 3)
         with pytest.raises(ValueError):
             enumerate_classes(10, 5)
-
-
-class TestGenerators:
-    def test_raw_codes_are_valid_sized_and_distinct(self):
-        for link_type, generate in _GENERATORS.items():
-            for c in range(1, 15):
-                raw = list(generate(c))
-                assert len(raw) == len(set(raw)), (link_type, c)
-                for delta, strips in raw:
-                    code = TCode(link_type, delta, strips)
-                    assert violation(code) is None, code
-                    assert crossing_number(code) == c, code
 
 
 class TestCeiling:
