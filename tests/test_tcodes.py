@@ -4,6 +4,8 @@ import pytest
 
 from pretzeltab import tcodes
 from pretzeltab.tcodes import (
+    _least_rotation,
+    _necklaces,
     DEFAULT_ENUM_CEILING,
     ResourceLimitError,
     TCode,
@@ -161,6 +163,28 @@ class TestEnumerateClasses:
             enumerate_classes(0, 3)
         with pytest.raises(ValueError):
             enumerate_classes(10, 5)
+
+
+class TestGenerators:
+    def test_raw_codes_are_valid_sized_and_distinct(self):
+        # _necklaces' output before enumerate_classes keeps the bracelets
+        for link_type in (1, 2, 3):
+            for c in range(6, 15):
+                values = list(strip_values(link_type, c))
+                for delta in range(1 if link_type == 2 else c):
+                    for k in range(3, (c - delta) // 2 + 1):
+                        parity = None if link_type < 3 else delta % 2
+                        raw = _necklaces(values, k, c - delta, parity)
+                        # distinct and in lexicographic order
+                        assert all(a < b for a, b in zip(raw, raw[1:])), (link_type, c, delta, k)
+                        for strips in raw:
+                            assert strips == _least_rotation(strips), strips
+                            code = TCode(link_type, delta, strips)
+                            if link_type == 3 and not delta and max(strips) < 0:
+                                assert violation(code) is not None, code  # dropped by the oracle
+                            else:
+                                assert violation(code) is None, code
+                                assert crossing_number(code) == c, code
 
 
 class TestCeiling:
