@@ -107,11 +107,12 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_list(args) -> int:
-    classes = tcodes.enumerate_classes(args.c, int(args.type), ceiling=args.ceiling)
+    link_type = int(args.type)
     if args.format == "lines":
-        for code in classes:
-            print(code)
+        for delta, strips in tcodes.class_strips(args.c, link_type, ceiling=args.ceiling):
+            print(tcodes.TCode(link_type, delta, strips))
     else:
+        classes = tcodes.enumerate_classes(args.c, link_type, ceiling=args.ceiling)
         print(json.dumps([str(code) for code in classes], indent=2))
     return EXIT_OK
 
@@ -127,7 +128,7 @@ def _cmd_verify(args) -> int:
     for c in range(1, args.max_c + 1):
         for link_type in (1, 2, 3):
             formula = columns[link_type - 1][c]
-            enumerated = len(tcodes.enumerate_classes(c, link_type, ceiling=args.ceiling))
+            enumerated = tcodes.count_classes(c, link_type, ceiling=args.ceiling)
             ok = formula == enumerated
             checks += 1
             failures += 0 if ok else 1

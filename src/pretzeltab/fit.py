@@ -23,12 +23,16 @@ class FitResult:
 def fit_points(points: Iterable[tuple[int, int]]) -> FitResult:
     """Ordinary least squares of ln(count) on c over (c, count) pairs.
 
-    Pairs with count <= 0 are dropped; at least 3 usable pairs are required.
-    Counts convert to logs at full integer precision.
+    Pairs with count <= 0 are dropped; at least 3 usable pairs, at 2 or more
+    distinct crossing numbers, are required.  Counts convert to logs at full
+    integer precision.
     """
     usable: Sequence[tuple[int, int]] = sorted((c, p) for c, p in points if p > 0)
     if len(usable) < 3:
         raise ValueError(f"need at least 3 crossing numbers with positive counts, got {len(usable)}")
+    distinct = len({c for c, _ in usable})
+    if distinct < 2:
+        raise ValueError(f"need at least 2 distinct crossing numbers for a slope, got {distinct}")
     xs = [c for c, _ in usable]
     ys = [math.log(p) for _, p in usable]
     n = len(xs)

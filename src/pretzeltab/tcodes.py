@@ -7,15 +7,21 @@ and delta and their strip tuples agree up to rotation (type 1) or up to
 rotation and reversal (types 2 and 3).
 
 ``enumerate_classes`` is the brute-force ground truth that the closed-form
-counters in ``counts`` are checked against.  It produces each class once, as
-its canonical form, by orderly generation: a prenecklace generator (Cattell,
-Ruskey, Sawada, Serra and Miers, J. Algorithms 37, 2000) extends only the
-prefixes that can still be the least rotation of a strip tuple, and for types
-2 and 3 Sawada's reversal test (SIAM J. Comput. 31, 2001) keeps a necklace
-only when no rotation of its reversal is less.  Tuples come out in
-lexicographic order, so no dedup set and no sort is needed.  Enumeration
-grows exponentially with the crossing number, so it refuses to run above a
-ceiling (``ceiling`` argument, the CLI's ``--ceiling``).
+counters in ``counts`` are checked against, and ``count_classes`` counts the
+same classes without building a ``TCode`` for each.  Both read
+``class_strips``, which produces each class once, as its canonical form, by
+orderly generation: a prenecklace generator (Cattell, Ruskey, Sawada, Serra
+and Miers, J. Algorithms 37, 2000) extends only the prefixes that can still
+be the least rotation of a strip tuple.  The frame at position k - 1 also
+closes the tuple, since the budget and the parity fix the last entry.  For
+types 2 and 3 Sawada's reversal test (SIAM J. Comput. 31, 2001) keeps a
+necklace only when no rotation of its reversal is less: first the necessary
+a[2] <= a[k], before the tuple is built; then, with a unique least entry, the
+one comparison s[1:] <= s[:0:-1]; and only when the least entry repeats,
+every rotation that starts with it.  Tuples come out in lexicographic order,
+so no dedup set and no sort is needed.  Enumeration grows exponentially with
+the crossing number, so it refuses to run above a ceiling (``ceiling``
+argument, the CLI's ``--ceiling``).
 """
 from __future__ import annotations
 
@@ -163,38 +169,76 @@ def _signed_tuples(positives: list[tuple[int, ...]], negatives: list[tuple[int, 
                     yield t
 
 
-def _necklaces(values: list[int], k: int, budget: int,
-               parity: int | None = None) -> list[tuple[int, ...]]:
+def _necklaces(values: list[int], k: int, budget: int, parity: int | None = None,
+               dihedral: bool = False) -> list[tuple[int, ...]]:
     """Every k-entry tuple over the sorted values whose sizes (absolute
     values) sum to budget and that is the least of its rotations, each once,
     in lexicographic order; with a parity, only those whose count of positive
-    entries has that parity.
+    entries has that parity (without one, the values must be positive); with
+    dihedral, only the bracelets among them: those no greater than any
+    rotation of their reversal.
 
     Position t takes only values at least a[t - p], p being the period of the
-    prefix, and a full tuple is a necklace when p divides k.  A prefix is
-    dropped when the rest of the budget cannot fill the remaining positions at
-    the least size; the last entry takes exactly what is left, signed to fit
-    the parity.
+    prefix.  A prefix is dropped when the rest of the budget cannot fill the
+    remaining positions, each at the least size or at a[1] once that is
+    positive (no entry is below a[1]).  The frame at position k - 1 also
+    closes the tuple: its entry x leaves one size for the last entry, signed
+    to fit the parity, and the tuple is a necklace when that entry is at least
+    a[k - q] and, if equal, q divides k (q being the period with x).
+
+    A bracelet has a[2] <= a[k], else its reversal read from a[1] is less.
+    So once a[2] is positive the last entry needs at least that size, and the
+    check runs before the tuple is built.  With a unique least entry that
+    reversal is the only rotation to compare with; otherwise
+    ``_is_bracelet`` tries each.
     """
-    least = min(map(abs, values))
     present = set(values)
+    if k == 1:
+        v = -budget if parity == 0 else budget
+        return [(v,)] if v in present else []
+    least = min(map(abs, values))
     found = []
     a = [values[0]] * (k + 1)  # a[0] is a sentinel no entry is below
+    # first[top + v] and after[top + v] are bisect_left and bisect_right of v
+    top = max(budget, -values[0])
+    first = [bisect_left(values, v) for v in range(-top, top + 1)]
+    after = [bisect_right(values, v) for v in range(-top, top + 1)]
 
     def extend(t: int, p: int, rem: int, odd: int) -> None:
         prev = a[t - p]
-        if t == k:
-            for v in (-rem, rem) if parity is None else (rem if odd != parity else -rem,):
-                if v >= prev and v in present:
-                    a[t] = v
-                    if k % (p if v == prev else t) == 0:
-                        found.append(tuple(a[1:]))
+        floor = least  # the least size of the entries after position t
+        if t > 1 and a[1] > floor:
+            floor = a[1]
+        last = floor  # and of the last entry
+        if dihedral and t > 2 and a[2] > last:
+            last = a[2]
+        cap = rem - (k - t - 1) * floor - last  # the largest size position t may take
+        if cap < 0:
             return
-        cap = rem - (k - t) * least  # the largest size position t may take
-        for i in range(max(bisect_left(values, prev), bisect_left(values, -cap)),
-                       bisect_right(values, cap)):
-            v = a[t] = values[i]
-            extend(t + 1, p if v == prev else t, rem - abs(v), odd ^ (v > 0))
+        start = first[top + prev]  # the first value at least prev and of size at most cap
+        if first[top - cap] > start:
+            start = first[top - cap]
+        if t < k - 1:
+            for i in range(start, after[top + cap]):
+                v = a[t] = values[i]
+                extend(t + 1, p if v == prev else t, rem - abs(v), odd ^ (v > 0))
+            return
+        for i in range(start, after[top + cap]):
+            x = a[t] = values[i]
+            q = p if x == prev else t
+            v = rem - abs(x)
+            if parity is not None and odd ^ (x > 0) == parity:
+                v = -v
+            low = a[k - q]
+            if v < low or (v == low and k % q) or v not in present:
+                continue
+            a[k] = v
+            if not dihedral or k < 3:  # a necklace of 2 entries is a bracelet
+                found.append(tuple(a[1:]))
+            elif a[2] <= v:
+                s = tuple(a[1:])
+                if s[1:] <= s[:0:-1] and (s.count(s[0]) == 1 or _is_bracelet(s)):
+                    found.append(s)
 
     extend(1, 1, budget, 0)
     return found
@@ -212,18 +256,21 @@ def _is_bracelet(necklace: tuple[int, ...]) -> bool:
     return True
 
 
-def enumerate_classes(c: int, link_type: int, ceiling: int = DEFAULT_ENUM_CEILING) -> list[TCode]:
-    """All equivalence classes of the given type at crossing number c.
+def class_strips(c: int, link_type: int,
+                 ceiling: int = DEFAULT_ENUM_CEILING) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Every equivalence class of the given type at crossing number c, as the
+    (delta, strips) of its canonical form, lazily and in ``list`` order.
 
-    Each class comes once, as its canonical form, ordered by (delta, strip
-    count, strips).  Only positive type 1 and type 2 codes are generated (one
-    link per mirror pair).  For each delta and strip count, ascending,
-    ``_necklaces`` yields the strip tuples that are their own least rotation
-    in lexicographic order.  Types 2 and 3 keep the bracelets among them, and
-    type 3 those whose positive strip count k1 makes delta + k1 even and at
-    least 2: exactly the canonical forms, already in output order.
+    Each class comes once, ordered by (delta, strip count, strips).  Only
+    positive type 1 and type 2 codes are generated (one link per mirror
+    pair).  For each delta and strip count, ascending, ``_necklaces`` yields
+    the strip tuples that are their own least rotation, for types 2 and 3
+    only the bracelets, in lexicographic order; type 3 keeps those whose
+    positive strip count k1 makes delta + k1 even and at least 2: exactly the
+    canonical forms, already in output order.
 
-    Refuses c above the enumeration ceiling (``check_ceiling``).
+    Refuses c above the enumeration ceiling (``check_ceiling``) when the
+    first class is asked for.
     """
     if c < 1:
         raise ValueError(f"crossing number must be positive, got {c}")
@@ -236,16 +283,26 @@ def enumerate_classes(c: int, link_type: int, ceiling: int = DEFAULT_ENUM_CEILIN
         values = list(range(2, c + 1, 2))
     else:
         values = list(range(-c + c % 2, -1, 2)) + list(range(2, c + 1))
-    classes = []
     for delta in range(1 if link_type == 2 else c):
         budget = c - delta
+        parity = None if link_type < 3 else delta % 2
         for k in range(3, budget // 2 + 1):  # every strip takes at least 2 crossings
-            for strips in _necklaces(values, k, budget, None if link_type < 3 else delta % 2):
+            for strips in _necklaces(values, k, budget, parity, dihedral=link_type > 1):
                 if link_type == 3 and not delta and max(strips) < 0:
                     continue  # k1 = 0: delta + k1 is below 2
-                if link_type == 1 or _is_bracelet(strips):
-                    classes.append(TCode(link_type, delta, strips))
-    return classes
+                yield delta, strips
+
+
+def enumerate_classes(c: int, link_type: int, ceiling: int = DEFAULT_ENUM_CEILING) -> list[TCode]:
+    """All equivalence classes of the given type at crossing number c, as
+    canonical ``TCode``s in ``class_strips`` order."""
+    return [TCode(link_type, delta, strips)
+            for delta, strips in class_strips(c, link_type, ceiling)]
+
+
+def count_classes(c: int, link_type: int, ceiling: int = DEFAULT_ENUM_CEILING) -> int:
+    """The number of classes ``enumerate_classes`` lists, without building them."""
+    return sum(1 for _ in class_strips(c, link_type, ceiling))
 
 
 def _guard_family(size: int) -> None:
@@ -261,8 +318,7 @@ def composition_class_count(n: int, k: int, symmetry: str = "cyclic") -> int:
     _guard_family(binom(n - 1, k - 1))
     if not 0 < k <= n:
         return 0
-    necklaces = _necklaces(list(range(1, n + 1)), k, n)
-    return sum(1 for t in necklaces if symmetry == "cyclic" or _is_bracelet(t))
+    return len(_necklaces(list(range(1, n + 1)), k, n, dihedral=symmetry == "dihedral"))
 
 
 def signed_class_count(n1: int, k1: int, n2: int, k2: int) -> int:

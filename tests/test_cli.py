@@ -132,6 +132,17 @@ class TestList:
         main(["list", "-c", "10", "--type", "3"])
         assert codes == capsys.readouterr().out.splitlines()
 
+    def test_lines_stream_without_the_whole_list(self, capsys, monkeypatch):
+        main(["list", "-c", "12", "--type", "3"])
+        expected = capsys.readouterr().out
+
+        def no_list(*args, **kwargs):
+            raise AssertionError("list --format lines built the whole list")
+
+        monkeypatch.setattr(cli.tcodes, "enumerate_classes", no_list)
+        assert main(["list", "-c", "12", "--type", "3"]) == EXIT_OK
+        assert capsys.readouterr().out == expected
+
     def test_ceiling_exceeded(self, capsys):
         assert main(["list", "-c", "40", "--type", "3"]) == EXIT_RESOURCE
         assert "--ceiling" in capsys.readouterr().err
@@ -172,6 +183,14 @@ class TestVerify:
         assert "FAIL" in captured.out and "99" in captured.out
         assert captured.err == (
             "pretzeltab verify: first failure at c=6 type 2 (formula 99, enumerated 1)\n")
+
+    def test_counts_without_building_codes(self, capsys, monkeypatch):
+        def no_codes(*args):
+            raise AssertionError("verify built a TCode")
+
+        monkeypatch.setattr(cli.tcodes, "TCode", no_codes)
+        assert main(["verify", "--max", "12"]) == EXIT_OK
+        assert "36/36 checks passed" in capsys.readouterr().out
 
     def test_max_above_ceiling(self, capsys):
         assert main(["verify", "--max", "40"]) == EXIT_RESOURCE

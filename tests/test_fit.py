@@ -27,6 +27,14 @@ class TestFitPoints:
         with pytest.raises(ValueError):
             fit_points([(1, 0), (2, 0), (3, 0), (4, 5)])
 
+    def test_needs_two_distinct_crossing_numbers(self):
+        with pytest.raises(ValueError, match="distinct"):
+            fit_points([(10, 5), (10, 6), (10, 7)])
+        with pytest.raises(ValueError, match="distinct"):
+            fit_points([(10, 5), (10, 6), (10, 7), (11, 0)])  # the zero count is dropped
+        result = fit_points([(10, 5), (10, 6), (11, 7)])
+        assert result.n_points == 3 and (result.c_min, result.c_max) == (10, 11)
+
 
 class TestFitGrowth:
     def test_full_range_matches_expected_growth(self):

@@ -4,6 +4,8 @@ import pytest
 
 from pretzeltab import tcodes
 from pretzeltab.tcodes import (
+    _is_bracelet,
+    _least_dihedral,
     _least_rotation,
     _necklaces,
     DEFAULT_ENUM_CEILING,
@@ -11,6 +13,7 @@ from pretzeltab.tcodes import (
     TCode,
     canonicalize,
     composition_class_count,
+    count_classes,
     crossing_number,
     enumerate_classes,
     is_valid,
@@ -185,6 +188,60 @@ class TestGenerators:
                             else:
                                 assert violation(code) is None, code
                                 assert crossing_number(code) == c, code
+
+    def test_dihedral_filter_keeps_exactly_the_bracelets(self):
+        # the inline reversal checks against _is_bracelet over the raw necklaces,
+        # short strip counts included
+        for link_type in (1, 2, 3):
+            for c in range(6, 17):
+                values = list(strip_values(link_type, c))
+                for delta in range(1 if link_type == 2 else c):
+                    for k in range(1, (c - delta) // 2 + 1):
+                        parity = None if link_type < 3 else delta % 2
+                        raw = _necklaces(values, k, c - delta, parity)
+                        bracelets = _necklaces(values, k, c - delta, parity, dihedral=True)
+                        assert bracelets == [s for s in raw if _is_bracelet(s)], \
+                            (link_type, c, delta, k)
+
+    def test_short_tuples_match_a_plain_product(self):
+        # k = 1 and 2 never occur in the oracle; composition_class_count uses them
+        for link_type in (1, 2, 3):
+            values = list(strip_values(link_type, 9))
+            for budget in range(2, 10):
+                for k in (1, 2, 3):
+                    for parity in ((None,) if link_type < 3 else (0, 1)):
+                        tuples = [t for t in product(values, repeat=k)
+                                  if sum(map(abs, t)) == budget
+                                  and (parity is None or sum(s > 0 for s in t) % 2 == parity)]
+                        necklaces = sorted({_least_rotation(t) for t in tuples})
+                        bracelets = sorted({_least_dihedral(t) for t in tuples})
+                        case = (link_type, budget, k, parity)
+                        assert _necklaces(values, k, budget, parity) == necklaces, case
+                        assert _necklaces(values, k, budget, parity, dihedral=True) == bracelets, case
+
+
+class TestCountClasses:
+    def test_counts_what_enumerate_classes_lists(self):
+        for c in range(1, 17):
+            for link_type in (1, 2, 3):
+                assert count_classes(c, link_type) == len(enumerate_classes(c, link_type)), \
+                    (c, link_type)
+
+    def test_refuses_above_the_ceiling(self):
+        with pytest.raises(ResourceLimitError):
+            count_classes(DEFAULT_ENUM_CEILING + 1, 3)
+        with pytest.raises(ResourceLimitError):
+            count_classes(9, 2, ceiling=8)
+        assert count_classes(10, 3, ceiling=10) == 38
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            count_classes(0, 3)
+        with pytest.raises(ValueError):
+            count_classes(10, 5)
+        for ceiling in (0, -2):
+            with pytest.raises(ValueError):
+                count_classes(5, 1, ceiling=ceiling)
 
 
 class TestCeiling:
