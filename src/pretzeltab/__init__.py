@@ -3,71 +3,36 @@
 Closed-form counters (cyclic and dihedral Burnside counts over strip-size
 tuples), an exhaustive strip-code oracle that verifies them, canonical class
 representatives, and an exponential growth fit.
+
+Importing the package loads no submodule.  Each name in ``__all__`` loads
+its submodule on first use (PEP 562); every other name is imported from its
+submodule, e.g. ``from pretzeltab.counts import count_rows``.
 """
-from .combinat import binom, compositions, divisors, totient
-from .counts import (
-    CountRow,
-    Type3Params,
-    columns,
-    count_by_type,
-    count_row,
-    count_rows,
-    count_type1,
-    count_type1_alt,
-    count_type2,
-    count_type3,
-    type3_params,
-)
-from .fit import FitResult, fit_growth, fit_points
-from .necklaces import bracelet_count, necklace_count, reflection_fixed_count
-from .signed_bracelets import signed_bracelet_count, signed_reflection_fixed_count
-from .tcodes import (
-    DEFAULT_ENUM_CEILING,
-    ResourceLimitError,
-    TCode,
-    canonicalize,
-    composition_class_count,
-    crossing_number,
-    enumerate_classes,
-    is_valid,
-    signed_class_count,
-    violation,
-)
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CountRow",
-    "DEFAULT_ENUM_CEILING",
-    "FitResult",
-    "ResourceLimitError",
-    "TCode",
-    "Type3Params",
-    "binom",
-    "bracelet_count",
-    "canonicalize",
-    "columns",
-    "composition_class_count",
-    "compositions",
-    "count_by_type",
-    "count_row",
-    "count_rows",
-    "count_type1",
-    "count_type1_alt",
-    "count_type2",
-    "count_type3",
-    "crossing_number",
-    "divisors",
-    "enumerate_classes",
-    "fit_growth",
-    "fit_points",
-    "is_valid",
-    "necklace_count",
-    "reflection_fixed_count",
-    "signed_bracelet_count",
-    "signed_class_count",
-    "signed_reflection_fixed_count",
-    "totient",
-    "type3_params",
-    "violation",
-]
+_HOME = {
+    "columns": "counts",
+    "count_row": "counts",
+    "count_type3": "counts",
+    "type3_params": "counts",
+    "necklace_count": "necklaces",
+    "bracelet_count": "necklaces",
+    "signed_bracelet_count": "signed_bracelets",
+    "TCode": "tcodes",
+    "canonicalize": "tcodes",
+    "enumerate_classes": "tcodes",
+    "fit_growth": "fit",
+}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value  # later lookups skip this function
+    return value

@@ -2,17 +2,21 @@
 
 Exit codes: 0 success, 1 argument error, 2 verification mismatch,
 3 resource ceiling exceeded (the enumeration ceiling or ``counts.MAX_C``),
-4 I/O error, 5 internal error (a failed exactness check, ``ArithmeticError``).
+4 I/O error (also a reader that closes stdout early), 5 internal error (a
+failed exactness check, ``ArithmeticError``).
+
+Each command imports only the modules it runs: ``table`` and ``count`` never
+load the oracle in ``tcodes`` or the fit.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
-from . import counts, tcodes
-from .fit import fit_growth
-from .tcodes import DEFAULT_ENUM_CEILING, ResourceLimitError
+from . import counts
+from .combinat import DEFAULT_ENUM_CEILING, ResourceLimitError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -107,6 +111,8 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_list(args) -> int:
+    from . import tcodes
+
     link_type = int(args.type)
     if args.format == "lines":
         for delta, strips in tcodes.class_strips(args.c, link_type, ceiling=args.ceiling):
@@ -118,6 +124,8 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import tcodes
+
     # Refuse before any enumeration runs, not at the first row past the ceiling.
     tcodes.check_ceiling(args.max_c, args.ceiling)
     columns = counts.columns(args.max_c)
@@ -144,6 +152,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    from .fit import fit_growth
+
     result = fit_growth(args.min_c, args.max_c)
     print("model: p(c) ~ a * exp(b * c)")
     print(f"range: c = {result.c_min}..{result.c_max} ({result.n_points} points)")
@@ -163,7 +173,7 @@ _COMMANDS = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
+def _run(argv: list[str] | None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -177,6 +187,21 @@ def main(argv: list[str] | None = None) -> int:
     except ArithmeticError as exc:
         print(f"pretzeltab {args.command}: internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+
+
+def main(argv: list[str] | None = None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (``| head``).  As the Python docs' note on
+        # SIGPIPE advises, point stdout at devnull, so that the interpreter's
+        # last flush of the unwritten rest does not fail again at exit.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_IO
+    return code
 
 
 if __name__ == "__main__":

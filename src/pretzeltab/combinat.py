@@ -1,13 +1,23 @@
-"""Exact integer combinatorics shared by all counters.
+"""Exact integer combinatorics shared by all counters, and the shared limits.
 
 Everything here is pure, exact (Python big integers throughout) and safe to
-call concurrently.
+call concurrently.  The shared limits, ``ResourceLimitError`` and
+``DEFAULT_ENUM_CEILING``, live here too, in the base module that the others
+build on, so that ``counts`` and the CLI can refuse oversized work without
+loading the oracle in ``tcodes``.
 """
 from __future__ import annotations
 
 import math
 from functools import lru_cache
 from typing import Iterator
+
+# Largest crossing number the exhaustive oracle enumerates unless told otherwise.
+DEFAULT_ENUM_CEILING = 22
+
+
+class ResourceLimitError(RuntimeError):
+    """Raised when a computation would exceed its size ceiling."""
 
 
 @lru_cache(maxsize=None)

@@ -28,13 +28,11 @@ type 3.  They are kept as the independent check of ``columns``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .combinat import exact_div, totient
+from .combinat import ResourceLimitError, exact_div, totient
 from .necklaces import bracelet_count, necklace_count
 from .signed_bracelets import signed_bracelet_count
-from .tcodes import ResourceLimitError
 
 # Largest max_c that ``columns`` accepts: its lists hold big integers of up to
 # about 0.9 * c bits each, so its memory grows as max_c^2 (about 73 MiB of
@@ -283,8 +281,7 @@ def count_by_type(c: int, link_type: int) -> int:
     return columns(c)[link_type - 1][c]
 
 
-@dataclass(frozen=True)
-class CountRow:
+class CountRow(NamedTuple):
     """One output row: per-type counts, their sum p, and the mirror-doubled total."""
 
     c: int

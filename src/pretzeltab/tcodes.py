@@ -26,20 +26,14 @@ argument, the CLI's ``--ceiling``).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import combinations
 from operator import itemgetter
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
-from .combinat import binom, compositions
+from .combinat import DEFAULT_ENUM_CEILING, ResourceLimitError, binom, compositions
 
-DEFAULT_ENUM_CEILING = 22
 # Largest family (tuples before symmetry) the orbit counters below accept.
 FAMILY_LIMIT = 5_000_000
-
-
-class ResourceLimitError(RuntimeError):
-    """Raised when a computation would exceed its size ceiling."""
 
 
 def check_ceiling(c: int, ceiling: int) -> None:
@@ -52,8 +46,7 @@ def check_ceiling(c: int, ceiling: int) -> None:
             " (raise it with --ceiling)")
 
 
-@dataclass(frozen=True)
-class TCode:
+class TCode(NamedTuple):
     """A typed pretzel strip code: (link_type, delta, strips)."""
 
     link_type: int

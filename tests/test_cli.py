@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from pretzeltab import cli, counts
+from pretzeltab import cli, counts, tcodes
 from pretzeltab.cli import (
     CSV_HEADER,
     EXIT_INTERNAL,
@@ -139,7 +143,7 @@ class TestList:
         def no_list(*args, **kwargs):
             raise AssertionError("list --format lines built the whole list")
 
-        monkeypatch.setattr(cli.tcodes, "enumerate_classes", no_list)
+        monkeypatch.setattr(tcodes, "enumerate_classes", no_list)
         assert main(["list", "-c", "12", "--type", "3"]) == EXIT_OK
         assert capsys.readouterr().out == expected
 
@@ -188,7 +192,7 @@ class TestVerify:
         def no_codes(*args):
             raise AssertionError("verify built a TCode")
 
-        monkeypatch.setattr(cli.tcodes, "TCode", no_codes)
+        monkeypatch.setattr(tcodes, "TCode", no_codes)
         assert main(["verify", "--max", "12"]) == EXIT_OK
         assert "36/36 checks passed" in capsys.readouterr().out
 
@@ -229,6 +233,34 @@ class TestParsing:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == EXIT_OK
         capsys.readouterr()
+
+
+class TestBrokenPipe:
+    @pytest.mark.parametrize("args, lines, unbuffered", [
+        # like `| head -1`: -u writes each line as it is printed, so the rest
+        # (198 kB for list, 17 more rows of enumeration for verify) comes
+        # after the read end is closed
+        (["list", "-c", "20", "--type", "3"], 1, True),
+        (["verify", "--max", "18"], 1, True),
+        # like `| true`: the one line stays buffered until main's last flush
+        (["count", "-c", "20"], 0, False),
+    ])
+    def test_closed_stdout_is_io_error(self, args, lines, unbuffered):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("PYTHONUNBUFFERED", None)
+        flags = ["-u"] if unbuffered else []
+        child = subprocess.Popen([sys.executable, *flags, "-m", "pretzeltab.cli", *args],
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        try:
+            read = [child.stdout.readline() for _ in range(lines)]
+            child.stdout.close()
+            _, err = child.communicate(timeout=60)
+        finally:
+            child.kill()
+            child.wait()
+        assert all(line.strip() for line in read)
+        assert child.returncode == EXIT_IO and err == b""
 
 
 class TestInternalError:

@@ -1,0 +1,97 @@
+"""The package namespace (README's Library section) and what each import loads."""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import pretzeltab
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+LIBRARY_NAMES = {
+    "columns", "count_row", "count_type3", "type3_params",
+    "necklace_count", "bracelet_count", "signed_bracelet_count",
+    "TCode", "canonicalize", "enumerate_classes", "fit_growth",
+}
+
+
+def loaded_after(code: str) -> set[str]:
+    """The modules in sys.modules after running code in a fresh interpreter."""
+    script = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
+    env = dict(os.environ, PYTHONPATH=SRC)
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    return set(json.loads(result.stdout.splitlines()[-1]))
+
+
+class TestImports:
+    def test_cli_loads_neither_dataclasses_nor_oracle_nor_fit(self):
+        loaded = loaded_after("import pretzeltab.cli")
+        assert "pretzeltab.cli" in loaded
+        assert not loaded & {"dataclasses", "pretzeltab.tcodes", "pretzeltab.fit"}
+
+    def test_package_loads_no_submodule(self):
+        loaded = loaded_after("import pretzeltab")
+        assert "pretzeltab" in loaded
+        assert not {name for name in loaded if name.startswith("pretzeltab.")}
+
+    def test_count_leaves_the_oracle_unloaded(self):
+        loaded = loaded_after('from pretzeltab import cli\ncli.main(["count", "-c", "20"])')
+        assert "pretzeltab.counts" in loaded and "pretzeltab.tcodes" not in loaded
+
+    def test_verify_loads_the_oracle(self):
+        loaded = loaded_after('from pretzeltab import cli\ncli.main(["verify", "--max", "6"])')
+        assert "pretzeltab.tcodes" in loaded
+
+
+class TestLibrary:
+    def test_documented_values(self):
+        from pretzeltab import (
+            TCode,
+            bracelet_count,
+            canonicalize,
+            columns,
+            count_row,
+            count_type3,
+            enumerate_classes,
+            fit_growth,
+            necklace_count,
+            signed_bracelet_count,
+            type3_params,
+        )
+
+        p1, p2, p3 = columns(10)
+        assert (p1[10], p2[10], p3[10]) == (1, 4, 38)
+        assert repr(count_row(10)) == "CountRow(c=10, p1=1, p2=4, p3=38, p=43, total=86)"
+        assert count_type3(10) == 38
+        assert len(type3_params(10)) == 23
+        assert necklace_count(7, 3) == 5
+        assert bracelet_count(7, 3) == 4
+        assert signed_bracelet_count(4, 2, 2, 2) == 4
+        assert str(canonicalize(TCode(3, 0, (3, -2, 3, -2)))) == "P3(0;-2,3,-2,3)"
+        assert len(enumerate_classes(10, 3)) == 38
+        assert fit_growth(6, 50).b == pytest.approx(0.588059, abs=1e-6)
+
+    def test_all_is_the_documented_names(self):
+        assert set(pretzeltab.__all__) == LIBRARY_NAMES
+
+    def test_unknown_attribute(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            getattr(pretzeltab, "no_such_name")
+        with pytest.raises(AttributeError):
+            getattr(pretzeltab, "count_rows")  # importable from pretzeltab.counts only
+
+    def test_records_are_immutable(self):
+        from pretzeltab import TCode, count_row
+
+        code = TCode(1, 0, (3, 3, 3))
+        row = count_row(10)
+        with pytest.raises(AttributeError):
+            code.delta = 1
+        with pytest.raises(AttributeError):
+            row.p1 = 0
+        assert code == TCode(1, 0, (3, 3, 3)) and hash(code) == hash(TCode(1, 0, (3, 3, 3)))
