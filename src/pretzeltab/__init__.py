@@ -11,6 +11,7 @@ submodule, e.g. ``from pretzeltab.counts import count_rows``.
 
 __version__ = "0.1.0"
 
+# Each public name and the submodule that defines it.
 _HOME = {
     "columns": "counts",
     "count_row": "counts",
