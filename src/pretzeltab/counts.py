@@ -24,15 +24,15 @@ all.  ``count_row``, ``count_rows`` and ``count_by_type`` read from it.
 
 ``count_type1``, ``count_type2`` and ``count_type3`` are the paper's formula:
 a Burnside count at every admissible parameter point, O(c^4) points for
-type 3.  They are kept as the independent check of ``columns``.
+type 3.  They are kept as the independent check of ``columns`` and refuse c
+above POINT_MAX_C.  Each imports its counter from ``necklaces`` or
+``signed_bracelets`` when it runs, so ``columns`` loads neither module.
 """
 from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
 from .combinat import ResourceLimitError, exact_div, totient
-from .necklaces import bracelet_count, necklace_count
-from .signed_bracelets import signed_bracelet_count
 
 # Largest max_c that ``columns`` accepts: its lists hold big integers of up to
 # about 0.9 * c bits each, so its memory grows as max_c^2 (about 73 MiB of
@@ -41,6 +41,11 @@ from .signed_bracelets import signed_bracelet_count
 # default).  ``total`` has 2,737 digits at 10,000 and passes 4,300 near
 # c = 15,700, so a larger MAX_C needs that limit raised as well.
 MAX_C = 10_000
+
+# Largest c that the per-point route accepts: type3_params(c) holds all its
+# O(c^4) points at once.  At 150, 1,320,013 points take 1.5 s to build and
+# count_type3 8.1 s, at 146 MiB of peak RSS (CPython 3.11, one Xeon core).
+POINT_MAX_C = 150
 
 
 class Type3Params(NamedTuple):
@@ -66,12 +71,19 @@ def _check_c(c: int) -> None:
         raise ValueError(f"crossing number must be positive, got {c}")
 
 
+def _check_point_c(c: int) -> None:
+    _check_c(c)
+    if c > POINT_MAX_C:
+        raise ResourceLimitError(f"the per-point route at {c} crossings exceeds the limit "
+                                 f"of {POINT_MAX_C} (counts.POINT_MAX_C)")
+
+
 def type3_params(c: int) -> list[Type3Params]:
     """All type 3 parameter points at crossing number c.
 
     Deterministic order: ascending lexicographic on (delta, k1, n1, k2, n2).
     """
-    _check_c(c)
+    _check_point_c(c)
     points = []
     for delta in range(c + 1):
         for k1 in range(c - delta + 1):
@@ -95,7 +107,9 @@ def type3_params(c: int) -> list[Type3Params]:
 
 def count_type1(c: int) -> int:
     """Type 1 links with c crossings: cyclic classes summed over delta and k."""
-    _check_c(c)
+    from .necklaces import necklace_count
+
+    _check_point_c(c)
     total = 0
     for delta in range(max(0, c - 8)):
         budget = c - delta
@@ -112,7 +126,9 @@ def count_type1_alt(c: int) -> int:
     inner index j = (delta + k - (c % 2)) / 2 starts at floor(k/2) for odd c
     and ceil(k/2) for even c.
     """
-    _check_c(c)
+    from .necklaces import necklace_count
+
+    _check_point_c(c)
     q, odd = divmod(c, 2)
     total = 0
     for i in range(3, q + 1):
@@ -125,7 +141,9 @@ def count_type1_alt(c: int) -> int:
 def count_type2(c: int) -> int:
     """Type 2 links with c crossings: zero unless c = 2n >= 6, else the sum
     of bracelet counts over 3 <= k <= n."""
-    _check_c(c)
+    from .necklaces import bracelet_count
+
+    _check_point_c(c)
     if c % 2 or c < 6:
         return 0
     n = c // 2
@@ -135,7 +153,8 @@ def count_type2(c: int) -> int:
 def count_type3(c: int) -> int:
     """Type 3 links with c crossings: signed bracelet counts summed over all
     admissible parameter points."""
-    _check_c(c)
+    from .signed_bracelets import signed_bracelet_count
+
     return sum(signed_bracelet_count(p.n1, p.k1, p.n2, p.k2) for p in type3_params(c))
 
 

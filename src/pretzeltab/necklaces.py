@@ -77,17 +77,6 @@ def necklace_count(n: int, k: int) -> int:
     return exact_div(_rotation_sum(n, k, 0, 0), k, "rotation-fixed sum")
 
 
-def reflection_fixed_count(n: int, k: int) -> int:
-    """Average number of k-part compositions of n fixed by a reflection.
-
-    The average over the k reflections of the dihedral group is always an
-    integer; it is the second Burnside term in ``bracelet_count``.
-    """
-    if n < 1 or k < 1:
-        raise ValueError(f"reflection count needs n >= 1 and k >= 1, got ({n}, {k})")
-    return exact_div(_reflection_sum(n, k, 0, 0), k, "reflection-fixed sum")
-
-
 def bracelet_count(n: int, k: int) -> int:
     """Number of dihedral classes of k-part compositions of n.
 

@@ -8,19 +8,7 @@ from either family.
 """
 from __future__ import annotations
 
-from .combinat import exact_div
-from .necklaces import _bracelets, _reflection_sum
-
-
-def signed_reflection_fixed_count(n1: int, k1: int, n2: int, k2: int) -> int:
-    """Average number of signed arrangements fixed by a reflection.
-
-    Requires at least one bead of each sign (k1, k2 >= 1); the one-family
-    cases belong to ``necklaces.reflection_fixed_count``.
-    """
-    if k1 < 1 or k2 < 1:
-        raise ValueError(f"both families need a bead, got k1={k1}, k2={k2}")
-    return exact_div(_reflection_sum(n1, k1, n2, k2), k1 + k2, "reflection-fixed sum")
+from .necklaces import _bracelets
 
 
 def signed_bracelet_count(n1: int, k1: int, n2: int, k2: int) -> int:

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -233,6 +234,30 @@ class TestParsing:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == EXIT_OK
         capsys.readouterr()
+
+
+def readme_examples() -> list[tuple[str, str]]:
+    """Each `$ pretzeltab ...` line in README's Examples block and the output under it."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("Examples:\n\n```text\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        if line.startswith("$ "):
+            examples.append((line[2:], []))
+        else:
+            examples[-1][1].append(line)
+    return [(command, "\n".join(out).rstrip("\n") + "\n") for command, out in examples]
+
+
+class TestReadme:
+    def test_examples_print_what_the_readme_shows(self, capsys):
+        examples = readme_examples()
+        assert len(examples) == 4
+        for command, expected in examples:
+            prog, *argv = shlex.split(command)
+            assert prog == "pretzeltab"
+            assert main(argv) == EXIT_OK, command
+            assert capsys.readouterr().out == expected, command
 
 
 class TestBrokenPipe:

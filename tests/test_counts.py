@@ -3,6 +3,7 @@ import pytest
 from pretzeltab import counts
 from pretzeltab.counts import (
     MAX_C,
+    POINT_MAX_C,
     CountRow,
     Type3Params,
     columns,
@@ -86,6 +87,15 @@ class TestTypeCounters:
             count_type1(0)
         with pytest.raises(ValueError):
             count_by_type(10, 4)
+
+    def test_refuses_c_above_the_point_limit(self, monkeypatch):
+        for counter in (type3_params, count_type1, count_type1_alt, count_type2, count_type3):
+            with pytest.raises(ResourceLimitError, match="counts.POINT_MAX_C"):
+                counter(POINT_MAX_C + 1)
+        monkeypatch.setattr(counts, "POINT_MAX_C", 10)
+        assert count_type3(10) == 38
+        with pytest.raises(ResourceLimitError):
+            count_type3(11)
 
 
 class TestCountRow:

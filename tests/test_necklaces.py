@@ -3,10 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 from pretzeltab.combinat import compositions
-from pretzeltab.necklaces import bracelet_count, necklace_count, reflection_fixed_count
+from pretzeltab.necklaces import _reflection_sum, bracelet_count, necklace_count
 from pretzeltab.tcodes import composition_class_count
 
 
@@ -43,21 +41,16 @@ class TestNecklaceCount:
 
 
 class TestReflectionFixedCount:
+    # _reflection_sum adds up the fixed compositions over all k reflections.
     def test_examples(self):
-        assert reflection_fixed_count(7, 3) == 3
-        assert reflection_fixed_count(7, 7) == 1
-        assert reflection_fixed_count(4, 2) == 2
+        assert _reflection_sum(7, 3, 0, 0) == 9
+        assert _reflection_sum(7, 7, 0, 0) == 7
+        assert _reflection_sum(4, 2, 0, 0) == 4
 
     def test_matches_brute_force(self):
         for n in range(1, 13):
             for k in range(1, n + 1):
-                assert reflection_fixed_count(n, k) == brute_reflection_average(n, k), (n, k)
-
-    def test_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            reflection_fixed_count(0, 3)
-        with pytest.raises(ValueError):
-            reflection_fixed_count(3, 0)
+                assert _reflection_sum(n, k, 0, 0) == k * brute_reflection_average(n, k), (n, k)
 
 
 class TestBraceletCount:

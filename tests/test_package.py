@@ -40,8 +40,20 @@ class TestImports:
         assert not {name for name in loaded if name.startswith("pretzeltab.")}
 
     def test_count_leaves_the_oracle_unloaded(self):
-        loaded = loaded_after('from pretzeltab import cli\ncli.main(["count", "-c", "20"])')
-        assert "pretzeltab.counts" in loaded and "pretzeltab.tcodes" not in loaded
+        # Each call loads only the modules it runs: the per-point counters
+        # load necklaces and signed_bracelets, no command does.
+        runs = {
+            'cli.main(["count", "-c", "20"])': set(),
+            'cli.main(["table", "--min", "6", "--max", "10"])': set(),
+            'cli.main(["fit"])': {"pretzeltab.fit"},
+            'cli.main(["verify", "--max", "6"])': {"pretzeltab.tcodes"},
+            "counts.count_type3(10)": {"pretzeltab.necklaces", "pretzeltab.signed_bracelets"},
+        }
+        for call, extra in runs.items():
+            loaded = loaded_after(f"from pretzeltab import cli, counts\n{call}")
+            package = {name for name in loaded if name.split(".")[0] == "pretzeltab"}
+            assert package == {"pretzeltab", "pretzeltab.cli", "pretzeltab.combinat",
+                               "pretzeltab.counts"} | extra, call
 
     def test_verify_loads_the_oracle(self):
         loaded = loaded_after('from pretzeltab import cli\ncli.main(["verify", "--max", "6"])')

@@ -3,8 +3,8 @@ from itertools import combinations
 import pytest
 
 from pretzeltab.combinat import compositions
-from pretzeltab.necklaces import bracelet_count
-from pretzeltab.signed_bracelets import signed_bracelet_count, signed_reflection_fixed_count
+from pretzeltab.necklaces import _reflection_sum, bracelet_count
+from pretzeltab.signed_bracelets import signed_bracelet_count
 from pretzeltab.tcodes import signed_class_count
 
 from reference_data import SIGNED_BRACELET_10
@@ -44,20 +44,15 @@ def param_grid(max_k, max_n):
 
 
 class TestSignedReflectionFixedCount:
+    # _reflection_sum adds up the fixed signed tuples over all k1 + k2 reflections.
     def test_examples(self):
-        assert signed_reflection_fixed_count(3, 1, 3, 1) == 1
-        assert signed_reflection_fixed_count(3, 3, 2, 2) == 2
+        assert _reflection_sum(3, 1, 3, 1) == 2
+        assert _reflection_sum(3, 3, 2, 2) == 10
 
     def test_matches_brute_force(self):
         for n1, k1, n2, k2 in param_grid(max_k=6, max_n=7):
-            assert signed_reflection_fixed_count(n1, k1, n2, k2) == \
-                brute_reflection_average(n1, k1, n2, k2), (n1, k1, n2, k2)
-
-    def test_rejects_empty_family(self):
-        with pytest.raises(ValueError):
-            signed_reflection_fixed_count(3, 0, 3, 1)
-        with pytest.raises(ValueError):
-            signed_reflection_fixed_count(3, 1, 3, 0)
+            assert _reflection_sum(n1, k1, n2, k2) == \
+                (k1 + k2) * brute_reflection_average(n1, k1, n2, k2), (n1, k1, n2, k2)
 
 
 class TestSignedBraceletCount:
