@@ -25,7 +25,7 @@ EXIT_RESOURCE = 3
 EXIT_IO = 4
 EXIT_INTERNAL = 5
 
-CSV_HEADER = "c,p1,p2,p3,p,total"
+CSV_HEADER = ",".join(counts.CountRow._fields)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,27 +69,15 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _csv_lines(rows) -> list[str]:
-    lines = [CSV_HEADER]
-    lines.extend(f"{r.c},{r.p1},{r.p2},{r.p3},{r.p},{r.total}" for r in rows)
-    return lines
-
-
-def _json_text(rows) -> str:
-    payload = [
-        {"c": r.c, "p1": str(r.p1), "p2": str(r.p2), "p3": str(r.p3),
-         "p": str(r.p), "total": str(r.total)}
-        for r in rows
-    ]
-    return json.dumps(payload, indent=2)
-
-
 def _cmd_table(args) -> int:
     rows = counts.count_rows(args.min_c, args.max_c)
     if args.format == "csv":
-        text = "\n".join(_csv_lines(rows)) + "\n"
+        text = "\n".join([CSV_HEADER, *(",".join(map(str, row)) for row in rows)]) + "\n"
     else:
-        text = _json_text(rows) + "\n"
+        # c stays a number; the counts are strings, exact in any JSON reader
+        text = json.dumps([{field: value if field == "c" else str(value)
+                            for field, value in row._asdict().items()} for row in rows],
+                          indent=2) + "\n"
     if args.out is None:
         sys.stdout.write(text)
         return EXIT_OK
@@ -114,12 +102,13 @@ def _cmd_list(args) -> int:
     from . import tcodes
 
     link_type = int(args.type)
+    codes = (str(tcodes.TCode(link_type, delta, strips))
+             for delta, strips in tcodes.class_strips(args.c, link_type, ceiling=args.ceiling))
     if args.format == "lines":
-        for delta, strips in tcodes.class_strips(args.c, link_type, ceiling=args.ceiling):
-            print(tcodes.TCode(link_type, delta, strips))
+        for code in codes:
+            print(code)
     else:
-        classes = tcodes.enumerate_classes(args.c, link_type, ceiling=args.ceiling)
-        print(json.dumps([str(code) for code in classes], indent=2))
+        print(json.dumps(list(codes), indent=2))
     return EXIT_OK
 
 
@@ -129,24 +118,20 @@ def _cmd_verify(args) -> int:
     # Refuse before any enumeration runs, not at the first row past the ceiling.
     tcodes.check_ceiling(args.max_c, args.ceiling)
     columns = counts.columns(args.max_c)
-    failures = 0
-    first_failure = None
-    checks = 0
+    failures = []
     print("   c  type     formula  enumerated  result")
     for c in range(1, args.max_c + 1):
         for link_type in (1, 2, 3):
             formula = columns[link_type - 1][c]
             enumerated = tcodes.count_classes(c, link_type, ceiling=args.ceiling)
-            ok = formula == enumerated
-            checks += 1
-            failures += 0 if ok else 1
-            if not ok and first_failure is None:
-                first_failure = f"c={c} type {link_type} (formula {formula}, enumerated {enumerated})"
+            if formula != enumerated:
+                failures.append(f"c={c} type {link_type} (formula {formula}, enumerated {enumerated})")
             print(f"{c:4d}  {link_type:4d}  {formula:10d}  {enumerated:10d}  "
-                  f"{'PASS' if ok else 'FAIL'}")
-    print(f"verify: {checks - failures}/{checks} checks passed")
-    if first_failure is not None:
-        print(f"pretzeltab verify: first failure at {first_failure}", file=sys.stderr)
+                  f"{'PASS' if formula == enumerated else 'FAIL'}")
+    checks = 3 * args.max_c
+    print(f"verify: {checks - len(failures)}/{checks} checks passed")
+    if failures:
+        print(f"pretzeltab verify: first failure at {failures[0]}", file=sys.stderr)
         return EXIT_MISMATCH
     return EXIT_OK
 

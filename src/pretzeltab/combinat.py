@@ -1,15 +1,17 @@
 """Exact integer combinatorics shared by all counters, and the shared limits.
 
 Everything here is pure, exact (Python big integers throughout) and safe to
-call concurrently.  The shared limits, ``ResourceLimitError`` and
-``DEFAULT_ENUM_CEILING``, live here too, in the base module that the others
-build on, so that ``counts`` and the CLI can refuse oversized work without
-loading the oracle in ``tcodes``.
+call concurrently.  ``composition_count`` is the one place that gives the
+empty family (n = k = 0) its one composition.  The shared limits,
+``ResourceLimitError`` and ``DEFAULT_ENUM_CEILING``, live here too, in the
+base module that the others build on, so that ``counts`` and the CLI can
+refuse oversized work without loading the oracle in ``tcodes``.
 """
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import combinations
 from typing import Iterator
 
 # Largest crossing number the exhaustive oracle enumerates unless told otherwise.
@@ -81,21 +83,20 @@ def exact_div(value: int, divisor: int, what: str) -> int:
     return quotient
 
 
-def compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """Yield every k-tuple of positive integers summing to n, each once.
+def composition_count(n: int, k: int) -> int:
+    """Number of k-part compositions of n: binom(n - 1, k - 1), and 1 for the
+    empty family n = k = 0, which has exactly one composition, the empty tuple."""
+    return 1 if n == k == 0 else binom(n - 1, k - 1)
 
-    Tuples come out in lexicographic order.  The stream is empty when n < k;
-    compositions(0, 0) yields exactly one empty tuple.  Stream length is
-    binom(n - 1, k - 1).
-    """
-    if k == 0:
-        if n == 0:
+
+def compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
+    """Yield every k-tuple of positive integers summing to n, each once, in
+    lexicographic order: the gaps between k - 1 cuts among 1..n - 1 (stars and
+    bars).  The stream holds composition_count(n, k) tuples."""
+    if k < 1 or n < k:
+        if n == k == 0:
             yield ()
         return
-    if k == 1:
-        if n > 0:
-            yield (n,)
-        return
-    for head in range(1, n - k + 2):
-        for tail in compositions(n - head, k - 1):
-            yield (head,) + tail
+    for cuts in combinations(range(1, n), k - 1):
+        bounds = (0,) + cuts + (n,)
+        yield tuple(b - a for a, b in zip(bounds, bounds[1:]))

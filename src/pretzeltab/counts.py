@@ -262,11 +262,11 @@ def columns(max_c: int) -> tuple[list[int], list[int], list[int]]:
     * type 1: sum_{k>=3} Z(C_k) with p_d <- Q(x^d), times 1/(1 - x) for
       delta >= 0;
     * type 2: sum_{k>=3} Z(D_k) with p_d <- N(x^d);
-    * type 3: B_u = sum_{k>=3} Z(D_k) with p_d <- u^d P(x^d) + N(x^d), so
-      that B_even = (B_1 + B_-1)/2 counts an even number k1 of positive
-      strips and B_odd = (B_1 - B_-1)/2 an odd one.  The horizontal twists
-      delta make delta + k1 even, hence the factors 1/(1 - x^2) and
-      x/(1 - x^2); taking off p2 drops the excluded k1 = delta = 0 classes.
+    * type 3: B_u = sum_{k>=3} Z(D_k) with p_d <- u^d P(x^d) + N(x^d) marks
+      each positive strip with u, and B_u/(1 - u x) each horizontal twist
+      too, so that u marks the parity of k1 + delta.  The average of
+      B_u/(1 - u x) over u = +-1 keeps the classes with k1 + delta even;
+      taking off p2 drops the excluded k1 = delta = 0 classes.
 
     Index c of each list is the count at crossing number c.  Refuses max_c
     above MAX_C.
@@ -285,11 +285,9 @@ def columns(max_c: int) -> tuple[list[int], list[int], list[int]]:
 
     h = {u: _log_derivative(_signed_strips(u), n) for u in (1, -1, 0)}
     p2 = _dihedral_sum(0, h, n)
-    b_plus, b_minus = _dihedral_sum(1, h, n), _dihedral_sum(-1, h, n)
-    b_even = [exact_div(v + w, 2, "even-k1 sum") for v, w in zip(b_plus, b_minus)]
-    b_odd = [exact_div(v - w, 2, "odd-k1 sum") for v, w in zip(b_plus, b_minus)]
-    twisted = _div([e + o for e, o in zip(b_even, [0] + b_odd)], _ONE_MINUS_X2, n)
-    p3 = [v - w for v, w in zip(twisted, p2)]
+    p3 = [exact_div(v + w, 2, "parity average") - v2
+          for v, w, v2 in zip(_div(_dihedral_sum(1, h, n), [1, -1], n),
+                              _div(_dihedral_sum(-1, h, n), [1, 1], n), p2)]
     return p1, p2, p3
 
 

@@ -14,19 +14,14 @@ from __future__ import annotations
 
 import math
 
-from .combinat import binom, divisors, exact_div, totient
-
-
-def _compositions(n: int, k: int) -> int:
-    """Number of k-part compositions of n; the empty family has exactly one."""
-    return 1 if n == k == 0 else binom(n - 1, k - 1)
+from .combinat import binom, composition_count, divisors, exact_div, totient
 
 
 def _weightings(n: int, a: int, m: int) -> int:
     """[x^n] (x/(1-x))^a (x^2/(1-x^2))^m, for a in {0, 1, 2} beads on the axis
     and m mirrored pairs."""
     if a == 0:
-        return 0 if n % 2 else _compositions(n // 2, m)
+        return 0 if n % 2 else composition_count(n // 2, m)
     if a == 1:
         return binom((n - 1) // 2, m)
     return binom(n // 2, m + 1) + binom((n - 1) // 2, m + 1)
@@ -39,7 +34,7 @@ def _rotation_sum(n1: int, k1: int, n2: int, k2: int) -> int:
     total = 0
     for d in divisors(math.gcd(k1, k2, n1, n2)):
         total += (totient(d) * binom(k // d, k1 // d)
-                  * _compositions(n1 // d, k1 // d) * _compositions(n2 // d, k2 // d))
+                  * composition_count(n1 // d, k1 // d) * composition_count(n2 // d, k2 // d))
     return total
 
 

@@ -30,7 +30,7 @@ from itertools import combinations
 from operator import itemgetter
 from typing import Iterator, NamedTuple
 
-from .combinat import DEFAULT_ENUM_CEILING, ResourceLimitError, binom, compositions
+from .combinat import DEFAULT_ENUM_CEILING, ResourceLimitError, binom, composition_count, compositions
 
 # Largest family (tuples before symmetry) the orbit counters below accept.
 FAMILY_LIMIT = 5_000_000
@@ -308,7 +308,7 @@ def composition_class_count(n: int, k: int, symmetry: str = "cyclic") -> int:
     orderly generator's necklaces, or for the dihedral symmetry its bracelets."""
     if symmetry not in ("cyclic", "dihedral"):
         raise ValueError(f"symmetry must be 'cyclic' or 'dihedral', got {symmetry!r}")
-    _guard_family(binom(n - 1, k - 1))
+    _guard_family(composition_count(n, k))
     if not 0 < k <= n:
         return 0
     return len(_necklaces(list(range(1, n + 1)), k, n, dihedral=symmetry == "dihedral"))
@@ -320,9 +320,7 @@ def signed_class_count(n1: int, k1: int, n2: int, k2: int) -> int:
     under rotation and reversal of the k1 + k2 positions."""
     if k1 + k2 == 0:
         return 0  # the empty tuple is no pretzel code
-    # an empty family contributes one empty tuple, not binom(-1, -1) = 0
-    _guard_family(binom(k1 + k2, k2) * (binom(n1 - 1, k1 - 1) if k1 else 1)
-                  * (binom(n2 - 1, k2 - 1) if k2 else 1))
+    _guard_family(binom(k1 + k2, k2) * composition_count(n1, k1) * composition_count(n2, k2))
     positives = list(compositions(n1, k1))
     negatives = [tuple(-a for a in parts) for parts in compositions(n2, k2)]
     return len({_least_dihedral(t) for t in _signed_tuples(positives, negatives, k1, k2)})

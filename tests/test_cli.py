@@ -137,6 +137,10 @@ class TestList:
         main(["list", "-c", "10", "--type", "3"])
         assert codes == capsys.readouterr().out.splitlines()
 
+    def test_json_of_no_classes(self, capsys):
+        assert main(["list", "-c", "5", "--type", "3", "--format", "json"]) == EXIT_OK
+        assert capsys.readouterr().out == "[]\n"
+
     def test_lines_stream_without_the_whole_list(self, capsys, monkeypatch):
         main(["list", "-c", "12", "--type", "3"])
         expected = capsys.readouterr().out
@@ -188,6 +192,23 @@ class TestVerify:
         assert "FAIL" in captured.out and "99" in captured.out
         assert captured.err == (
             "pretzeltab verify: first failure at c=6 type 2 (formula 99, enumerated 1)\n")
+
+    def test_two_mismatches_name_the_first(self, capsys, monkeypatch):
+        columns = cli.counts.columns
+
+        def two_wrong(max_c):
+            p1, p2, p3 = columns(max_c)
+            p2[6] += 1
+            p3[6] += 1
+            return p1, p2, p3
+
+        monkeypatch.setattr(cli.counts, "columns", two_wrong)
+        assert main(["verify", "--max", "6"]) == EXIT_MISMATCH
+        captured = capsys.readouterr()
+        assert captured.out.count("FAIL") == 2
+        assert "verify: 16/18 checks passed\n" in captured.out
+        assert captured.err == (
+            "pretzeltab verify: first failure at c=6 type 2 (formula 2, enumerated 1)\n")
 
     def test_counts_without_building_codes(self, capsys, monkeypatch):
         def no_codes(*args):

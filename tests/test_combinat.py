@@ -1,6 +1,6 @@
 import pytest
 
-from pretzeltab.combinat import binom, compositions, divisors, totient
+from pretzeltab.combinat import binom, composition_count, compositions, divisors, totient
 
 
 def brute_totient(d):
@@ -95,6 +95,14 @@ class TestBinom:
                 assert binom(n, k - 1) + binom(n, k) == binom(n + 1, k)
 
 
+class TestCompositionCount:
+    def test_examples(self):
+        assert composition_count(0, 0) == 1
+        assert composition_count(3, 0) == 0
+        assert composition_count(0, 2) == 0
+        assert composition_count(7, 3) == 15
+
+
 class TestCompositions:
     def test_examples(self):
         assert list(compositions(4, 3)) == [(1, 1, 2), (1, 2, 1), (2, 1, 1)]
@@ -113,6 +121,12 @@ class TestCompositions:
                 if (n, k) == (0, 0):
                     continue
                 assert sum(1 for _ in compositions(n, k)) == binom(n - 1, k - 1), (n, k)
+
+    def test_stream_length_is_composition_count(self):
+        # includes (0, 0): one empty tuple, where binom(-1, -1) = 0
+        for n in range(19):
+            for k in range(n + 2):
+                assert sum(1 for _ in compositions(n, k)) == composition_count(n, k), (n, k)
 
     def test_each_tuple_once_sorted_and_valid(self):
         for n, k in [(7, 3), (9, 4), (6, 6), (8, 1)]:

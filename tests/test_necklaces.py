@@ -86,10 +86,9 @@ def test_divisibility_assertions_hold_up_to_40():
 
 
 _OFF_BY_ONE_UNDER_O = """
-import math
-from pretzeltab import counts, necklaces
+from pretzeltab import combinat, counts, necklaces
 assert False, "assert statements must be stripped by -O"
-necklaces.binom = lambda a, b: math.comb(a, b) + 1
+necklaces.composition_count = lambda n, k: combinat.composition_count(n, k) + 1
 counts.totient = lambda d: d
 for call in (lambda: necklaces.necklace_count(7, 3), lambda: counts.columns(20)):
     try:

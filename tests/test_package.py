@@ -55,10 +55,6 @@ class TestImports:
             assert package == {"pretzeltab", "pretzeltab.cli", "pretzeltab.combinat",
                                "pretzeltab.counts"} | extra, call
 
-    def test_verify_loads_the_oracle(self):
-        loaded = loaded_after('from pretzeltab import cli\ncli.main(["verify", "--max", "6"])')
-        assert "pretzeltab.tcodes" in loaded
-
 
 class TestLibrary:
     def test_documented_values(self):
