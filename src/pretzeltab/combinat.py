@@ -44,22 +44,6 @@ def totient(d: int) -> int:
     return result
 
 
-def divisors(m: int) -> list[int]:
-    """All positive divisors of m, ascending."""
-    if m < 1:
-        raise ValueError(f"divisors is defined for positive integers, got {m}")
-    small = []
-    large = []
-    d = 1
-    while d * d <= m:
-        if m % d == 0:
-            small.append(d)
-            if d != m // d:
-                large.append(m // d)
-        d += 1
-    return small + large[::-1]
-
-
 def binom(a: int, b: int) -> int:
     """Binomial coefficient C(a, b), total over all integer arguments.
 

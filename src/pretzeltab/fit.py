@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import statistics
 from typing import Iterable, NamedTuple, Sequence
 
 from .counts import count_rows
@@ -33,18 +34,10 @@ def fit_points(points: Iterable[tuple[int, int]]) -> FitResult:
         raise ValueError(f"need at least 2 distinct crossing numbers for a slope, got {distinct}")
     xs = [c for c, _ in usable]
     ys = [math.log(p) for _, p in usable]
-    n = len(xs)
-    x_mean = sum(xs) / n
-    y_mean = sum(ys) / n
-    sxx = sum((x - x_mean) ** 2 for x in xs)
-    sxy = sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
-    slope = sxy / sxx
-    intercept = y_mean - slope * x_mean
-    ss_res = sum((y - (intercept + slope * x)) ** 2 for x, y in zip(xs, ys))
-    ss_tot = sum((y - y_mean) ** 2 for y in ys)
-    r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
+    slope, intercept = statistics.linear_regression(xs, ys)
+    r2 = 1.0 if len(set(ys)) == 1 else statistics.correlation(xs, ys) ** 2
     return FitResult(a=math.exp(intercept), b=slope, r2=r2,
-                     c_min=xs[0], c_max=xs[-1], n_points=n)
+                     c_min=xs[0], c_max=xs[-1], n_points=len(xs))
 
 
 def fit_growth(min_c: int = 6, max_c: int = 50) -> FitResult:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from .combinat import binom, composition_count, divisors, exact_div, totient
+from .combinat import binom, composition_count, exact_div, totient
 
 
 def _weightings(n: int, a: int, m: int) -> int:
@@ -28,13 +28,16 @@ def _weightings(n: int, a: int, m: int) -> int:
 
 
 def _rotation_sum(n1: int, k1: int, n2: int, k2: int) -> int:
-    """Arrangements fixed by each of the k1 + k2 rotations, summed: a rotation
-    of order d fixes those made of d copies of one block."""
+    """Arrangements fixed by each of the k1 + k2 rotations, summed: for each d
+    dividing all four arguments, the totient(d) rotations of order d fix those
+    made of d copies of one block."""
+    g = math.gcd(k1, k2, n1, n2)
     k = k1 + k2
     total = 0
-    for d in divisors(math.gcd(k1, k2, n1, n2)):
-        total += (totient(d) * binom(k // d, k1 // d)
-                  * composition_count(n1 // d, k1 // d) * composition_count(n2 // d, k2 // d))
+    for d in range(1, g + 1):
+        if g % d == 0:
+            total += (totient(d) * binom(k // d, k1 // d)
+                      * composition_count(n1 // d, k1 // d) * composition_count(n2 // d, k2 // d))
     return total
 
 

@@ -106,11 +106,7 @@ def crossing_number(code: TCode) -> int:
 
 
 def _least_rotation(t: tuple[int, ...]) -> tuple[int, ...]:
-    # a least rotation starts at a position holding the least entry
-    least = min(t)
-    k = len(t)
-    doubled = t + t
-    return min(doubled[i:i + k] for i, s in enumerate(t) if s == least)
+    return min(t[i:] + t[:i] for i in range(len(t)))
 
 
 def _least_dihedral(t: tuple[int, ...]) -> tuple[int, ...]:
@@ -128,38 +124,6 @@ def canonicalize(code: TCode) -> TCode:
     _require_valid(code)
     least = _least_rotation if code.link_type == 1 else _least_dihedral
     return TCode(code.link_type, code.delta, least(code.strips))
-
-
-def _signed_tuples(positives: list[tuple[int, ...]], negatives: list[tuple[int, ...]],
-                   k1: int, k2: int) -> Iterator[tuple[int, ...]]:
-    """Every interleaving of one k1-entry tuple of positive entries and one
-    k2-entry tuple of negative entries that starts with its least entry and
-    whose second entry is at most its last, each once.  Every dihedral
-    canonical form is one of them: otherwise a rotation of the tuple or of
-    its reversal would be less.
-
-    With k2 > 0 the least entry is negative: position 0 is a negative spot
-    and only negative part tuples led by their least are placed.
-    """
-    k = k1 + k2
-    if k2:
-        negatives = [parts for parts in negatives if parts[0] == min(parts)]
-        spot_sets = [(0,) + rest for rest in combinations(range(1, k), k2 - 1)]
-    else:
-        positives = [parts for parts in positives if not parts or parts[0] == min(parts)]
-        spot_sets = [()]
-    for negative_spots in spot_sets:
-        # position i of the tuple takes entry order[i] of pos_parts + neg_parts
-        pos_at = iter(range(k1))
-        neg_at = iter(range(k1, k))
-        order = [next(neg_at) if i in negative_spots else next(pos_at) for i in range(k)]
-        # itemgetter of one index returns a bare entry; with k < 2 the order is the identity
-        pick = itemgetter(*order) if k > 1 else tuple
-        for pos_parts in positives:
-            for neg_parts in negatives:
-                t = pick(pos_parts + neg_parts)
-                if k < 2 or t[1] <= t[-1]:
-                    yield t
 
 
 def _necklaces(values: list[int], k: int, budget: int, parity: int | None = None,
@@ -317,10 +281,29 @@ def composition_class_count(n: int, k: int, symmetry: str = "cyclic") -> int:
 def signed_class_count(n1: int, k1: int, n2: int, k2: int) -> int:
     """Brute-force count of dihedral classes of signed tuples: k1 positive
     entries summing to n1 and k2 negative entries whose sizes sum to n2,
-    under rotation and reversal of the k1 + k2 positions."""
-    if k1 + k2 == 0:
+    under rotation and reversal of the k1 + k2 positions.
+
+    Builds every interleaving of the two families and keeps the tuples that
+    start with their least entry and whose second entry is at most their
+    last: every dihedral canonical form is one of them, since otherwise a
+    rotation of the tuple or of its reversal would be less.  The classes of
+    those tuples, by ``_least_dihedral``, are counted.
+    """
+    k = k1 + k2
+    if k == 0:
         return 0  # the empty tuple is no pretzel code
-    _guard_family(binom(k1 + k2, k2) * composition_count(n1, k1) * composition_count(n2, k2))
+    _guard_family(binom(k, k2) * composition_count(n1, k1) * composition_count(n2, k2))
     positives = list(compositions(n1, k1))
     negatives = [tuple(-a for a in parts) for parts in compositions(n2, k2)]
-    return len({_least_dihedral(t) for t in _signed_tuples(positives, negatives, k1, k2)})
+    classes = set()
+    for negative_spots in combinations(range(k), k2):
+        # position i of the tuple takes entry order[i] of pos_parts + neg_parts
+        pos_at, neg_at = iter(range(k1)), iter(range(k1, k))
+        order = [next(neg_at) if i in negative_spots else next(pos_at) for i in range(k)]
+        pick = itemgetter(*order) if k > 1 else tuple  # one index gives a bare entry
+        for pos_parts in positives:
+            for neg_parts in negatives:
+                t = pick(pos_parts + neg_parts)
+                if t[0] == min(t) and (k < 2 or t[1] <= t[-1]):
+                    classes.add(_least_dihedral(t))
+    return len(classes)

@@ -1,6 +1,6 @@
 import pytest
 
-from pretzeltab.combinat import binom, composition_count, compositions, divisors, totient
+from pretzeltab.combinat import binom, composition_count, compositions, totient
 
 
 def brute_totient(d):
@@ -29,26 +29,11 @@ class TestTotient:
     def test_divisor_sum_identity(self):
         # sum of totient(d) over d | m recovers m
         for m in range(1, 201):
-            assert sum(totient(d) for d in divisors(m)) == m
+            assert sum(totient(d) for d in range(1, m + 1) if m % d == 0) == m
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             totient(0)
-
-
-class TestDivisors:
-    def test_examples(self):
-        assert divisors(1) == [1]
-        assert divisors(12) == [1, 2, 3, 4, 6, 12]
-        assert divisors(7) == [1, 7]
-
-    def test_matches_trial_division(self):
-        for m in range(1, 200):
-            assert divisors(m) == [d for d in range(1, m + 1) if m % d == 0]
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            divisors(0)
 
 
 class TestBinom:
@@ -88,11 +73,6 @@ class TestBinom:
             for k in range(1, n + 1):
                 lhs = sum(j * binom(n - j, k) for j in range(1, n - k + 1))
                 assert lhs == binom(n + 1, k + 2)
-
-    def test_pascal_rule(self):
-        for n in range(1, 41):
-            for k in range(1, n + 1):
-                assert binom(n, k - 1) + binom(n, k) == binom(n + 1, k)
 
 
 class TestCompositionCount:

@@ -35,6 +35,12 @@ class TestFitPoints:
         result = fit_points([(10, 5), (10, 6), (11, 7)])
         assert result.n_points == 3 and (result.c_min, result.c_max) == (10, 11)
 
+    def test_equal_counts_give_a_flat_exact_fit(self):
+        result = fit_points([(1, 5), (2, 5), (3, 5)])
+        assert result.b == 0
+        assert result.r2 == 1.0
+        assert result.a == pytest.approx(5.0)
+
 
 class TestFitGrowth:
     def test_full_range_matches_expected_growth(self):

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -38,6 +39,16 @@ class TestNecklaceCount:
         for n in range(1, 19):
             for k in range(1, n + 1):
                 assert necklace_count(n, k) == composition_class_count(n, k, "cyclic"), (n, k)
+
+    def test_cyclic_compositions_up_to_60(self):
+        # summed over k, the classes of all compositions of n (OEIS A008965):
+        # (1/n) * sum over d | n of phi(d) * (2^(n/d) - 1)
+        for n in range(1, 61):
+            phi = {d: sum(1 for i in range(1, d + 1) if math.gcd(i, d) == 1)
+                   for d in range(1, n + 1) if n % d == 0}
+            burnside = sum(f * (2 ** (n // d) - 1) for d, f in phi.items())
+            assert n * sum(necklace_count(n, k) for k in range(1, n + 1)) == burnside, n
+            assert necklace_count(n, n) == bracelet_count(n, n) == 1, n
 
 
 class TestReflectionFixedCount:

@@ -71,7 +71,7 @@ def test_canonical_form_is_constant_on_the_orbit_and_idempotent(code):
 @PROPERTY
 @given(valid_codes())
 def test_canonical_form_starts_with_its_least_entry(code):
-    # signed_class_count generates only such strips (tcodes._signed_tuples)
+    # signed_class_count keeps only such strips before it takes their classes
     strips = canonicalize(code).strips
     assert strips[0] == min(strips)
     if code.link_type != 1:
