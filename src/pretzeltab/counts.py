@@ -30,7 +30,7 @@ above POINT_MAX_C.  Each imports its counter from ``necklaces`` or
 """
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .combinat import ResourceLimitError, exact_div, totient
 
@@ -182,13 +182,13 @@ def _mul(a: list[int], b: list[int], n: int) -> list[int]:
 
 
 def _div(a: list[int], b: list[int], n: int) -> list[int]:
-    """First n coefficients of a/b for b[0] == 1; n * len(b) operations."""
-    out = []
+    """First n coefficients of a/b for b[0] == 1; n operations per nonzero b[j]."""
+    out = (a + [0] * n)[:n]
+    terms = [(j, bj) for j, bj in enumerate(b) if j and bj]
     for m in range(n):
-        value = a[m] if m < len(a) else 0
-        for j in range(1, min(m, len(b) - 1) + 1):
-            value -= b[j] * out[m - j]
-        out.append(value)
+        for j, bj in terms:
+            if j <= m:
+                out[m] -= bj * out[m - j]
     return out
 
 
@@ -215,45 +215,40 @@ def _log_derivative(a: list[int], n: int) -> list[int]:
     return _div(_sub(_mul(xa, d, n), _mul(a, xd, n)), _mul(d, _sub(d, a), n), n)
 
 
-def _cycle_sum(h_of: Callable[[int], list[int]], n: int) -> list[int]:
-    """[x^c] sum_{k>=1} Z(C_k) for c < n, where h_of(d) is the log-derivative
-    series of the substitution for p_d before x -> x^d:
+def _cycle_sum(h_odd: list[int], h_even: list[int], n: int) -> list[int]:
+    """[x^c] sum_{k>=1} Z(C_k) for c < n, where h_odd and h_even are the
+    ``_log_derivative`` series of the substitution for p_d, before x -> x^d,
+    at odd and at even d:
 
     [x^c] = (1/c) sum_{d | c} phi(d) h^(d)_{c/d}.
     """
     out = [0] * n
     for d in range(1, n):
-        h = h_of(d)
+        h = h_odd if d % 2 else h_even
         phi = totient(d)
         for m in range(1, (n - 1) // d + 1):
             out[m * d] += phi * h[m]
     return [0] + [exact_div(out[c], c, "cyclic sum") for c in range(1, n)]
 
 
-def _low_terms(a: list[int], a2: list[int], n: int) -> tuple[list[int], list[int], list[int]]:
-    """Series of p1 = a/D, p2 = a2(x^2)/D(x^2) and p1^2, for D = 1 - x^2."""
-    d = _ONE_MINUS_X2
-    return (_div(a, d, n), _div(_stretch(a2, 2), _stretch(d, 2), n),
-            _div(_mul(a, a, n), _mul(d, d, n), n))
+def _classes(a: list[int], a2: list[int], n: int) -> tuple[list[int], list[int]]:
+    """[x^c] sum_{k>=3} Z(C_k) and sum_{k>=3} Z(D_k) for c < n, with p_d <-
+    a(x^d)/D(x^d) for odd d and a2(x^d)/D(x^d) for even d, D = 1 - x^2.
 
-
-def _dihedral_sum(u: int, h: dict[int, list[int]], n: int) -> list[int]:
-    """[x^c] sum_{k>=3} Z(D_k) for c < n with p_d <- u^d P(x^d) + N(x^d).
-
-    h[v] is the log-derivative series of v*P + N.  Z(D_k) is half the cyclic
-    part plus the reflection part; summed over k >= 1 the reflections give
-    (2 p1 + p2 + p1^2) / (4 (1 - p2)).  The k = 1 term p1 and the k = 2 term
-    (p1^2 + p2)/2 are taken off.
+    Z(D_k) is half Z(C_k) plus a reflection part, which summed over k >= 1 is
+    low/(4 (1 - p2)).  low = 2 p1 + p2 + p1^2 is twice Z(G_1) + Z(G_2) for
+    G = C or D: the classes of 1 or 2 strips, which are taken off.
     """
-    a, a2 = _signed_strips(u), _signed_strips(u * u)
-    p1, p2, p11 = _low_terms(a, a2, n)
-    d2 = _stretch(_ONE_MINUS_X2, 2)
+    d, d2 = _ONE_MINUS_X2, _stretch(_ONE_MINUS_X2, 2)
+    h = _log_derivative(a, n)
+    cyclic = _cycle_sum(h, h if a2 == a else _log_derivative(a2, n), n)
+    low = [2 * v1 + v2 + v11 for v1, v2, v11 in zip(
+        _div(a, d, n), _div(_stretch(a2, 2), d2, n), _div(_mul(a, a, n), _mul(d, d, n), n))]
     # 1/(1 - p2) = D(x^2) / (D(x^2) - a2(x^2)).
-    mirrored = _div(_mul([2 * v1 + v2 + v11 for v1, v2, v11 in zip(p1, p2, p11)], d2, n),
-                    _sub(d2, _stretch(a2, 2)), n)
-    cyclic = _cycle_sum(lambda d: h[u ** d], n)
-    return [exact_div(2 * cyc + mir - 4 * v1 - 2 * v11 - 2 * v2, 4, "dihedral sum")
-            for cyc, mir, v1, v2, v11 in zip(cyclic, mirrored, p1, p2, p11)]
+    mirrored = _div(_mul(low, d2, n), _sub(d2, _stretch(a2, 2)), n)
+    return ([exact_div(2 * cyc - lo, 2, "cyclic sum") for cyc, lo in zip(cyclic, low)],
+            [exact_div(2 * cyc - 2 * lo + mir, 4, "dihedral sum")
+             for cyc, lo, mir in zip(cyclic, low, mirrored)])
 
 
 def columns(max_c: int) -> tuple[list[int], list[int], list[int]]:
@@ -276,18 +271,11 @@ def columns(max_c: int) -> tuple[list[int], list[int], list[int]]:
         raise ResourceLimitError(
             f"counts up to {max_c} crossings exceed the limit of {MAX_C} (counts.MAX_C)")
     n = max_c + 1
-    h_q = _log_derivative(_ODD_STRIPS, n)
-    q1, q2, q11 = _low_terms(_ODD_STRIPS, _ODD_STRIPS, n)
-    # Z(C_1) = p1 and Z(C_2) = (p1^2 + p2)/2 are taken off the cyclic sum.
-    necklaces = [exact_div(2 * cyc - 2 * v1 - v11 - v2, 2, "cyclic sum")
-                 for cyc, v1, v2, v11 in zip(_cycle_sum(lambda d: h_q, n), q1, q2, q11)]
-    p1 = _div(necklaces, [1, -1], n)
-
-    h = {u: _log_derivative(_signed_strips(u), n) for u in (1, -1, 0)}
-    p2 = _dihedral_sum(0, h, n)
+    p1 = _div(_classes(_ODD_STRIPS, _ODD_STRIPS, n)[0], [1, -1], n)
+    b1, b_minus1, p2 = (_classes(_signed_strips(u), _signed_strips(u * u), n)[1]
+                        for u in (1, -1, 0))
     p3 = [exact_div(v + w, 2, "parity average") - v2
-          for v, w, v2 in zip(_div(_dihedral_sum(1, h, n), [1, -1], n),
-                              _div(_dihedral_sum(-1, h, n), [1, 1], n), p2)]
+          for v, w, v2 in zip(_div(b1, [1, -1], n), _div(b_minus1, [1, 1], n), p2)]
     return p1, p2, p3
 
 

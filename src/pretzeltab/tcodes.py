@@ -190,7 +190,7 @@ def _necklaces(values: list[int], k: int, budget: int, parity: int | None = None
             if v < low or (v == low and k % q) or v not in present:
                 continue
             a[k] = v
-            if not dihedral or k < 3:  # a necklace of 2 entries is a bracelet
+            if not dihedral:
                 found.append(tuple(a[1:]))
             elif a[2] <= v:
                 s = tuple(a[1:])

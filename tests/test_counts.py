@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from pretzeltab import counts
@@ -117,6 +119,19 @@ class TestColumns:
         p1, p2, p3 = columns(100)
         assert (p1[100], p2[100], p3[100]) == (count_type1(100), count_type2(100),
                                                count_type3(100))
+
+    def test_type2_counts_binary_bracelets_up_to_2000(self):
+        # at c = 2n: the binary bracelets of length n (OEIS A000029), less the
+        # empty one and the 1 and n // 2 with one or two ones (k = 1, 2)
+        p2 = columns(2000)[1]
+        phi = [0] + [sum(1 for i in range(1, d + 1) if math.gcd(i, d) == 1)
+                     for d in range(1, 1001)]
+        for n in range(1, 1001):
+            burnside = sum(phi[d] * 2 ** (n // d) for d in range(1, n + 1) if n % d == 0)
+            burnside += n * 2 ** ((n + 1) // 2) if n % 2 else 3 * n * 2 ** (n // 2 - 1)
+            assert burnside % (2 * n) == 0, n
+            assert p2[2 * n] == burnside // (2 * n) - 2 - n // 2, n
+            assert p2[2 * n - 1] == 0, n
 
     def test_zero_below_six(self):
         assert columns(5) == ([0] * 6, [0] * 6, [0] * 6)

@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 
@@ -48,7 +48,9 @@ class TestSignedReflectionFixedCount:
         assert _reflection_sum(3, 3, 2, 2) == 10
 
     def test_matches_brute_force(self):
-        for n1, k1, n2, k2 in param_grid(max_k=6, max_n=7):
+        # one family (k2 = 0) for n <= 12, then both families
+        one_family = ((n, k, 0, 0) for n in range(1, 13) for k in range(1, n + 1))
+        for n1, k1, n2, k2 in chain(one_family, param_grid(max_k=6, max_n=7)):
             assert _reflection_sum(n1, k1, n2, k2) == \
                 (k1 + k2) * brute_reflection_average(n1, k1, n2, k2), (n1, k1, n2, k2)
 
