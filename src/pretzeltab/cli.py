@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 argument error, 2 verification mismatch,
 3 resource ceiling exceeded (the enumeration ceiling or ``counts.MAX_C``),
-4 I/O error (also a reader that closes stdout early), 5 internal error (a
-failed exactness check, ``ArithmeticError``).
+4 I/O error (a failed write to stdout or to ``table --out``, also a reader
+that closes stdout early), 5 internal error (a failed exactness check,
+``ArithmeticError``).
 
 Each command imports only the modules it runs: ``table`` and ``count`` never
 load the oracle in ``tcodes`` or the fit.
@@ -165,21 +166,29 @@ def _run(argv: list[str] | None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
     except (ValueError, ResourceLimitError) as exc:
         print(f"pretzeltab {args.command}: {exc}", file=sys.stderr)
         return EXIT_RESOURCE if isinstance(exc, ResourceLimitError) else EXIT_USAGE
     except ArithmeticError as exc:
         print(f"pretzeltab {args.command}: internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except OSError as exc:
+        # Only a write to stdout gets here (``table --out`` reports its own);
+        # a reader that closed the pipe early asked for no more, so no message.
+        if not isinstance(exc, BrokenPipeError):
+            print(f"pretzeltab {args.command}: cannot write output: {exc}", file=sys.stderr)
+        raise
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
         code = _run(argv)
         sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader closed stdout (``| head``).  As the Python docs' note on
+    except OSError:
+        # stdout is closed (``| head``) or full.  As the Python docs' note on
         # SIGPIPE advises, point stdout at devnull, so that the interpreter's
         # last flush of the unwritten rest does not fail again at exit.
         devnull = os.open(os.devnull, os.O_WRONLY)

@@ -25,7 +25,7 @@ argument, the CLI's ``--ceiling``).
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from itertools import combinations
 from operator import itemgetter
 from typing import Iterator, NamedTuple
@@ -89,10 +89,6 @@ def violation(code: TCode) -> str | None:
     return None
 
 
-def is_valid(code: TCode) -> bool:
-    return violation(code) is None
-
-
 def _require_valid(code: TCode) -> None:
     problem = violation(code)
     if problem is not None:
@@ -149,17 +145,16 @@ def _necklaces(values: list[int], k: int, budget: int, parity: int | None = None
     reversal is the only rotation to compare with; otherwise
     ``_is_bracelet`` tries each.
     """
-    present = set(values)
+    # first[top + v] is bisect_left of v; for integers, first[top + v + 1] is
+    # bisect_right of v, so v is one of the values when the two differ
+    top = max(budget, -values[0])
+    first = [bisect_left(values, v) for v in range(-top, top + 2)]
     if k == 1:
         v = -budget if parity == 0 else budget
-        return [(v,)] if v in present else []
+        return [(v,)] if first[top + v] < first[top + v + 1] else []
     least = min(map(abs, values))
     found = []
     a = [values[0]] * (k + 1)  # a[0] is a sentinel no entry is below
-    # first[top + v] and after[top + v] are bisect_left and bisect_right of v
-    top = max(budget, -values[0])
-    first = [bisect_left(values, v) for v in range(-top, top + 1)]
-    after = [bisect_right(values, v) for v in range(-top, top + 1)]
 
     def extend(t: int, p: int, rem: int, odd: int) -> None:
         prev = a[t - p]
@@ -176,18 +171,18 @@ def _necklaces(values: list[int], k: int, budget: int, parity: int | None = None
         if first[top - cap] > start:
             start = first[top - cap]
         if t < k - 1:
-            for i in range(start, after[top + cap]):
+            for i in range(start, first[top + cap + 1]):
                 v = a[t] = values[i]
                 extend(t + 1, p if v == prev else t, rem - abs(v), odd ^ (v > 0))
             return
-        for i in range(start, after[top + cap]):
+        for i in range(start, first[top + cap + 1]):
             x = a[t] = values[i]
             q = p if x == prev else t
             v = rem - abs(x)
             if parity is not None and odd ^ (x > 0) == parity:
                 v = -v
             low = a[k - q]
-            if v < low or (v == low and k % q) or v not in present:
+            if v < low or (v == low and k % q) or first[top + v] == first[top + v + 1]:
                 continue
             a[k] = v
             if not dihedral:
@@ -240,10 +235,11 @@ def class_strips(c: int, link_type: int,
         values = list(range(2, c + 1, 2))
     else:
         values = list(range(-c + c % 2, -1, 2)) + list(range(2, c + 1))
+    least = 3 if link_type == 1 else 2  # the fewest crossings a strip takes
     for delta in range(1 if link_type == 2 else c):
         budget = c - delta
         parity = None if link_type < 3 else delta % 2
-        for k in range(3, budget // 2 + 1):  # every strip takes at least 2 crossings
+        for k in range(3, budget // least + 1):
             for strips in _necklaces(values, k, budget, parity, dihedral=link_type > 1):
                 if link_type == 3 and not delta and max(strips) < 0:
                     continue  # k1 = 0: delta + k1 is below 2

@@ -309,6 +309,32 @@ class TestBrokenPipe:
         assert child.returncode == EXIT_IO and err == b""
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+class TestFullDevice:
+    @pytest.mark.parametrize("args", [
+        ["table", "--min", "6", "--max", "12"],
+        ["count", "-c", "10"],
+        ["list", "-c", "12", "--type", "3"],
+        ["verify", "--max", "10"],
+        ["fit", "--max", "20"],
+    ])
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_failed_write_is_io_error_with_one_line(self, args, unbuffered):
+        # buffered, the write fails at the flush after the command; under -u, at
+        # the first print
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("PYTHONUNBUFFERED", None)
+        flags = ["-u"] if unbuffered else []
+        with open("/dev/full", "w") as full:
+            child = subprocess.run([sys.executable, *flags, "-m", "pretzeltab.cli", *args],
+                                   stdout=full, stderr=subprocess.PIPE, env=env, timeout=60)
+        assert child.returncode == EXIT_IO
+        lines = child.stderr.decode().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"pretzeltab {args[0]}: cannot write output: ")
+
+
 class TestInternalError:
     def test_failed_exactness_check_exits_with_one_line(self, capsys, monkeypatch):
         # a wrong totient makes a Burnside sum indivisible: ArithmeticError

@@ -120,6 +120,12 @@ class TestColumns:
         assert (p1[100], p2[100], p3[100]) == (count_type1(100), count_type2(100),
                                                count_type3(100))
 
+    def test_type1_matches_per_point_route_up_to_1000(self, monkeypatch):
+        monkeypatch.setattr(counts, "POINT_MAX_C", 1000)
+        p1 = columns(1000)[0]
+        for c in (150, 400, 1000):
+            assert p1[c] == count_type1(c), c
+
     def test_type2_counts_binary_bracelets_up_to_2000(self):
         # at c = 2n: the binary bracelets of length n (OEIS A000029), less the
         # empty one and the 1 and n // 2 with one or two ones (k = 1, 2)

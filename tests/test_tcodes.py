@@ -4,7 +4,6 @@ import pytest
 
 from pretzeltab import tcodes
 from pretzeltab.tcodes import (
-    _is_bracelet,
     _least_dihedral,
     _least_rotation,
     _necklaces,
@@ -16,7 +15,6 @@ from pretzeltab.tcodes import (
     count_classes,
     crossing_number,
     enumerate_classes,
-    is_valid,
     signed_class_count,
     violation,
 )
@@ -53,32 +51,32 @@ def brute_force_codes(c, link_type):
 
 class TestValidate:
     def test_valid_examples(self):
-        assert is_valid(TCode(1, 1, (5, 5, 3)))
-        assert is_valid(TCode(3, 1, (-4, 4, 2, 4)))
-        assert is_valid(TCode(2, 0, (2, 2, 2)))
+        assert violation(TCode(1, 1, (5, 5, 3))) is None
+        assert violation(TCode(3, 1, (-4, 4, 2, 4))) is None
+        assert violation(TCode(2, 0, (2, 2, 2))) is None
 
     def test_too_few_strips(self):
         assert violation(TCode(2, 0, (2, 2))) == "a pretzel code needs at least 3 strips"
 
     def test_type1_rules(self):
-        assert not is_valid(TCode(1, 0, (3, 3, 4)))   # even strip
-        assert not is_valid(TCode(1, 0, (3, 3, 1)))   # too small
-        assert not is_valid(TCode(1, -1, (3, 3, 3)))  # negative delta
+        assert violation(TCode(1, 0, (3, 3, 4))) is not None   # even strip
+        assert violation(TCode(1, 0, (3, 3, 1))) is not None   # too small
+        assert violation(TCode(1, -1, (3, 3, 3))) is not None  # negative delta
 
     def test_type2_rules(self):
-        assert not is_valid(TCode(2, 1, (2, 2, 2)))   # delta forbidden
-        assert not is_valid(TCode(2, 0, (2, 3, 2)))   # odd strip
+        assert violation(TCode(2, 1, (2, 2, 2))) is not None   # delta forbidden
+        assert violation(TCode(2, 0, (2, 3, 2))) is not None   # odd strip
 
     def test_type3_rules(self):
-        assert not is_valid(TCode(3, 0, (1, 2, -2)))       # positive strip too small
-        assert not is_valid(TCode(3, 0, (2, 2, -3)))       # odd negative strip
-        assert not is_valid(TCode(3, 1, (2, 2, -2)))       # delta + positives odd
-        assert not is_valid(TCode(3, 0, (-2, -2, -2)))     # delta + positives below 2
-        assert is_valid(TCode(3, 2, (-2, -2, -2)))
+        assert violation(TCode(3, 0, (1, 2, -2))) is not None       # positive strip too small
+        assert violation(TCode(3, 0, (2, 2, -3))) is not None       # odd negative strip
+        assert violation(TCode(3, 1, (2, 2, -2))) is not None       # delta + positives odd
+        assert violation(TCode(3, 0, (-2, -2, -2))) is not None     # delta + positives below 2
+        assert violation(TCode(3, 2, (-2, -2, -2))) is None
         assert violation(TCode(3, 2, (2, 0, -2))) == "strip entries must be non-zero"
 
     def test_bad_type_tag(self):
-        assert not is_valid(TCode(4, 0, (2, 2, 2)))
+        assert violation(TCode(4, 0, (2, 2, 2))) is not None
 
 
 class TestCrossingNumber:
@@ -135,7 +133,7 @@ class TestEnumerateClasses:
             for link_type in (1, 2, 3):
                 classes = enumerate_classes(c, link_type)
                 for code in classes:
-                    assert is_valid(code), code
+                    assert violation(code) is None, code
                     assert code.link_type == link_type
                     assert crossing_number(code) == c, code
                     assert canonicalize(code) == code, code
@@ -182,8 +180,9 @@ class TestGenerators:
                                 assert crossing_number(code) == c, code
 
     def test_dihedral_filter_keeps_exactly_the_bracelets(self):
-        # the inline reversal checks against _is_bracelet over the raw necklaces,
-        # short strip counts included
+        # the inline reversal checks against the definition, a necklace that is
+        # its own least dihedral image, over the raw necklaces, short strip
+        # counts included
         for link_type in (1, 2, 3):
             for c in range(6, 17):
                 values = list(strip_values(link_type, c))
@@ -192,7 +191,7 @@ class TestGenerators:
                         parity = None if link_type < 3 else delta % 2
                         raw = _necklaces(values, k, c - delta, parity)
                         bracelets = _necklaces(values, k, c - delta, parity, dihedral=True)
-                        assert bracelets == [s for s in raw if _is_bracelet(s)], \
+                        assert bracelets == [s for s in raw if s == _least_dihedral(s)], \
                             (link_type, c, delta, k)
 
     def test_short_tuples_match_a_plain_product(self):
