@@ -15,8 +15,8 @@ __version__ = "0.1.0"
 _HOME = {
     "columns": "counts",
     "count_row": "counts",
-    "count_type3": "counts",
-    "type3_params": "counts",
+    "count_type3": "necklaces",
+    "type3_params": "necklaces",
     "necklace_count": "necklaces",
     "bracelet_count": "necklaces",
     "signed_bracelet_count": "signed_bracelets",

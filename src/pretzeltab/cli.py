@@ -12,6 +12,8 @@ load the oracle in ``tcodes`` or the fit.
 from __future__ import annotations
 
 import argparse
+# Kept at the top: perfbench/child.py imports json right after this module, so
+# deferring it into the JSON branches only moves its cost into the timed wall_s.
 import json
 import os
 import sys
@@ -34,6 +36,10 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+    # argparse's own print_help drops a failed write; this lets it reach main (exit 4).
+    def print_help(self, file=None):
+        (file or sys.stdout).write(self.format_help())
 
 
 def _build_parser() -> _Parser:

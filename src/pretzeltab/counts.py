@@ -13,20 +13,15 @@ necklace or bracelet count over strip-size tuples:
 Counts cover one link per mirror pair; ``CountRow.total`` doubles the sum
 because every such link is chiral.
 
-Two routes compute the same numbers.  ``columns(C)`` gives every count for
-c <= C at once from the Polya cycle index (Flajolet & Sedgewick, *Analytic
-Combinatorics*, Ch. I): a strip is a power series in x marking its crossings,
-and the cycle index of the cyclic or dihedral group, summed over the strip
-count k, turns it into the series of classes.  Every series involved is a
-rational function with a denominator of degree at most 6, so each coefficient
-costs O(1) big-integer operations and the cyclic divisor sums O(C log C) in
-all.  ``count_row``, ``count_rows`` and ``count_by_type`` read from it.
-
-``count_type1``, ``count_type2`` and ``count_type3`` are the paper's formula:
-a Burnside count at every admissible parameter point, O(c^4) points for
-type 3.  They are kept as the independent check of ``columns`` and refuse c
-above POINT_MAX_C.  Each imports its counter from ``necklaces`` or
-``signed_bracelets`` when it runs, so ``columns`` loads neither module.
+One route computes them: ``columns(C)`` gives every count for c <= C at
+once from the Polya cycle index (Flajolet & Sedgewick, *Analytic
+Combinatorics*, Ch. I).  A strip is a power series in x marking its
+crossings, and the cycle index of the cyclic or dihedral group, summed over
+the strip count k, turns it into the series of classes.  Every series
+involved is a rational function with a denominator of degree at most 6, so
+each coefficient costs O(1) big-integer operations and the cyclic divisor
+sums O(C log C) in all.  ``count_row``, ``count_rows`` and ``count_by_type``
+read from it.  The tests check it against the paper's per-point formula.
 """
 from __future__ import annotations
 
@@ -44,120 +39,10 @@ from .combinat import ResourceLimitError, exact_div, totient
 # c = 15,700, so a larger MAX_C needs that limit raised as well.
 MAX_C = 10_000
 
-# Largest c that the per-point route accepts: type3_params(c) holds all its
-# O(c^4) points at once.  At 150, 1,320,013 points take 1.5 s to build and
-# count_type3 8.1 s, at 146 MiB of peak RSS (CPython 3.11, one Xeon core).
-POINT_MAX_C = 150
-
-
-class Type3Params(NamedTuple):
-    """One admissible parameter point for the type 3 count.
-
-    delta: crossings in the horizontal twist group;
-    n1, k1: reduced weight and count of positive strips;
-    n2, k2: reduced weight and count of negative strips.
-    A point satisfies delta + k1 + n1 + 2*n2 = c, delta + k1 even and >= 2,
-    k1 + k2 >= 3, n1 >= k1 >= 0, n2 >= k2 >= 0, and a family is weightless
-    exactly when it is empty.
-    """
-
-    delta: int
-    n1: int
-    k1: int
-    n2: int
-    k2: int
-
 
 def _check_c(c: int) -> None:
     if c < 1:
         raise ValueError(f"crossing number must be positive, got {c}")
-
-
-def _check_point_c(c: int) -> None:
-    _check_c(c)
-    if c > POINT_MAX_C:
-        raise ResourceLimitError(f"the per-point route at {c} crossings exceeds the limit "
-                                 f"of {POINT_MAX_C} (counts.POINT_MAX_C)")
-
-
-def type3_params(c: int) -> list[Type3Params]:
-    """All type 3 parameter points at crossing number c.
-
-    Deterministic order: ascending lexicographic on (delta, k1, n1, k2, n2).
-    """
-    _check_point_c(c)
-    points = []
-    for delta in range(c + 1):
-        for k1 in range(c - delta + 1):
-            if (delta + k1) % 2 or delta + k1 < 2:
-                continue
-            for n1 in range(k1, c - delta - k1 + 1):
-                if k1 == 0 and n1 > 0:
-                    break
-                rem = c - delta - k1 - n1
-                if rem % 2:
-                    continue
-                n2 = rem // 2
-                if n2 == 0:
-                    if k1 >= 3:
-                        points.append(Type3Params(delta, n1, k1, 0, 0))
-                else:
-                    for k2 in range(max(1, 3 - k1), n2 + 1):
-                        points.append(Type3Params(delta, n1, k1, n2, k2))
-    return points
-
-
-def count_type1(c: int) -> int:
-    """Type 1 links with c crossings: cyclic classes summed over delta and k."""
-    from .necklaces import necklace_count
-
-    _check_point_c(c)
-    total = 0
-    for delta in range(max(0, c - 8)):
-        budget = c - delta
-        for k in range(3, budget // 3 + 1):
-            if (budget - k) % 2 == 0:
-                total += necklace_count((budget - k) // 2, k)
-    return total
-
-
-def count_type1_alt(c: int) -> int:
-    """Type 1 count by an independent route, for cross-checking.
-
-    Folds the (delta, k) double sum by the parity of c: with q = c // 2 the
-    inner index j = (delta + k - (c % 2)) / 2 starts at floor(k/2) for odd c
-    and ceil(k/2) for even c.
-    """
-    from .necklaces import necklace_count
-
-    _check_point_c(c)
-    q, odd = divmod(c, 2)
-    total = 0
-    for i in range(3, q + 1):
-        start = i // 2 if odd else (i + 1) // 2
-        for j in range(start, q - i + 1):
-            total += necklace_count(q - j, i)
-    return total
-
-
-def count_type2(c: int) -> int:
-    """Type 2 links with c crossings: zero unless c = 2n >= 6, else the sum
-    of bracelet counts over 3 <= k <= n."""
-    from .necklaces import bracelet_count
-
-    _check_point_c(c)
-    if c % 2 or c < 6:
-        return 0
-    n = c // 2
-    return sum(bracelet_count(n, k) for k in range(3, n + 1))
-
-
-def count_type3(c: int) -> int:
-    """Type 3 links with c crossings: signed bracelet counts summed over all
-    admissible parameter points."""
-    from .signed_bracelets import signed_bracelet_count
-
-    return sum(signed_bracelet_count(p.n1, p.k1, p.n2, p.k2) for p in type3_params(c))
 
 
 # Truncated power series are lists of coefficients, constant term first.  A

@@ -7,18 +7,18 @@ import time
 from contextlib import contextmanager
 
 from pretzeltab import cli
-from pretzeltab.counts import (
+from pretzeltab.counts import count_by_type, count_row
+from pretzeltab.fit import fit_growth
+from pretzeltab.necklaces import (
     Type3Params,
-    count_row,
+    bracelet_count,
     count_type1,
     count_type1_alt,
     count_type2,
     count_type3,
-    count_by_type,
+    necklace_count,
     type3_params,
 )
-from pretzeltab.fit import fit_growth
-from pretzeltab.necklaces import bracelet_count, necklace_count
 from pretzeltab.signed_bracelets import signed_bracelet_count
 from pretzeltab.tcodes import TCode, canonicalize, composition_class_count, enumerate_classes
 

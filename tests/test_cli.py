@@ -322,17 +322,29 @@ class TestFullDevice:
     def test_failed_write_is_io_error_with_one_line(self, args, unbuffered):
         # buffered, the write fails at the flush after the command; under -u, at
         # the first print
+        child = self.run_on_full_device(args, unbuffered)
+        assert child.returncode == EXIT_IO
+        lines = child.stderr.decode().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"pretzeltab {args[0]}: cannot write output: ")
+
+    @pytest.mark.parametrize("args", [["--help"], ["table", "-h"]])
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_lost_help_text_is_io_error(self, args, unbuffered):
+        # argparse's own help printer would swallow the failed write and exit 0
+        child = self.run_on_full_device(args, unbuffered)
+        assert child.returncode == EXIT_IO
+        assert b"Traceback" not in child.stderr
+
+    @staticmethod
+    def run_on_full_device(args, unbuffered):
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=src)
         env.pop("PYTHONUNBUFFERED", None)
         flags = ["-u"] if unbuffered else []
         with open("/dev/full", "w") as full:
-            child = subprocess.run([sys.executable, *flags, "-m", "pretzeltab.cli", *args],
-                                   stdout=full, stderr=subprocess.PIPE, env=env, timeout=60)
-        assert child.returncode == EXIT_IO
-        lines = child.stderr.decode().splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith(f"pretzeltab {args[0]}: cannot write output: ")
+            return subprocess.run([sys.executable, *flags, "-m", "pretzeltab.cli", *args],
+                                  stdout=full, stderr=subprocess.PIPE, env=env, timeout=60)
 
 
 class TestInternalError:

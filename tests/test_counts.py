@@ -2,16 +2,11 @@ import math
 
 import pytest
 
-from pretzeltab import counts
-from pretzeltab.counts import (
-    MAX_C,
+from pretzeltab import counts, necklaces
+from pretzeltab.counts import MAX_C, CountRow, columns, count_by_type, count_row, count_rows
+from pretzeltab.necklaces import (
     POINT_MAX_C,
-    CountRow,
     Type3Params,
-    columns,
-    count_by_type,
-    count_row,
-    count_rows,
     count_type1,
     count_type1_alt,
     count_type2,
@@ -83,9 +78,9 @@ class TestTypeCounters:
 
     def test_refuses_c_above_the_point_limit(self, monkeypatch):
         for counter in (type3_params, count_type1, count_type1_alt, count_type2, count_type3):
-            with pytest.raises(ResourceLimitError, match="counts.POINT_MAX_C"):
+            with pytest.raises(ResourceLimitError, match="necklaces.POINT_MAX_C"):
                 counter(POINT_MAX_C + 1)
-        monkeypatch.setattr(counts, "POINT_MAX_C", 10)
+        monkeypatch.setattr(necklaces, "POINT_MAX_C", 10)
         assert count_type3(10) == 38
         with pytest.raises(ResourceLimitError):
             count_type3(11)
@@ -121,7 +116,7 @@ class TestColumns:
                                                count_type3(100))
 
     def test_type1_matches_per_point_route_up_to_1000(self, monkeypatch):
-        monkeypatch.setattr(counts, "POINT_MAX_C", 1000)
+        monkeypatch.setattr(necklaces, "POINT_MAX_C", 1000)
         p1 = columns(1000)[0]
         for c in (150, 400, 1000):
             assert p1[c] == count_type1(c), c

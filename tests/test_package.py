@@ -40,14 +40,14 @@ class TestImports:
         assert not {name for name in loaded if name.startswith("pretzeltab.")}
 
     def test_count_leaves_the_oracle_unloaded(self):
-        # Each call loads only the modules it runs: the per-point counters
-        # load necklaces and signed_bracelets, no command does.
+        # Each call loads only the modules it runs: no command loads the
+        # per-point route in necklaces, and it does not load signed_bracelets.
         runs = {
             'cli.main(["count", "-c", "20"])': set(),
             'cli.main(["table", "--min", "6", "--max", "10"])': set(),
             'cli.main(["fit"])': {"pretzeltab.fit"},
             'cli.main(["verify", "--max", "6"])': {"pretzeltab.tcodes"},
-            "counts.count_type3(10)": {"pretzeltab.necklaces", "pretzeltab.signed_bracelets"},
+            "from pretzeltab import count_type3\ncount_type3(10)": {"pretzeltab.necklaces"},
         }
         for call, extra in runs.items():
             loaded = loaded_after(f"from pretzeltab import cli, counts\n{call}")

@@ -6,7 +6,8 @@ reproduces on every run.
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pretzeltab.counts import columns, count_type1, count_type2, count_type3
+from pretzeltab.counts import columns
+from pretzeltab.necklaces import count_type1, count_type2, count_type3
 from pretzeltab.signed_bracelets import signed_bracelet_count
 from pretzeltab.tcodes import TCode, canonicalize, signed_class_count, violation
 
