@@ -98,10 +98,10 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    if args.type == "all":
-        print(" ".join(str(column[args.c]) for column in counts.columns(args.c)))
-    else:
-        print(counts.count_by_type(args.c, int(args.type)))
+    picked = counts.columns(args.c)
+    if args.type != "all":
+        picked = picked[int(args.type) - 1:int(args.type)]
+    print(" ".join(str(column[args.c]) for column in picked))
     return EXIT_OK
 
 
@@ -122,15 +122,14 @@ def _cmd_list(args) -> int:
 def _cmd_verify(args) -> int:
     from . import tcodes
 
-    # Refuse before any enumeration runs, not at the first row past the ceiling.
-    tcodes.check_ceiling(args.max_c, args.ceiling)
+    # first, so that an oversized --max meets the enumeration ceiling, not MAX_C
+    enumerated_rows = tcodes.class_counts(args.max_c, ceiling=args.ceiling)
     columns = counts.columns(args.max_c)
     failures = []
     print("   c  type     formula  enumerated  result")
-    for c in range(1, args.max_c + 1):
-        for link_type in (1, 2, 3):
+    for c, row in enumerate(enumerated_rows, 1):
+        for link_type, enumerated in enumerate(row, 1):
             formula = columns[link_type - 1][c]
-            enumerated = tcodes.count_classes(c, link_type, ceiling=args.ceiling)
             if formula != enumerated:
                 failures.append(f"c={c} type {link_type} (formula {formula}, enumerated {enumerated})")
             print(f"{c:4d}  {link_type:4d}  {formula:10d}  {enumerated:10d}  "

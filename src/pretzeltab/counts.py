@@ -20,8 +20,8 @@ crossings, and the cycle index of the cyclic or dihedral group, summed over
 the strip count k, turns it into the series of classes.  Every series
 involved is a rational function with a denominator of degree at most 6, so
 each coefficient costs O(1) big-integer operations and the cyclic divisor
-sums O(C log C) in all.  ``count_row``, ``count_rows`` and ``count_by_type``
-read from it.  The tests check it against the paper's per-point formula.
+sums O(C log C) in all.  ``count_row`` and ``count_rows`` read from it.  The
+tests check it against the paper's per-point formula.
 """
 from __future__ import annotations
 
@@ -164,13 +164,6 @@ def columns(max_c: int) -> tuple[list[int], list[int], list[int]]:
     p3 = [exact_div(v + w, 2, "parity average") - v2
           for v, w, v2 in zip(_div(b1, [1, -1], n), _div(b_minus1, [1, 1], n), p2)]
     return p1, p2, p3
-
-
-def count_by_type(c: int, link_type: int) -> int:
-    """The type 1, 2 or 3 count at crossing number c, read from ``columns(c)``."""
-    if link_type not in (1, 2, 3):
-        raise ValueError(f"link type must be 1, 2 or 3, got {link_type}")
-    return columns(c)[link_type - 1][c]
 
 
 class CountRow(NamedTuple):

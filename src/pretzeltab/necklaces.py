@@ -46,8 +46,10 @@ def _rotation_sum(n1: int, k1: int, n2: int, k2: int) -> int:
     g = math.gcd(k1, k2, n1, n2)
     k = k1 + k2
     total = 0
-    for d in range(1, g + 1):
-        if g % d == 0:
+    for s in range(1, math.isqrt(g) + 1):  # each divisor up to sqrt(g), and its cofactor
+        if g % s:
+            continue
+        for d in ((s, g // s) if s * s < g else (s,)):
             total += (totient(d) * binom(k // d, k1 // d)
                       * composition_count(n1 // d, k1 // d) * composition_count(n2 // d, k2 // d))
     return total

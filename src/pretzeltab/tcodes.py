@@ -7,8 +7,8 @@ and delta and their strip tuples agree up to rotation (type 1) or up to
 rotation and reversal (types 2 and 3).
 
 ``enumerate_classes`` is the brute-force ground truth that the closed-form
-counters in ``counts`` are checked against, and ``count_classes`` counts the
-same classes without building a ``TCode`` for each.  Both read
+counters in ``counts`` are checked against, and ``class_counts`` counts the
+same classes, row by row, without building a ``TCode`` for each.  Both read
 ``class_strips``, which produces each class once, as its canonical form, by
 orderly generation: a prenecklace generator (Cattell, Ruskey, Sawada, Serra
 and Miers, J. Algorithms 37, 2000) extends only the prefixes that can still
@@ -253,9 +253,16 @@ def enumerate_classes(c: int, link_type: int, ceiling: int = DEFAULT_ENUM_CEILIN
             for delta, strips in class_strips(c, link_type, ceiling)]
 
 
-def count_classes(c: int, link_type: int, ceiling: int = DEFAULT_ENUM_CEILING) -> int:
-    """The number of classes ``enumerate_classes`` lists, without building them."""
-    return sum(1 for _ in class_strips(c, link_type, ceiling))
+def class_counts(max_c: int,
+                 ceiling: int = DEFAULT_ENUM_CEILING) -> Iterator[tuple[int, int, int]]:
+    """The lengths of ``enumerate_classes`` for types 1, 2 and 3, one triple per
+    c = 1..max_c, each enumerated when asked for.  Refuses, when called, max_c
+    above the ceiling or below 1."""
+    check_ceiling(max_c, ceiling)
+    if max_c < 1:
+        raise ValueError(f"crossing number must be positive, got {max_c}")
+    return (tuple(sum(1 for _ in class_strips(c, link_type, ceiling)) for link_type in (1, 2, 3))
+            for c in range(1, max_c + 1))
 
 
 def _guard_family(size: int) -> None:
@@ -263,15 +270,13 @@ def _guard_family(size: int) -> None:
         raise ResourceLimitError(f"family of {size} tuples exceeds the limit of {FAMILY_LIMIT}")
 
 
-def composition_class_count(n: int, k: int, symmetry: str = "cyclic") -> int:
-    """Orbit count of k-part compositions of n under the chosen symmetry: the
-    orderly generator's necklaces, or for the dihedral symmetry its bracelets."""
-    if symmetry not in ("cyclic", "dihedral"):
-        raise ValueError(f"symmetry must be 'cyclic' or 'dihedral', got {symmetry!r}")
+def composition_class_count(n: int, k: int, dihedral: bool = False) -> int:
+    """Orbit count of k-part compositions of n under rotation: the orderly
+    generator's necklaces, or with dihedral its bracelets."""
     _guard_family(composition_count(n, k))
     if not 0 < k <= n:
         return 0
-    return len(_necklaces(list(range(1, n + 1)), k, n, dihedral=symmetry == "dihedral"))
+    return len(_necklaces(list(range(1, n + 1)), k, n, dihedral=dihedral))
 
 
 def signed_class_count(n1: int, k1: int, n2: int, k2: int) -> int:

@@ -220,7 +220,9 @@ class TestVerify:
 
     def test_max_above_ceiling(self, capsys):
         assert main(["verify", "--max", "40"]) == EXIT_RESOURCE
-        assert "--ceiling" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "--ceiling" in captured.err
+        assert captured.out == ""
 
 
 class TestFit:

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from pretzeltab import counts, necklaces
-from pretzeltab.counts import MAX_C, CountRow, columns, count_by_type, count_row, count_rows
+from pretzeltab.counts import MAX_C, CountRow, columns, count_row, count_rows
 from pretzeltab.necklaces import (
     POINT_MAX_C,
     Type3Params,
@@ -67,14 +67,12 @@ class TestTypeCounters:
     def test_counters_match_enumeration_on_small_range(self):
         for c in range(1, 21):
             for link_type in (1, 2, 3):
-                assert count_by_type(c, link_type) == len(enumerate_classes(c, link_type)), \
+                assert columns(c)[link_type - 1][c] == len(enumerate_classes(c, link_type)), \
                     (c, link_type)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             count_type1(0)
-        with pytest.raises(ValueError):
-            count_by_type(10, 4)
 
     def test_refuses_c_above_the_point_limit(self, monkeypatch):
         for counter in (type3_params, count_type1, count_type1_alt, count_type2, count_type3):

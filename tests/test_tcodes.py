@@ -11,8 +11,8 @@ from pretzeltab.tcodes import (
     ResourceLimitError,
     TCode,
     canonicalize,
+    class_counts,
     composition_class_count,
-    count_classes,
     crossing_number,
     enumerate_classes,
     signed_class_count,
@@ -213,26 +213,36 @@ class TestGenerators:
 
 class TestCountClasses:
     def test_counts_what_enumerate_classes_lists(self):
-        for c in range(1, 17):
-            for link_type in (1, 2, 3):
-                assert count_classes(c, link_type) == len(enumerate_classes(c, link_type)), \
-                    (c, link_type)
+        assert list(class_counts(16)) == [tuple(len(enumerate_classes(c, t)) for t in (1, 2, 3))
+                                          for c in range(1, 17)]
 
     def test_refuses_above_the_ceiling(self):
         with pytest.raises(ResourceLimitError):
-            count_classes(DEFAULT_ENUM_CEILING + 1, 3)
+            class_counts(DEFAULT_ENUM_CEILING + 1)
         with pytest.raises(ResourceLimitError):
-            count_classes(9, 2, ceiling=8)
-        assert count_classes(10, 3, ceiling=10) == 38
+            class_counts(9, ceiling=8)
+        assert list(class_counts(10, ceiling=10))[-1] == (1, 4, 38)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            count_classes(0, 3)
-        with pytest.raises(ValueError):
-            count_classes(10, 5)
+            class_counts(0)
         for ceiling in (0, -2):
             with pytest.raises(ValueError):
-                count_classes(5, 1, ceiling=ceiling)
+                class_counts(5, ceiling=ceiling)
+
+    def test_enumerates_each_row_when_asked(self, monkeypatch):
+        asked = []
+        class_strips = tcodes.class_strips
+
+        def recording(c, *args):
+            asked.append(c)
+            return class_strips(c, *args)
+
+        monkeypatch.setattr(tcodes, "class_strips", recording)
+        rows = class_counts(20)
+        assert asked == []
+        assert next(rows) == (0, 0, 0)
+        assert asked == [1, 1, 1]
 
 
 class TestCeiling:
@@ -256,8 +266,8 @@ class TestCeiling:
 
 class TestOrbitCounts:
     def test_composition_examples(self):
-        assert composition_class_count(7, 3, "cyclic") == 5
-        assert composition_class_count(7, 3, "dihedral") == 4
+        assert composition_class_count(7, 3) == 5
+        assert composition_class_count(7, 3, dihedral=True) == 4
 
     def test_signed_example(self):
         assert signed_class_count(4, 2, 2, 2) == 4
@@ -265,15 +275,11 @@ class TestOrbitCounts:
     def test_family_size_guard(self, monkeypatch):
         monkeypatch.setattr(tcodes, "FAMILY_LIMIT", 1000)
         with pytest.raises(ResourceLimitError):
-            composition_class_count(60, 30, "cyclic")
+            composition_class_count(60, 30)
         with pytest.raises(ResourceLimitError):
             signed_class_count(20, 10, 20, 10)
         with pytest.raises(ResourceLimitError):
             signed_class_count(14, 7, 0, 0)  # 1716 tuples, the second family empty
-
-    def test_rejects_unknown_symmetry(self):
-        with pytest.raises(ValueError):
-            composition_class_count(5, 2, "mirror")
 
 
 class TestRendering:
