@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 _HOME = {
     "columns": "counts",
     "count_row": "counts",
-    "count_type3": "necklaces",
+    "point_columns": "necklaces",
     "type3_params": "necklaces",
     "necklace_count": "necklaces",
     "bracelet_count": "necklaces",

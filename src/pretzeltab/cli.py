@@ -189,6 +189,10 @@ def _run(argv: list[str] | None) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if sys.stdout is None:
+        # fd 1 was closed at start-up (``>&-``): a read-only stand-in fails each write
+        # with EBADF, as fd 1 would (closefd=False: no unclosed-file warning at exit)
+        sys.stdout = open(os.open(os.devnull, os.O_RDONLY), "w", closefd=False)
     try:
         code = _run(argv)
         sys.stdout.flush()

@@ -11,21 +11,23 @@ or signed bracelets is one exact division of them, and a remainder raises
 one bead; for even k, k/2 axes pass through two beads and k/2 through none.
 The other beads form mirrored pairs.
 
-``count_type1``, ``count_type2`` and ``count_type3`` are the paper's formula:
-these counts summed over every admissible parameter point, O(c^4) points for
-type 3.  They are the tests' independent check of ``counts.columns`` and
-refuse c above POINT_MAX_C.
+``point_columns`` is the paper's formula: these counts summed over every
+admissible parameter point, one walk over the O(C^4) type 3 strip families
+for all c <= C at once.  It is the tests' independent check of
+``counts.columns`` and refuses C above POINT_MAX_C.
 """
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from itertools import accumulate
+from typing import Iterator, NamedTuple
 
 from .combinat import ResourceLimitError, binom, composition_count, exact_div, totient
 
-# Largest c that the per-point route accepts: type3_params(c) holds all its
-# O(c^4) points at once.  At 150, 1,320,013 points take 1.5 s to build and
-# count_type3 8.1 s, at 146 MiB of peak RSS (CPython 3.11, one Xeon core).
+# Largest c that the per-point route accepts, a bound on time: point_columns
+# walks its O(c^4) type 3 families one at a time.  In a fresh process it takes
+# 3.8 s at 100 and 20.0 s at 150, both at 13.7 MiB of peak RSS, the bare
+# interpreter's (CPython 3.11, x86-64 Linux, 2 shared cores).
 POINT_MAX_C = 150
 
 
@@ -126,43 +128,50 @@ def _check_point_c(c: int) -> None:
                                  f"of {POINT_MAX_C} (necklaces.POINT_MAX_C)")
 
 
+def _type3_points(max_c: int) -> Iterator[Type3Params]:
+    """Each type 3 strip family (n1, k1, n2, k2) whose least c is at most max_c,
+    once, at its least delta (2 for k1 = 0, else k1 mod 2), in ascending order
+    on (k1, n1, k2, n2).  At c its delta is c - (k1 + n1 + 2*n2)."""
+    for k1 in range(max_c + 1):
+        delta = 2 if k1 == 0 else k1 % 2
+        for n1 in range(k1, max_c - delta - k1 + 1) if k1 else (0,):
+            most_n2 = (max_c - delta - k1 - n1) // 2
+            for k2 in range(max(0, 3 - k1), most_n2 + 1):
+                for n2 in range(k2, most_n2 + 1) if k2 else (0,):
+                    yield Type3Params(delta, n1, k1, n2, k2)
+
+
 def type3_params(c: int) -> list[Type3Params]:
     """All type 3 parameter points at crossing number c.
 
     Deterministic order: ascending lexicographic on (delta, k1, n1, k2, n2).
     """
     _check_point_c(c)
-    points = []
-    for delta in range(c + 1):
-        for k1 in range(c - delta + 1):
-            if (delta + k1) % 2 or delta + k1 < 2:
-                continue
-            for n1 in range(k1, c - delta - k1 + 1):
-                if k1 == 0 and n1 > 0:
-                    break
-                rem = c - delta - k1 - n1
-                if rem % 2:
-                    continue
-                n2 = rem // 2
-                if n2 == 0:
-                    if k1 >= 3:
-                        points.append(Type3Params(delta, n1, k1, 0, 0))
-                else:
-                    for k2 in range(max(1, 3 - k1), n2 + 1):
-                        points.append(Type3Params(delta, n1, k1, n2, k2))
-    return points
+    points = (p._replace(delta=c - p.k1 - p.n1 - 2 * p.n2) for p in _type3_points(c))
+    # a stable sort: within one delta the families keep their (k1, n1, k2, n2) order
+    return sorted((p for p in points if (p.delta + p.k1) % 2 == 0), key=lambda p: p.delta)
 
 
-def count_type1(c: int) -> int:
-    """Type 1 links with c crossings: cyclic classes summed over delta and k."""
-    _check_point_c(c)
-    total = 0
-    for delta in range(max(0, c - 8)):
-        budget = c - delta
-        for k in range(3, budget // 3 + 1):
-            if (budget - k) % 2 == 0:
-                total += necklace_count((budget - k) // 2, k)
-    return total
+def point_columns(max_c: int) -> tuple[list[int], list[int], list[int]]:
+    """The p1, p2 and p3 columns for 0 <= c <= max_c, by the per-point formula:
+    type 1 sums cyclic classes of k >= 3 odd strips over every crossing budget
+    b = c - delta; type 2 sums bracelet counts over 3 <= k <= c/2 at even c;
+    type 3 adds each family's signed bracelet count at its least c and carries
+    it on to c + 2, c + 4, ...
+    """
+    _check_point_c(max_c)
+    n = max_c + 1
+    p1 = list(accumulate(sum(necklace_count((b - k) // 2, k)
+                             for k in range(3, b // 3 + 1) if (b - k) % 2 == 0)
+                         for b in range(n)))
+    p2 = [0 if c % 2 else sum(bracelet_count(c // 2, k) for k in range(3, c // 2 + 1))
+          for c in range(n)]
+    p3 = [0] * n
+    for delta, n1, k1, n2, k2 in _type3_points(max_c):
+        p3[delta + k1 + n1 + 2 * n2] += _bracelets(n1, k1, n2, k2)
+    for c in range(2, n):
+        p3[c] += p3[c - 2]
+    return p1, p2, p3
 
 
 def count_type1_alt(c: int) -> int:
@@ -180,17 +189,3 @@ def count_type1_alt(c: int) -> int:
         for j in range(start, q - i + 1):
             total += necklace_count(q - j, i)
     return total
-
-
-def count_type2(c: int) -> int:
-    """Type 2 links with c crossings: bracelet counts over 3 <= k <= c/2, 0 for odd c."""
-    _check_point_c(c)
-    if c % 2 or c < 6:
-        return 0
-    n = c // 2
-    return sum(bracelet_count(n, k) for k in range(3, n + 1))
-
-
-def count_type3(c: int) -> int:
-    """Type 3 links with c crossings: signed bracelet counts over ``type3_params(c)``."""
-    return sum(_bracelets(p.n1, p.k1, p.n2, p.k2) for p in type3_params(c))

@@ -12,11 +12,9 @@ from pretzeltab.fit import fit_growth
 from pretzeltab.necklaces import (
     Type3Params,
     bracelet_count,
-    count_type1,
     count_type1_alt,
-    count_type2,
-    count_type3,
     necklace_count,
+    point_columns,
     type3_params,
 )
 from pretzeltab.signed_bracelets import signed_bracelet_count
@@ -50,10 +48,10 @@ def test_criterion_01_full_table_reproduction(capsys):
         assert elapsed < 5.0, f"table took {elapsed:.2f}s"
 
 
-def test_criterion_02_worked_examples():
+def test_criterion_02_worked_examples(point_60):
     with criterion(2, "closed formulas give 13 type 2 links at c=14 and 38 type 3 at c=10"):
-        assert count_type2(14) == 13
-        assert count_type3(10) == 38
+        assert point_60[1][14] == 13
+        assert point_60[2][10] == 38
 
 
 def test_criterion_03_parameter_set_at_ten_crossings():
@@ -91,10 +89,10 @@ def test_criterion_06_ground_truth_listing():
         assert enumerated == known
 
 
-def test_criterion_07_dual_path_type1():
+def test_criterion_07_dual_path_type1(point_60):
     with criterion(7, "both type 1 evaluation routes agree for 6 <= c <= 60"):
         for c in range(6, 61):
-            assert count_type1(c) == count_type1_alt(c), c
+            assert point_60[0][c] == count_type1_alt(c), c
 
 
 def test_criterion_08_micro_oracle_and_integrality():
@@ -104,10 +102,12 @@ def test_criterion_08_micro_oracle_and_integrality():
             for k in range(1, n + 1):
                 assert necklace_count(n, k) == composition_class_count(n, k), (n, k)
                 assert bracelet_count(n, k) == composition_class_count(n, k, dihedral=True), (n, k)
-        # evaluating exercises every internal exact-division assertion
+        # evaluating exercises every internal exact-division assertion; the
+        # values summed at each c are the paper's type 3 count
+        p3 = point_columns(30)[2]
         for c in range(1, 31):
-            for p in type3_params(c):
-                signed_bracelet_count(p.n1, p.k1, p.n2, p.k2)
+            assert sum(signed_bracelet_count(p.n1, p.k1, p.n2, p.k2)
+                       for p in type3_params(c)) == p3[c], c
 
 
 def test_criterion_09_growth_fit():
@@ -118,12 +118,13 @@ def test_criterion_09_growth_fit():
         assert result.r2 >= 0.995, result
 
 
-def test_criterion_10_parity_nulls():
+def test_criterion_10_parity_nulls(point_60):
     with criterion(10, "type 2 vanishes at odd c, type 1 below 9, everything below 6"):
+        p1, p2, _ = point_60
         for c in range(1, 61, 2):
-            assert count_type2(c) == 0, c
+            assert p2[c] == 0, c
         for c in range(1, 9):
-            assert count_type1(c) == 0, c
+            assert p1[c] == 0, c
         for c in range(1, 6):
             row = count_row(c)
             assert (row.p1, row.p2, row.p3, row.p, row.total) == (0, 0, 0, 0, 0), c

@@ -349,6 +349,35 @@ class TestFullDevice:
                                   stdout=full, stderr=subprocess.PIPE, env=env, timeout=60)
 
 
+class TestClosedStdout:
+    # `>&-` starts the child with fd 1 closed, so Python sets sys.stdout to None
+    @pytest.mark.parametrize("args", [["count", "-c", "10"], ["verify", "--max", "10"]])
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_lost_output_is_io_error_with_one_line(self, args, unbuffered):
+        child = self.run_without_stdout(args, unbuffered)
+        assert child.returncode == EXIT_IO
+        lines = child.stderr.decode().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"pretzeltab {args[0]}: cannot write output: ")
+
+    def test_table_to_a_file_needs_no_stdout(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        child = self.run_without_stdout(["table", "--min", "6", "--max", "8", "--out", str(out)])
+        assert (child.returncode, child.stderr) == (EXIT_OK, b"")
+        assert main(["table", "--min", "6", "--max", "8"]) == EXIT_OK
+        assert out.read_text() == capsys.readouterr().out
+
+    @staticmethod
+    def run_without_stdout(args, unbuffered=False):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("PYTHONUNBUFFERED", None)
+        flags = ["-u"] if unbuffered else []
+        command = shlex.join([sys.executable, *flags, "-m", "pretzeltab.cli", *args])
+        return subprocess.run(["sh", "-c", f"{command} >&-"], stderr=subprocess.PIPE, env=env,
+                              timeout=60)
+
+
 class TestInternalError:
     def test_failed_exactness_check_exits_with_one_line(self, capsys, monkeypatch):
         # a wrong totient makes a Burnside sum indivisible: ArithmeticError

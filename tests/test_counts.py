@@ -7,10 +7,8 @@ from pretzeltab.counts import MAX_C, CountRow, columns, count_row, count_rows
 from pretzeltab.necklaces import (
     POINT_MAX_C,
     Type3Params,
-    count_type1,
     count_type1_alt,
-    count_type2,
-    count_type3,
+    point_columns,
     type3_params,
 )
 from pretzeltab.tcodes import ResourceLimitError, enumerate_classes
@@ -40,29 +38,33 @@ class TestType3Params:
 
 
 class TestTypeCounters:
-    def test_type1_examples(self):
-        assert count_type1(9) == 1
-        assert count_type1(8) == 0
-        assert count_type1(20) == 47
+    def test_type1_examples(self, point_60):
+        p1 = point_60[0]
+        assert p1[9] == 1
+        assert p1[8] == 0
+        assert p1[20] == 47
 
-    def test_type2_examples(self):
-        assert count_type2(14) == 13
-        assert count_type2(7) == 0
-        assert count_type2(50) == 675174
+    def test_type2_examples(self, point_60):
+        p2 = point_60[1]
+        assert p2[14] == 13
+        assert p2[7] == 0
+        assert p2[50] == 675174
 
-    def test_type3_examples(self):
-        assert count_type3(10) == 38
-        assert count_type3(6) == 1
-        assert count_type3(50) == 549639730670
+    def test_type3_examples(self, point_60):
+        p3 = point_60[2]
+        assert p3[10] == 38
+        assert p3[6] == 1
+        assert p3[50] == 549639730670
 
-    def test_parity_nulls(self):
+    def test_parity_nulls(self, point_60):
+        p1, p2, p3 = point_60
         for c in range(1, 61, 2):
-            assert count_type2(c) == 0, c
+            assert p2[c] == 0, c
         for c in range(1, 9):
-            assert count_type1(c) == 0, c
+            assert p1[c] == 0, c
         for c in range(1, 6):
-            assert count_type2(c) == 0
-            assert count_type3(c) == 0
+            assert p2[c] == 0
+            assert p3[c] == 0
 
     def test_counters_match_enumeration_on_small_range(self):
         for c in range(1, 21):
@@ -72,16 +74,16 @@ class TestTypeCounters:
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            count_type1(0)
+            point_columns(0)
 
     def test_refuses_c_above_the_point_limit(self, monkeypatch):
-        for counter in (type3_params, count_type1, count_type1_alt, count_type2, count_type3):
+        for counter in (type3_params, count_type1_alt, point_columns):
             with pytest.raises(ResourceLimitError, match="necklaces.POINT_MAX_C"):
                 counter(POINT_MAX_C + 1)
         monkeypatch.setattr(necklaces, "POINT_MAX_C", 10)
-        assert count_type3(10) == 38
+        assert point_columns(10)[2][10] == 38
         with pytest.raises(ResourceLimitError):
-            count_type3(11)
+            point_columns(11)
 
 
 class TestCountRow:
@@ -104,20 +106,13 @@ class TestCountRow:
 
 class TestColumns:
     def test_matches_per_point_route(self):
-        p1, p2, p3 = columns(60)
-        for c in range(1, 61):
-            assert (p1[c], p2[c], p3[c]) == (count_type1(c), count_type2(c), count_type3(c)), c
-
-    def test_spot_check_at_one_hundred(self):
-        p1, p2, p3 = columns(100)
-        assert (p1[100], p2[100], p3[100]) == (count_type1(100), count_type2(100),
-                                               count_type3(100))
+        assert point_columns(100) == columns(100)
 
     def test_type1_matches_per_point_route_up_to_1000(self, monkeypatch):
         monkeypatch.setattr(necklaces, "POINT_MAX_C", 1000)
         p1 = columns(1000)[0]
         for c in (150, 400, 1000):
-            assert p1[c] == count_type1(c), c
+            assert p1[c] == count_type1_alt(c), c
 
     def test_type2_counts_binary_bracelets_up_to_2000(self):
         # at c = 2n: the binary bracelets of length n (OEIS A000029), less the

@@ -37,7 +37,7 @@ class TestNecklaceCount:
             assert necklace_count(n, n) == bracelet_count(n, n) == 1, n
 
 
-class TestReflectionFixedCount:
+class TestReflectionSum:
     # _reflection_sum adds up the fixed compositions over all k reflections.
     def test_examples(self):
         assert _reflection_sum(7, 3, 0, 0) == 9

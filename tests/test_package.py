@@ -12,7 +12,7 @@ import pretzeltab
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 LIBRARY_NAMES = {
-    "columns", "count_row", "count_type3", "type3_params",
+    "columns", "count_row", "point_columns", "type3_params",
     "necklace_count", "bracelet_count", "signed_bracelet_count",
     "TCode", "canonicalize", "enumerate_classes", "fit_growth",
 }
@@ -47,7 +47,7 @@ class TestImports:
             'cli.main(["table", "--min", "6", "--max", "10"])': set(),
             'cli.main(["fit"])': {"pretzeltab.fit"},
             'cli.main(["verify", "--max", "6"])': {"pretzeltab.tcodes"},
-            "from pretzeltab import count_type3\ncount_type3(10)": {"pretzeltab.necklaces"},
+            "from pretzeltab import point_columns\npoint_columns(10)": {"pretzeltab.necklaces"},
         }
         for call, extra in runs.items():
             loaded = loaded_after(f"from pretzeltab import cli, counts\n{call}")
@@ -64,10 +64,10 @@ class TestLibrary:
             canonicalize,
             columns,
             count_row,
-            count_type3,
             enumerate_classes,
             fit_growth,
             necklace_count,
+            point_columns,
             signed_bracelet_count,
             type3_params,
         )
@@ -75,7 +75,7 @@ class TestLibrary:
         p1, p2, p3 = columns(10)
         assert (p1[10], p2[10], p3[10]) == (1, 4, 38)
         assert repr(count_row(10)) == "CountRow(c=10, p1=1, p2=4, p3=38, p=43, total=86)"
-        assert count_type3(10) == 38
+        assert point_columns(10) == columns(10)
         assert len(type3_params(10)) == 23
         assert necklace_count(7, 3) == 5
         assert bracelet_count(7, 3) == 4

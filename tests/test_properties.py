@@ -6,8 +6,6 @@ reproduces on every run.
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pretzeltab.counts import columns
-from pretzeltab.necklaces import count_type1, count_type2, count_type3
 from pretzeltab.signed_bracelets import signed_bracelet_count
 from pretzeltab.tcodes import TCode, canonicalize, signed_class_count, violation
 
@@ -77,11 +75,3 @@ def test_canonical_form_starts_with_its_least_entry(code):
     assert strips[0] == min(strips)
     if code.link_type != 1:
         assert strips[1] <= strips[-1]
-
-
-@settings(PROPERTY, max_examples=3)
-@given(st.integers(61, 90))
-def test_column_route_matches_per_point_route(c):
-    # between TestColumns' sweep of c <= 60 and its spot check at c = 100
-    p1, p2, p3 = columns(90)
-    assert (p1[c], p2[c], p3[c]) == (count_type1(c), count_type2(c), count_type3(c))

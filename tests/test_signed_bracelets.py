@@ -41,7 +41,7 @@ def param_grid(max_k, max_n):
                     yield n1, k1, n2, k2
 
 
-class TestSignedReflectionFixedCount:
+class TestSignedReflectionSum:
     # _reflection_sum adds up the fixed signed tuples over all k1 + k2 reflections.
     def test_examples(self):
         assert _reflection_sum(3, 1, 3, 1) == 2
