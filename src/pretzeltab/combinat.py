@@ -5,14 +5,13 @@ call concurrently.  ``composition_count`` is the one place that gives the
 empty family (n = k = 0) its one composition.  The shared limits,
 ``ResourceLimitError`` and ``DEFAULT_ENUM_CEILING``, live here too, in the
 base module that the others build on, so that ``counts`` and the CLI can
-refuse oversized work without loading the oracle in ``tcodes``.
+refuse oversized work without loading the oracle in ``tcodes``.  The tests
+enumerate compositions themselves (``tests/brute.py``); nothing here does.
 """
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import combinations
-from typing import Iterator
 
 # Largest crossing number the exhaustive oracle enumerates unless told otherwise.
 DEFAULT_ENUM_CEILING = 22
@@ -72,15 +71,3 @@ def composition_count(n: int, k: int) -> int:
     empty family n = k = 0, which has exactly one composition, the empty tuple."""
     return 1 if n == k == 0 else binom(n - 1, k - 1)
 
-
-def compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """Yield every k-tuple of positive integers summing to n, each once, in
-    lexicographic order: the gaps between k - 1 cuts among 1..n - 1 (stars and
-    bars).  The stream holds composition_count(n, k) tuples."""
-    if k < 1 or n < k:
-        if n == k == 0:
-            yield ()
-        return
-    for cuts in combinations(range(1, n), k - 1):
-        bounds = (0,) + cuts + (n,)
-        yield tuple(b - a for a, b in zip(bounds, bounds[1:]))

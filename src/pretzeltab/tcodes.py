@@ -21,19 +21,15 @@ one comparison s[1:] <= s[:0:-1]; and only when the least entry repeats,
 every rotation that starts with it.  Tuples come out in lexicographic order,
 so no dedup set and no sort is needed.  Enumeration grows exponentially with
 the crossing number, so it refuses to run above a ceiling (``ceiling``
-argument, the CLI's ``--ceiling``).
+argument, the CLI's ``--ceiling``).  The module holds the oracle only; the
+tests' brute-force orbit counters live in ``tests/brute.py``.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import combinations
-from operator import itemgetter
 from typing import Iterator, NamedTuple
 
-from .combinat import DEFAULT_ENUM_CEILING, ResourceLimitError, binom, composition_count, compositions
-
-# Largest family (tuples before symmetry) the orbit counters below accept.
-FAMILY_LIMIT = 5_000_000
+from .combinat import DEFAULT_ENUM_CEILING, ResourceLimitError
 
 
 def check_ceiling(c: int, ceiling: int) -> None:
@@ -89,18 +85,6 @@ def violation(code: TCode) -> str | None:
     return None
 
 
-def _require_valid(code: TCode) -> None:
-    problem = violation(code)
-    if problem is not None:
-        raise ValueError(f"invalid code {code!r}: {problem}")
-
-
-def crossing_number(code: TCode) -> int:
-    """delta plus the total strip size of a valid code."""
-    _require_valid(code)
-    return code.delta + sum(abs(s) for s in code.strips)
-
-
 def _least_rotation(t: tuple[int, ...]) -> tuple[int, ...]:
     return min(t[i:] + t[:i] for i in range(len(t)))
 
@@ -117,19 +101,21 @@ def canonicalize(code: TCode) -> TCode:
     Entries compare in ordinary integer order, so negative strips sort first.
     Idempotent; delta and type are preserved.
     """
-    _require_valid(code)
+    problem = violation(code)
+    if problem is not None:
+        raise ValueError(f"invalid code {code!r}: {problem}")
     least = _least_rotation if code.link_type == 1 else _least_dihedral
     return TCode(code.link_type, code.delta, least(code.strips))
 
 
-def _necklaces(values: list[int], k: int, budget: int, parity: int | None = None,
+def _necklaces(values: list[int], k: int, budget: int, parity: int,
                dihedral: bool = False) -> list[tuple[int, ...]]:
-    """Every k-entry tuple over the sorted values whose sizes (absolute
-    values) sum to budget and that is the least of its rotations, each once,
-    in lexicographic order; with a parity, only those whose count of positive
-    entries has that parity (without one, the values must be positive); with
-    dihedral, only the bracelets among them: those no greater than any
-    rotation of their reversal.
+    """Every k-entry tuple (k >= 2) over the sorted values whose sizes
+    (absolute values) sum to budget, whose count of positive entries has the
+    given parity, and that is the least of its rotations, each once, in
+    lexicographic order; with dihedral, only the bracelets among them: those
+    no greater than any rotation of their reversal.  Over positive values,
+    parity k % 2 keeps every tuple.
 
     Position t takes only values at least a[t - p], p being the period of the
     prefix.  A prefix is dropped when the rest of the budget cannot fill the
@@ -149,9 +135,6 @@ def _necklaces(values: list[int], k: int, budget: int, parity: int | None = None
     # bisect_right of v, so v is one of the values when the two differ
     top = max(budget, -values[0])
     first = [bisect_left(values, v) for v in range(-top, top + 2)]
-    if k == 1:
-        v = -budget if parity == 0 else budget
-        return [(v,)] if first[top + v] < first[top + v + 1] else []
     least = min(map(abs, values))
     found = []
     a = [values[0]] * (k + 1)  # a[0] is a sentinel no entry is below
@@ -179,7 +162,7 @@ def _necklaces(values: list[int], k: int, budget: int, parity: int | None = None
             x = a[t] = values[i]
             q = p if x == prev else t
             v = rem - abs(x)
-            if parity is not None and odd ^ (x > 0) == parity:
+            if odd ^ (x > 0) == parity:
                 v = -v
             low = a[k - q]
             if v < low or (v == low and k % q) or first[top + v] == first[top + v + 1]:
@@ -215,11 +198,12 @@ def class_strips(c: int, link_type: int,
 
     Each class comes once, ordered by (delta, strip count, strips).  Only
     positive type 1 and type 2 codes are generated (one link per mirror
-    pair).  For each delta and strip count, ascending, ``_necklaces`` yields
+    pair).  For each delta and strip count k, ascending, ``_necklaces`` yields
     the strip tuples that are their own least rotation, for types 2 and 3
-    only the bracelets, in lexicographic order; type 3 keeps those whose
-    positive strip count k1 makes delta + k1 even and at least 2: exactly the
-    canonical forms, already in output order.
+    only the bracelets, in lexicographic order.  Types 1 and 2 ask for parity
+    k % 2, which keeps all of them; type 3 asks for delta % 2 and keeps those
+    whose positive strip count k1 makes delta + k1 even and at least 2:
+    exactly the canonical forms, already in output order.
 
     Refuses c above the enumeration ceiling (``check_ceiling``) when the
     first class is asked for.
@@ -238,8 +222,8 @@ def class_strips(c: int, link_type: int,
     least = 3 if link_type == 1 else 2  # the fewest crossings a strip takes
     for delta in range(1 if link_type == 2 else c):
         budget = c - delta
-        parity = None if link_type < 3 else delta % 2
         for k in range(3, budget // least + 1):
+            parity = k % 2 if link_type < 3 else delta % 2
             for strips in _necklaces(values, k, budget, parity, dihedral=link_type > 1):
                 if link_type == 3 and not delta and max(strips) < 0:
                     continue  # k1 = 0: delta + k1 is below 2
@@ -264,47 +248,3 @@ def class_counts(max_c: int,
     return (tuple(sum(1 for _ in class_strips(c, link_type, ceiling)) for link_type in (1, 2, 3))
             for c in range(1, max_c + 1))
 
-
-def _guard_family(size: int) -> None:
-    if size > FAMILY_LIMIT:
-        raise ResourceLimitError(f"family of {size} tuples exceeds the limit of {FAMILY_LIMIT}")
-
-
-def composition_class_count(n: int, k: int, dihedral: bool = False) -> int:
-    """Orbit count of k-part compositions of n under rotation: the orderly
-    generator's necklaces, or with dihedral its bracelets."""
-    _guard_family(composition_count(n, k))
-    if not 0 < k <= n:
-        return 0
-    return len(_necklaces(list(range(1, n + 1)), k, n, dihedral=dihedral))
-
-
-def signed_class_count(n1: int, k1: int, n2: int, k2: int) -> int:
-    """Brute-force count of dihedral classes of signed tuples: k1 positive
-    entries summing to n1 and k2 negative entries whose sizes sum to n2,
-    under rotation and reversal of the k1 + k2 positions.
-
-    Builds every interleaving of the two families and keeps the tuples that
-    start with their least entry and whose second entry is at most their
-    last: every dihedral canonical form is one of them, since otherwise a
-    rotation of the tuple or of its reversal would be less.  The classes of
-    those tuples, by ``_least_dihedral``, are counted.
-    """
-    k = k1 + k2
-    if k == 0:
-        return 0  # the empty tuple is no pretzel code
-    _guard_family(binom(k, k2) * composition_count(n1, k1) * composition_count(n2, k2))
-    positives = list(compositions(n1, k1))
-    negatives = [tuple(-a for a in parts) for parts in compositions(n2, k2)]
-    classes = set()
-    for negative_spots in combinations(range(k), k2):
-        # position i of the tuple takes entry order[i] of pos_parts + neg_parts
-        pos_at, neg_at = iter(range(k1)), iter(range(k1, k))
-        order = [next(neg_at) if i in negative_spots else next(pos_at) for i in range(k)]
-        pick = itemgetter(*order) if k > 1 else tuple  # one index gives a bare entry
-        for pos_parts in positives:
-            for neg_parts in negatives:
-                t = pick(pos_parts + neg_parts)
-                if t[0] == min(t) and (k < 2 or t[1] <= t[-1]):
-                    classes.add(_least_dihedral(t))
-    return len(classes)

@@ -18,8 +18,9 @@ from pretzeltab.necklaces import (
     type3_params,
 )
 from pretzeltab.signed_bracelets import signed_bracelet_count
-from pretzeltab.tcodes import TCode, canonicalize, composition_class_count, enumerate_classes
+from pretzeltab.tcodes import TCode, canonicalize, enumerate_classes
 
+from brute import composition_class_count
 from reference_data import COUNT_TABLE, SIGNED_BRACELET_10, TYPE3_CLASSES_10, TYPE3_PARAMS_10
 
 

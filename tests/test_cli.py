@@ -19,6 +19,8 @@ from pretzeltab.cli import (
     main,
 )
 
+from helpers import fresh_env
+
 
 class TestTable:
     def test_csv_range(self, capsys):
@@ -294,12 +296,9 @@ class TestBrokenPipe:
         (["count", "-c", "20"], 0, False),
     ])
     def test_closed_stdout_is_io_error(self, args, lines, unbuffered):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=src)
-        env.pop("PYTHONUNBUFFERED", None)
         flags = ["-u"] if unbuffered else []
         child = subprocess.Popen([sys.executable, *flags, "-m", "pretzeltab.cli", *args],
-                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=fresh_env())
         try:
             read = [child.stdout.readline() for _ in range(lines)]
             child.stdout.close()
@@ -340,13 +339,10 @@ class TestFullDevice:
 
     @staticmethod
     def run_on_full_device(args, unbuffered):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=src)
-        env.pop("PYTHONUNBUFFERED", None)
         flags = ["-u"] if unbuffered else []
         with open("/dev/full", "w") as full:
             return subprocess.run([sys.executable, *flags, "-m", "pretzeltab.cli", *args],
-                                  stdout=full, stderr=subprocess.PIPE, env=env, timeout=60)
+                                  stdout=full, stderr=subprocess.PIPE, env=fresh_env(), timeout=60)
 
 
 class TestClosedStdout:
@@ -369,13 +365,10 @@ class TestClosedStdout:
 
     @staticmethod
     def run_without_stdout(args, unbuffered=False):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=src)
-        env.pop("PYTHONUNBUFFERED", None)
         flags = ["-u"] if unbuffered else []
         command = shlex.join([sys.executable, *flags, "-m", "pretzeltab.cli", *args])
-        return subprocess.run(["sh", "-c", f"{command} >&-"], stderr=subprocess.PIPE, env=env,
-                              timeout=60)
+        return subprocess.run(["sh", "-c", f"{command} >&-"], stderr=subprocess.PIPE,
+                              env=fresh_env(), timeout=60)
 
 
 class TestInternalError:

@@ -1,6 +1,8 @@
 import pytest
 
-from pretzeltab.combinat import binom, composition_count, compositions, totient
+from pretzeltab.combinat import binom, composition_count, totient
+
+from brute import compositions
 
 
 def brute_totient(d):

@@ -1,11 +1,11 @@
 import math
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 from pretzeltab.necklaces import _reflection_sum, bracelet_count, necklace_count
-from pretzeltab.tcodes import composition_class_count
+
+from brute import composition_class_count
+from helpers import fresh_env
 
 
 class TestNecklaceCount:
@@ -91,11 +91,8 @@ for call in (lambda: necklaces.necklace_count(7, 3), lambda: counts.columns(20))
 
 
 def _run_fresh(*args: str, timeout: float) -> subprocess.CompletedProcess:
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
-                          timeout=timeout)
+    return subprocess.run([sys.executable, *args], env=fresh_env(), capture_output=True,
+                          text=True, timeout=timeout)
 
 
 def test_exactness_checks_survive_optimize_flag():

@@ -1,15 +1,13 @@
 """The package namespace (README's Library section) and what each import loads."""
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 import pretzeltab
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+from helpers import fresh_env
 
 LIBRARY_NAMES = {
     "columns", "count_row", "point_columns", "type3_params",
@@ -21,8 +19,7 @@ LIBRARY_NAMES = {
 def loaded_after(code: str) -> set[str]:
     """The modules in sys.modules after running code in a fresh interpreter."""
     script = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
-    env = dict(os.environ, PYTHONPATH=SRC)
-    result = subprocess.run([sys.executable, "-c", script], env=env,
+    result = subprocess.run([sys.executable, "-c", script], env=fresh_env(),
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     return set(json.loads(result.stdout.splitlines()[-1]))

@@ -7,7 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pretzeltab.signed_bracelets import signed_bracelet_count
-from pretzeltab.tcodes import TCode, canonicalize, signed_class_count, violation
+from pretzeltab.tcodes import TCode, canonicalize, violation
+
+from brute import signed_class_count
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=200)
 

@@ -1,27 +1,16 @@
-from itertools import chain, combinations
+from itertools import chain
 
 import pytest
 
-from pretzeltab.combinat import compositions
 from pretzeltab.necklaces import _reflection_sum, bracelet_count
 from pretzeltab.signed_bracelets import signed_bracelet_count
-from pretzeltab.tcodes import signed_class_count
 
-
-def signed_family(n1, k1, n2, k2):
-    k = k1 + k2
-    for spots in combinations(range(k), k2):
-        spotset = set(spots)
-        for pos_parts in compositions(n1, k1):
-            for neg_parts in compositions(n2, k2):
-                pos = iter(pos_parts)
-                neg = iter(neg_parts)
-                yield tuple(-next(neg) if i in spotset else next(pos) for i in range(k))
+from brute import interleavings, signed_class_count
 
 
 def brute_reflection_average(n1, k1, n2, k2):
     """Independent oracle: mean number of signed tuples fixed per reflection."""
-    family = list(signed_family(n1, k1, n2, k2))
+    family = list(interleavings(n1, k1, n2, k2))
     k = k1 + k2
     total = 0
     for axis in range(k):

@@ -12,12 +12,11 @@ from pretzeltab.tcodes import (
     TCode,
     canonicalize,
     class_counts,
-    composition_class_count,
-    crossing_number,
     enumerate_classes,
-    signed_class_count,
     violation,
 )
+
+from brute import composition_class_count, signed_class_count
 
 
 def dihedral_images(strips):
@@ -79,17 +78,6 @@ class TestValidate:
         assert violation(TCode(4, 0, (2, 2, 2))) is not None
 
 
-class TestCrossingNumber:
-    def test_examples(self):
-        assert crossing_number(TCode(1, 1, (5, 5, 3))) == 14
-        assert crossing_number(TCode(3, 1, (-4, 4, 2, 4))) == 15
-        assert crossing_number(TCode(2, 0, (2, 2, 2))) == 6
-
-    def test_rejects_invalid_code(self):
-        with pytest.raises(ValueError):
-            crossing_number(TCode(2, 0, (2, 2)))
-
-
 class TestCanonicalize:
     def test_examples(self):
         assert canonicalize(TCode(1, 0, (5, 3, 3))).strips == (3, 3, 5)
@@ -97,6 +85,12 @@ class TestCanonicalize:
         a = canonicalize(TCode(3, 0, (3, -2, 3, -2)))
         b = canonicalize(TCode(3, 0, (-2, 3, -2, 3)))
         assert a == b == TCode(3, 0, (-2, 3, -2, 3))
+
+    def test_rejects_invalid_code(self):
+        with pytest.raises(ValueError) as excinfo:
+            canonicalize(TCode(2, 0, (2, 2)))
+        assert str(excinfo.value) == ("invalid code TCode(link_type=2, delta=0, strips=(2, 2)):"
+                                      " a pretzel code needs at least 3 strips")
 
     def test_type1_ignores_reversal(self):
         # (3,5,7) reversed is (7,5,3); rotations of the two differ
@@ -135,7 +129,7 @@ class TestEnumerateClasses:
                 for code in classes:
                     assert violation(code) is None, code
                     assert code.link_type == link_type
-                    assert crossing_number(code) == c, code
+                    assert code.delta + sum(map(abs, code.strips)) == c, code
                     assert canonicalize(code) == code, code
                 keys = [(code.delta, len(code.strips), code.strips) for code in classes]
                 assert all(a < b for a, b in zip(keys, keys[1:])), (c, link_type)
@@ -166,7 +160,7 @@ class TestGenerators:
                 values = list(strip_values(link_type, c))
                 for delta in range(1 if link_type == 2 else c):
                     for k in range(3, (c - delta) // 2 + 1):
-                        parity = None if link_type < 3 else delta % 2
+                        parity = k % 2 if link_type < 3 else delta % 2
                         raw = _necklaces(values, k, c - delta, parity)
                         # distinct and in lexicographic order
                         assert all(a < b for a, b in zip(raw, raw[1:])), (link_type, c, delta, k)
@@ -177,7 +171,7 @@ class TestGenerators:
                                 assert violation(code) is not None, code  # dropped by the oracle
                             else:
                                 assert violation(code) is None, code
-                                assert crossing_number(code) == c, code
+                                assert code.delta + sum(map(abs, code.strips)) == c, code
 
     def test_dihedral_filter_keeps_exactly_the_bracelets(self):
         # the inline reversal checks against the definition, a necklace that is
@@ -187,23 +181,23 @@ class TestGenerators:
             for c in range(6, 17):
                 values = list(strip_values(link_type, c))
                 for delta in range(1 if link_type == 2 else c):
-                    for k in range(1, (c - delta) // 2 + 1):
-                        parity = None if link_type < 3 else delta % 2
+                    for k in range(2, (c - delta) // 2 + 1):
+                        parity = k % 2 if link_type < 3 else delta % 2
                         raw = _necklaces(values, k, c - delta, parity)
                         bracelets = _necklaces(values, k, c - delta, parity, dihedral=True)
                         assert bracelets == [s for s in raw if s == _least_dihedral(s)], \
                             (link_type, c, delta, k)
 
     def test_short_tuples_match_a_plain_product(self):
-        # k = 1 and 2 never occur in the oracle; composition_class_count uses them
+        # k = 2 never occurs in the oracle; composition_class_count uses it
         for link_type in (1, 2, 3):
             values = list(strip_values(link_type, 9))
             for budget in range(2, 10):
-                for k in (1, 2, 3):
-                    for parity in ((None,) if link_type < 3 else (0, 1)):
+                for k in (2, 3):
+                    for parity in ((k % 2,) if link_type < 3 else (0, 1)):
                         tuples = [t for t in product(values, repeat=k)
                                   if sum(map(abs, t)) == budget
-                                  and (parity is None or sum(s > 0 for s in t) % 2 == parity)]
+                                  and sum(s > 0 for s in t) % 2 == parity]
                         necklaces = sorted({_least_rotation(t) for t in tuples})
                         bracelets = sorted({_least_dihedral(t) for t in tuples})
                         case = (link_type, budget, k, parity)
@@ -271,15 +265,6 @@ class TestOrbitCounts:
 
     def test_signed_example(self):
         assert signed_class_count(4, 2, 2, 2) == 4
-
-    def test_family_size_guard(self, monkeypatch):
-        monkeypatch.setattr(tcodes, "FAMILY_LIMIT", 1000)
-        with pytest.raises(ResourceLimitError):
-            composition_class_count(60, 30)
-        with pytest.raises(ResourceLimitError):
-            signed_class_count(20, 10, 20, 10)
-        with pytest.raises(ResourceLimitError):
-            signed_class_count(14, 7, 0, 0)  # 1716 tuples, the second family empty
 
 
 class TestRendering:
