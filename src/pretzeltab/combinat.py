@@ -3,10 +3,11 @@
 Everything here is pure, exact (Python big integers throughout) and safe to
 call concurrently.  ``composition_count`` is the one place that gives the
 empty family (n = k = 0) its one composition.  The shared limits,
-``ResourceLimitError`` and ``DEFAULT_ENUM_CEILING``, live here too, in the
-base module that the others build on, so that ``counts`` and the CLI can
-refuse oversized work without loading the oracle in ``tcodes``.  The tests
-enumerate compositions themselves (``tests/brute.py``); nothing here does.
+``ResourceLimitError``, ``DEFAULT_ENUM_CEILING`` and ``MAX_C``, live here
+too, in the base module that the others build on, so that ``counts`` and the
+CLI can refuse oversized work without loading the oracle in ``tcodes``.  The
+tests enumerate compositions themselves (``tests/brute.py``); nothing here
+does.
 """
 from __future__ import annotations
 
@@ -15,6 +16,18 @@ from functools import lru_cache
 
 # Largest crossing number the exhaustive oracle enumerates unless told otherwise.
 DEFAULT_ENUM_CEILING = 22
+
+# Largest crossing number that ``counts.columns`` and ``tcodes.canonicalize``
+# accept.  The columns hold big integers of up to about 0.9 * c bits each, so
+# their memory grows as c^2.  At 10,000 a fresh process running ``columns``
+# alone peaks at 52 MiB of RSS, and ``table --min 6 --max 10000``, which also
+# holds the rows and their text, at 149 MiB (CPython 3.11, x86-64 Linux).
+# ``table`` and ``count`` print the counts with str(), which refuses integers
+# longer than sys.get_int_max_str_digits() (4,300 by default).  ``total`` has
+# 2,737 digits at 10,000 and passes 4,300 near c = 15,700, so a larger MAX_C
+# needs that limit raised as well.  ``canonicalize`` is quadratic in the strip
+# count, and a code of c crossings has at most c / 2 strips.
+MAX_C = 10_000
 
 
 class ResourceLimitError(RuntimeError):

@@ -27,17 +27,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .combinat import ResourceLimitError, exact_div, totient
-
-# Largest max_c that ``columns`` accepts: its lists hold big integers of up to
-# about 0.9 * c bits each, so its memory grows as max_c^2.  At 10,000 a fresh
-# process running ``columns`` alone peaks at 52 MiB of RSS, and ``table --min
-# 6 --max 10000``, which also holds the rows and their text, at 149 MiB
-# (CPython 3.11, x86-64 Linux).  ``table`` and ``count`` print the counts with
-# str(), which refuses integers longer than sys.get_int_max_str_digits() (4,300
-# by default).  ``total`` has 2,737 digits at 10,000 and passes 4,300 near
-# c = 15,700, so a larger MAX_C needs that limit raised as well.
-MAX_C = 10_000
+from .combinat import MAX_C, ResourceLimitError, exact_div, totient
 
 
 def _check_c(c: int) -> None:

@@ -7,29 +7,38 @@ and delta and their strip tuples agree up to rotation (type 1) or up to
 rotation and reversal (types 2 and 3).
 
 ``enumerate_classes`` is the brute-force ground truth that the closed-form
-counters in ``counts`` are checked against, and ``class_counts`` counts the
-same classes, row by row, without building a ``TCode`` for each.  Both read
-``class_strips``, which produces each class once, as its canonical form, by
-orderly generation: a prenecklace generator (Cattell, Ruskey, Sawada, Serra
-and Miers, J. Algorithms 37, 2000) extends only the prefixes that can still
-be the least rotation of a strip tuple.  The frame at position k - 1 also
+counters in ``counts`` are checked against.  It reads ``class_strips``,
+which produces each class once, as its canonical form, by orderly
+generation: a prenecklace generator (Cattell, Ruskey, Sawada, Serra and
+Miers, J. Algorithms 37, 2000) extends only the prefixes that can still be
+the least rotation of a strip tuple.  The frame at position k - 1 also
 closes the tuple, since the budget and the parity fix the last entry.  For
 types 2 and 3 Sawada's reversal test (SIAM J. Comput. 31, 2001) keeps a
 necklace only when no rotation of its reversal is less: first the necessary
 a[2] <= a[k], before the tuple is built; then, with a unique least entry, the
 one comparison s[1:] <= s[:0:-1]; and only when the least entry repeats,
 every rotation that starts with it.  Tuples come out in lexicographic order,
-so no dedup set and no sort is needed.  Enumeration grows exponentially with
-the crossing number, so it refuses to run above a ceiling (``ceiling``
-argument, the CLI's ``--ceiling``).  The module holds the oracle only; the
-tests' brute-force orbit counters live in ``tests/brute.py``.
+so no dedup set and no sort is needed.
+
+``class_counts`` counts the same classes with no tuple list held: the
+generator's count mode returns a tally.  The classes with delta horizontal
+twists at c are the tuples at budget c - delta, so each (type, budget,
+parity) is counted once and shared by every row that needs it.  Type 3's
+tuples at delta = 0 include the all-negative bracelets, which are no codes;
+negation maps them onto the type 2 classes at c, so p2 is subtracted.
+
+Enumeration grows exponentially with the crossing number, so it refuses to
+run above a ceiling (``ceiling`` argument, the CLI's ``--ceiling``), and
+``canonicalize`` refuses codes above ``combinat.MAX_C`` crossings.  The
+module holds the oracle only; the tests' brute-force orbit counters live in
+``tests/brute.py``.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
 from typing import Iterator, NamedTuple
 
-from .combinat import DEFAULT_ENUM_CEILING, ResourceLimitError
+from .combinat import DEFAULT_ENUM_CEILING, MAX_C, ResourceLimitError
 
 
 def check_ceiling(c: int, ceiling: int) -> None:
@@ -99,8 +108,14 @@ def canonicalize(code: TCode) -> TCode:
     Lexicographically least strip tuple over the class: the k rotations for
     type 1, the 2k rotations and reversed rotations for types 2 and 3.
     Entries compare in ordinary integer order, so negative strips sort first.
-    Idempotent; delta and type are preserved.
+    Idempotent; delta and type are preserved.  Refuses, before any work, a
+    code of more than ``combinat.MAX_C`` crossings: the cost is quadratic in
+    the strip count.
     """
+    size = code.delta + sum(map(abs, code.strips))
+    if size > MAX_C:
+        raise ResourceLimitError(
+            f"a code of {size} crossings exceeds the limit of {MAX_C} (combinat.MAX_C)")
     problem = violation(code)
     if problem is not None:
         raise ValueError(f"invalid code {code!r}: {problem}")
@@ -109,13 +124,14 @@ def canonicalize(code: TCode) -> TCode:
 
 
 def _necklaces(values: list[int], k: int, budget: int, parity: int,
-               dihedral: bool = False) -> list[tuple[int, ...]]:
+               dihedral: bool = False, count: bool = False) -> list[tuple[int, ...]] | int:
     """Every k-entry tuple (k >= 2) over the sorted values whose sizes
     (absolute values) sum to budget, whose count of positive entries has the
     given parity, and that is the least of its rotations, each once, in
     lexicographic order; with dihedral, only the bracelets among them: those
     no greater than any rotation of their reversal.  Over positive values,
-    parity k % 2 keeps every tuple.
+    parity k % 2 keeps every tuple.  With count, only how many there are, and
+    no list is built.
 
     Position t takes only values at least a[t - p], p being the period of the
     prefix.  A prefix is dropped when the rest of the budget cannot fill the
@@ -137,9 +153,11 @@ def _necklaces(values: list[int], k: int, budget: int, parity: int,
     first = [bisect_left(values, v) for v in range(-top, top + 2)]
     least = min(map(abs, values))
     found = []
+    tally = 0
     a = [values[0]] * (k + 1)  # a[0] is a sentinel no entry is below
 
     def extend(t: int, p: int, rem: int, odd: int) -> None:
+        nonlocal tally
         prev = a[t - p]
         floor = least  # the least size of the entries after position t
         if t > 1 and a[1] > floor:
@@ -168,15 +186,19 @@ def _necklaces(values: list[int], k: int, budget: int, parity: int,
             if v < low or (v == low and k % q) or first[top + v] == first[top + v + 1]:
                 continue
             a[k] = v
-            if not dihedral:
-                found.append(tuple(a[1:]))
-            elif a[2] <= v:
+            if dihedral:
+                if a[2] > v:
+                    continue
                 s = tuple(a[1:])
-                if s[1:] <= s[:0:-1] and (s.count(s[0]) == 1 or _is_bracelet(s)):
-                    found.append(s)
+                if s[1:] > s[:0:-1] or (s.count(s[0]) > 1 and not _is_bracelet(s)):
+                    continue
+            if count:
+                tally += 1
+            else:
+                found.append(tuple(a[1:]))
 
     extend(1, 1, budget, 0)
-    return found
+    return tally if count else found
 
 
 def _is_bracelet(necklace: tuple[int, ...]) -> bool:
@@ -189,6 +211,16 @@ def _is_bracelet(necklace: tuple[int, ...]) -> bool:
         if s == necklace[0] and doubled[i:i + k] < necklace:
             return False
     return True
+
+
+def _strip_values(link_type: int, top: int) -> tuple[list[int], int]:
+    """The sorted strip entries a code of the type may hold, of size at most
+    top, and the fewest crossings a strip takes."""
+    if link_type == 1:
+        return list(range(3, top + 1, 2)), 3
+    if link_type == 2:
+        return list(range(2, top + 1, 2)), 2
+    return list(range(-top + top % 2, -1, 2)) + list(range(2, top + 1)), 2
 
 
 def class_strips(c: int, link_type: int,
@@ -213,13 +245,7 @@ def class_strips(c: int, link_type: int,
     if link_type not in (1, 2, 3):
         raise ValueError(f"link type must be 1, 2 or 3, got {link_type}")
     check_ceiling(c, ceiling)
-    if link_type == 1:
-        values = list(range(3, c + 1, 2))
-    elif link_type == 2:
-        values = list(range(2, c + 1, 2))
-    else:
-        values = list(range(-c + c % 2, -1, 2)) + list(range(2, c + 1))
-    least = 3 if link_type == 1 else 2  # the fewest crossings a strip takes
+    values, least = _strip_values(link_type, c)
     for delta in range(1 if link_type == 2 else c):
         budget = c - delta
         for k in range(3, budget // least + 1):
@@ -237,14 +263,44 @@ def enumerate_classes(c: int, link_type: int, ceiling: int = DEFAULT_ENUM_CEILIN
             for delta, strips in class_strips(c, link_type, ceiling)]
 
 
+def _budget_count(link_type: int, budget: int, parity: int = 0) -> int:
+    """The number of strip tuples that ``class_strips`` draws from
+    ``_necklaces`` for the type at one budget, summed over k >= 3: at the
+    given parity for type 3 (all-negative tuples included), at k % 2, which
+    keeps every tuple, for types 1 and 2."""
+    values, least = _strip_values(link_type, budget)
+    return sum(_necklaces(values, k, budget, parity if link_type == 3 else k % 2,
+                          dihedral=link_type > 1, count=True)
+               for k in range(3, budget // least + 1))
+
+
 def class_counts(max_c: int,
                  ceiling: int = DEFAULT_ENUM_CEILING) -> Iterator[tuple[int, int, int]]:
     """The lengths of ``enumerate_classes`` for types 1, 2 and 3, one triple per
-    c = 1..max_c, each enumerated when asked for.  Refuses, when called, max_c
-    above the ceiling or below 1."""
+    c = 1..max_c, each counted when asked for.  Refuses, when called, max_c
+    above the ceiling or below 1.
+
+    Each (type, budget, parity) is counted once, by ``_budget_count``, and
+    row c counts only budget c, and c - 1 at odd parity: p1 sums type 1 over
+    the budgets up to c, p2 is type 2 at c, and p3 sums type 3 over the
+    budgets b up to c at parity c - b, less p2 for the all-negative bracelets
+    at delta = 0 (k1 = 0, so delta + k1 is below 2), which negation maps one
+    to one onto the type 2 classes at c.
+    """
     check_ceiling(max_c, ceiling)
     if max_c < 1:
         raise ValueError(f"crossing number must be positive, got {max_c}")
-    return (tuple(sum(1 for _ in class_strips(c, link_type, ceiling)) for link_type in (1, 2, 3))
-            for c in range(1, max_c + 1))
+    return _rows(max_c)
 
+
+def _rows(max_c: int) -> Iterator[tuple[int, int, int]]:
+    p1 = 0
+    # type 3's counts at parity 0 and at parity 1, each summed over the
+    # budgets of one parity: index b % 2 holds those up to budget b
+    even, odd = [0, 0], [0, 0]
+    for c in range(1, max_c + 1):
+        p1 += _budget_count(1, c)
+        p2 = _budget_count(2, c)
+        even[c % 2] += _budget_count(3, c, 0)
+        odd[(c - 1) % 2] += _budget_count(3, c - 1, 1)
+        yield p1, p2, even[c % 2] + odd[(c - 1) % 2] - p2

@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from itertools import product
 
 import pytest
@@ -17,6 +19,7 @@ from pretzeltab.tcodes import (
 )
 
 from brute import composition_class_count, signed_class_count
+from helpers import fresh_env
 
 
 def dihedral_images(strips):
@@ -85,6 +88,21 @@ class TestCanonicalize:
         a = canonicalize(TCode(3, 0, (3, -2, 3, -2)))
         b = canonicalize(TCode(3, 0, (-2, 3, -2, 3)))
         assert a == b == TCode(3, 0, (-2, 3, -2, 3))
+
+    @pytest.mark.parametrize("k, refused", [(3400, True), (3333, False)])
+    def test_refuses_codes_above_max_c(self, k, refused):
+        # 3,400 strips of 3 make 10,200 crossings, over MAX_C = 10,000
+        script = ("from pretzeltab.tcodes import TCode, canonicalize\n"
+                  f"print(len(canonicalize(TCode(1, 0, (3,) * {k})).strips))")
+        child = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                               env=fresh_env(), timeout=30)
+        if refused:
+            assert child.returncode == 1 and child.stdout == b""
+            assert child.stderr.decode().splitlines()[-1] == (
+                "pretzeltab.combinat.ResourceLimitError: a code of 10200 crossings exceeds"
+                " the limit of 10000 (combinat.MAX_C)")
+        else:
+            assert child.returncode == 0 and child.stdout == b"3333\n"
 
     def test_rejects_invalid_code(self):
         with pytest.raises(ValueError) as excinfo:
@@ -226,17 +244,41 @@ class TestCountClasses:
 
     def test_enumerates_each_row_when_asked(self, monkeypatch):
         asked = []
-        class_strips = tcodes.class_strips
+        necklaces = tcodes._necklaces
 
-        def recording(c, *args):
-            asked.append(c)
-            return class_strips(c, *args)
+        def recording(values, k, budget, parity, dihedral=False, count=False):
+            asked.append((tuple(values), k, budget, parity, dihedral))
+            return necklaces(values, k, budget, parity, dihedral, count)
 
-        monkeypatch.setattr(tcodes, "class_strips", recording)
+        monkeypatch.setattr(tcodes, "_necklaces", recording)
         rows = class_counts(20)
         assert asked == []
-        assert next(rows) == (0, 0, 0)
-        assert asked == [1, 1, 1]
+        for c, _ in enumerate(rows, 1):
+            budgets = {budget for _, _, budget, _, _ in asked}
+            # row c counts budget c, the first with 3 strips being 6, and none above
+            assert max(budgets, default=0) <= c
+            assert c < 6 or c in budgets
+        assert len(set(asked)) == len(asked)
+
+    def test_count_mode_counts_the_list(self):
+        for link_type in (1, 2, 3):
+            values = list(strip_values(link_type, 16))
+            for budget in range(1, 17):
+                for k in range(3, budget // 2 + 2):
+                    for parity in (0, 1):
+                        for dihedral in (False, True):
+                            args = (values, k, budget, parity, dihedral)
+                            assert _necklaces(*args, count=True) == len(_necklaces(*args)), \
+                                (link_type, args[1:])
+
+    def test_all_negative_bracelets_match_type_2(self):
+        # the identity that lets class_counts subtract p2 from type 3's
+        # delta = 0 count: negation maps those bracelets onto the type 2 classes
+        for c in range(1, 21):
+            negative = [-s for s in range(c - c % 2, 1, -2)]
+            found = sum(len(_necklaces(negative, k, c, 0, dihedral=True))
+                        for k in range(3, c // 2 + 1))
+            assert found == len(enumerate_classes(c, 2)), c
 
 
 class TestCeiling:
