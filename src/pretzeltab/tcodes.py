@@ -13,12 +13,18 @@ generation: a prenecklace generator (Cattell, Ruskey, Sawada, Serra and
 Miers, J. Algorithms 37, 2000) extends only the prefixes that can still be
 the least rotation of a strip tuple.  The frame at position k - 1 also
 closes the tuple, since the budget and the parity fix the last entry.  For
-types 2 and 3 Sawada's reversal test (SIAM J. Comput. 31, 2001) keeps a
-necklace only when no rotation of its reversal is less: first the necessary
-a[2] <= a[k], before the tuple is built; then, with a unique least entry, the
-one comparison s[1:] <= s[:0:-1]; and only when the least entry repeats,
-every rotation that starts with it.  Tuples come out in lexicographic order,
-so no dedup set and no sort is needed.
+types 2 and 3 a necklace is kept only when no rotation of its reversal is
+less, and, as in Sawada's bracelet generator (SIAM J. Comput. 31, 2001), the
+walk follows the reversal as the prefix grows.  Only a rotation that starts
+at the end of a run of the least entry m = a[1] as long as the leading run,
+of L entries, can be less, and the walk makes no run longer.  So three
+checks suffice: a[L+1] <= a[k] (else the reversal read back from a[L] is
+less), which bounds the last entry's size; a prefix is dropped when an inner
+run of L ends at t and a[t:0:-1] < a[1:t+1], and the run is kept as a tie
+when they are equal; at the last entry the leading run and each tie j
+compare the rest, a[j+1:] <= a[k:j:-1], and most tuples are decided by
+a[L+1] < a[k] alone.  No tuple is built for the test.  Tuples come out in
+lexicographic order, so no dedup set and no sort is needed.
 
 ``class_counts`` counts the same classes with no tuple list held: the
 generator's count mode returns a tally.  The classes with delta horizontal
@@ -141,11 +147,16 @@ def _necklaces(values: list[int], k: int, budget: int, parity: int,
     to fit the parity, and the tuple is a necklace when that entry is at least
     a[k - q] and, if equal, q divides k (q being the period with x).
 
-    A bracelet has a[2] <= a[k], else its reversal read from a[1] is less.
-    So once a[2] is positive the last entry needs at least that size, and the
-    check runs before the tuple is built.  With a unique least entry that
-    reversal is the only rotation to compare with; otherwise
-    ``_is_bracelet`` tries each.
+    A rotation of the reversal can be less than a necklace only if it starts
+    at the end of a run of m = a[1] as long as the leading run, of L entries;
+    the walk makes no run longer.  Three checks follow.  A bracelet has
+    a[L+1] <= a[k], else the reversal read back from a[L] is less, so once
+    a[L+1] is positive the last entry needs at least that size.  When placing
+    m ends an inner run of L at position t, a[t:0:-1] < a[1:t+1] means the
+    reversal read back from a[t] is less whatever follows, and the value is
+    skipped; if they are equal the run is kept as a tie.  At the last entry
+    the leading run and each tie j pass when a[j+1:] <= a[k:j:-1], which
+    a[L+1] < a[k] settles for most tuples with one comparison.
     """
     # first[top + v] is bisect_left of v; for integers, first[top + v + 1] is
     # bisect_right of v, so v is one of the values when the two differ
@@ -156,15 +167,20 @@ def _necklaces(values: list[int], k: int, budget: int, parity: int,
     tally = 0
     a = [values[0]] * (k + 1)  # a[0] is a sentinel no entry is below
 
-    def extend(t: int, p: int, rem: int, odd: int) -> None:
+    def extend(t: int, p: int, rem: int, odd: int, lead: int, run: int,
+               ties: tuple[int, ...]) -> None:
+        # lead is the run of m = a[1] that starts a[1..t-1], and is final once
+        # it is below t - 1; run is the run of m that ends a[t-1] after it;
+        # ties are the ends j of the inner runs of m as long as lead whose
+        # reversal a[j:0:-1] equals a[1:j+1]
         nonlocal tally
         prev = a[t - p]
         floor = least  # the least size of the entries after position t
         if t > 1 and a[1] > floor:
             floor = a[1]
         last = floor  # and of the last entry
-        if dihedral and t > 2 and a[2] > last:
-            last = a[2]
+        if dihedral and lead < t - 1 and a[lead + 1] > last:
+            last = a[lead + 1]
         cap = rem - (k - t - 1) * floor - last  # the largest size position t may take
         if cap < 0:
             return
@@ -174,7 +190,19 @@ def _necklaces(values: list[int], k: int, budget: int, parity: int,
         if t < k - 1:
             for i in range(start, first[top + cap + 1]):
                 v = a[t] = values[i]
-                extend(t + 1, p if v == prev else t, rem - abs(v), odd ^ (v > 0))
+                q = p if v == prev else t
+                if v != a[1] or not dihedral:  # the runs of m matter only to bracelets
+                    extend(t + 1, q, rem - abs(v), odd ^ (v > 0), lead, 0, ties)
+                elif lead == t - 1:
+                    extend(t + 1, q, rem - abs(v), odd ^ (v > 0), t, 0, ties)
+                elif run + 1 < lead:
+                    extend(t + 1, q, rem - abs(v), odd ^ (v > 0), lead, run + 1, ties)
+                else:  # an inner run as long as the leading one ends at t
+                    back, ahead = a[t:0:-1], a[1:t + 1]
+                    if back < ahead:
+                        continue  # its reversal, read from a[t], is less
+                    extend(t + 1, q, rem - abs(v), odd ^ (v > 0), lead, run + 1,
+                           ties + (t,) if back == ahead else ties)
             return
         for i in range(start, first[top + cap + 1]):
             x = a[t] = values[i]
@@ -187,30 +215,23 @@ def _necklaces(values: list[int], k: int, budget: int, parity: int,
                 continue
             a[k] = v
             if dihedral:
-                if a[2] > v:
+                if x == a[1] and run + 1 == lead and a[t:0:-1] < a[1:t + 1]:
+                    continue  # x ends an inner run whose reversal is less
+                # the leading run, then each tie j: the reversal read back
+                # from a[j] is less when a[k:j:-1] is below a[j + 1:]; when
+                # a[1..k-1] are all m, a[lead + 1] is m, and that passes
+                w = a[lead + 1]
+                if w > v or (w == v and a[lead + 1:] > a[k:lead:-1]):
                     continue
-                s = tuple(a[1:])
-                if s[1:] > s[:0:-1] or (s.count(s[0]) > 1 and not _is_bracelet(s)):
+                if ties and any(a[j + 1:] > a[k:j:-1] for j in ties):
                     continue
             if count:
                 tally += 1
             else:
                 found.append(tuple(a[1:]))
 
-    extend(1, 1, budget, 0)
+    extend(1, 1, budget, 0, 0, 0, ())
     return tally if count else found
-
-
-def _is_bracelet(necklace: tuple[int, ...]) -> bool:
-    """Whether a necklace is no greater than any rotation of its reversal
-    (only a rotation that starts with the least entry can be less)."""
-    k = len(necklace)
-    reverse = necklace[::-1]
-    doubled = reverse + reverse
-    for i, s in enumerate(reverse):
-        if s == necklace[0] and doubled[i:i + k] < necklace:
-            return False
-    return True
 
 
 def _strip_values(link_type: int, top: int) -> tuple[list[int], int]:

@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pretzeltab.signed_bracelets import signed_bracelet_count
-from pretzeltab.tcodes import TCode, canonicalize, violation
+from pretzeltab.tcodes import (
+    TCode, _least_dihedral, _necklaces, _strip_values, canonicalize, violation)
 
 from brute import signed_class_count
 
@@ -41,6 +42,14 @@ def valid_codes(draw):
         # delta + positives must be even and at least 2
         delta = 2 * draw(st.integers(0 if positives else 1, 2)) + positives % 2
     return TCode(link_type, delta, strips)
+
+
+@st.composite
+def walk_params(draw):
+    """(link_type, budget, k, parity) for one bracelet walk of type 2 or 3."""
+    link_type = draw(st.sampled_from((2, 3)))
+    budget = draw(st.integers(4, 20))
+    return link_type, budget, draw(st.integers(2, budget // 2)), draw(st.integers(0, 1))
 
 
 def orbit(code):
@@ -77,3 +86,18 @@ def test_canonical_form_starts_with_its_least_entry(code):
     assert strips[0] == min(strips)
     if code.link_type != 1:
         assert strips[1] <= strips[-1]
+
+
+@PROPERTY
+@given(walk_params())
+@example((3, 15, 6, 0))  # an inner run of the least entry as long as the leading one is pruned
+@example((3, 11, 5, 1))  # an inner run that ties the prefix is settled at the last entry
+@example((3, 11, 5, 0))  # a[L + 1] == a[k]: the rest of the tuple settles the leading run
+@example((3, 13, 5, 1))  # the entry at k - 1 closes an inner run
+@example((3, 15, 7, 1))  # inner runs of two least entries
+def test_dihedral_walk_keeps_exactly_the_bracelets(params):
+    link_type, budget, k, parity = params
+    values, _ = _strip_values(link_type, budget)
+    necklaces = _necklaces(values, k, budget, parity)
+    assert _necklaces(values, k, budget, parity, dihedral=True) == \
+        [s for s in necklaces if s == _least_dihedral(s)]
