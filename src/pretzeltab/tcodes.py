@@ -28,10 +28,14 @@ lexicographic order, so no dedup set and no sort is needed.
 
 ``class_counts`` counts the same classes with no tuple list held: the
 generator's count mode returns a tally.  The classes with delta horizontal
-twists at c are the tuples at budget c - delta, so each (type, budget,
-parity) is counted once and shared by every row that needs it.  Type 3's
-tuples at delta = 0 include the all-negative bracelets, which are no codes;
-negation maps them onto the type 2 classes at c, so p2 is subtracted.
+twists at c are the tuples at budget c - delta, so each (type, budget) is
+walked once and shared by every row that needs it.  Only the last entry
+reads the parity, so one type 3 walk counts both parities: row c takes
+budget c's parity 0 count, and the parity 1 count goes to row c + 1.  The
+last row walks its budget at parity 0 only, since no row reads the other.
+Type 3's tuples at delta = 0 include the all-negative bracelets, which are
+no codes; negation maps them onto the type 2 classes at c, so p2 is
+subtracted.
 
 Enumeration grows exponentially with the crossing number, so it refuses to
 run above a ceiling (``ceiling`` argument, the CLI's ``--ceiling``), and
@@ -129,15 +133,18 @@ def canonicalize(code: TCode) -> TCode:
     return TCode(code.link_type, code.delta, least(code.strips))
 
 
-def _necklaces(values: list[int], k: int, budget: int, parity: int,
-               dihedral: bool = False, count: bool = False) -> list[tuple[int, ...]] | int:
+def _necklaces(values: list[int], k: int, budget: int, parity: int | None,
+               dihedral: bool = False,
+               count: bool = False) -> list[tuple[int, ...]] | int | tuple[int, int]:
     """Every k-entry tuple (k >= 2) over the sorted values whose sizes
     (absolute values) sum to budget, whose count of positive entries has the
     given parity, and that is the least of its rotations, each once, in
     lexicographic order; with dihedral, only the bracelets among them: those
     no greater than any rotation of their reversal.  Over positive values,
     parity k % 2 keeps every tuple.  With count, only how many there are, and
-    no list is built.
+    no list is built; with count and parity None, the pair (even, odd) of
+    those counts for parities 0 and 1, from one walk.  The list takes an int
+    parity.
 
     Position t takes only values at least a[t - p], p being the period of the
     prefix.  A prefix is dropped when the rest of the budget cannot fill the
@@ -145,7 +152,12 @@ def _necklaces(values: list[int], k: int, budget: int, parity: int,
     positive (no entry is below a[1]).  The frame at position k - 1 also
     closes the tuple: its entry x leaves one size for the last entry, signed
     to fit the parity, and the tuple is a necklace when that entry is at least
-    a[k - q] and, if equal, q divides k (q being the period with x).
+    a[k - q] and, if equal, q divides k (q being the period with x).  Only
+    this frame reads the parity, so the walk is shared by both parities, and
+    the frame runs its loop over x once for each parity asked.  A positive
+    a[1] makes every entry positive, so below it only parity k % 2 can be
+    met: the frame skips the other, and a walk asking only for the other
+    stops at position 1 at the first positive value.
 
     A rotation of the reversal can be less than a necklace only if it starts
     at the end of a run of m = a[1] as long as the leading run, of L entries;
@@ -164,7 +176,10 @@ def _necklaces(values: list[int], k: int, budget: int, parity: int,
     first = [bisect_left(values, v) for v in range(-top, top + 2)]
     least = min(map(abs, values))
     found = []
-    tally = 0
+    tally = [0, 0]
+    parities = (0, 1) if parity is None else (parity,)
+    # an all-positive tuple has k positive entries: the parities it can meet
+    positive = (k % 2,) if k % 2 in parities else ()
     a = [values[0]] * (k + 1)  # a[0] is a sentinel no entry is below
 
     def extend(t: int, p: int, rem: int, odd: int, lead: int, run: int,
@@ -173,7 +188,6 @@ def _necklaces(values: list[int], k: int, budget: int, parity: int,
         # it is below t - 1; run is the run of m that ends a[t-1] after it;
         # ties are the ends j of the inner runs of m as long as lead whose
         # reversal a[j:0:-1] equals a[1:j+1]
-        nonlocal tally
         prev = a[t - p]
         floor = least  # the least size of the entries after position t
         if t > 1 and a[1] > floor:
@@ -187,8 +201,11 @@ def _necklaces(values: list[int], k: int, budget: int, parity: int,
         start = first[top + prev]  # the first value at least prev and of size at most cap
         if first[top - cap] > start:
             start = first[top - cap]
+        end = first[top + cap + 1]
+        if t == 1 and not positive and first[top + 1] < end:
+            end = first[top + 1]  # no tuple starting with a positive value is asked
         if t < k - 1:
-            for i in range(start, first[top + cap + 1]):
+            for i in range(start, end):
                 v = a[t] = values[i]
                 q = p if v == prev else t
                 if v != a[1] or not dihedral:  # the runs of m matter only to bracelets
@@ -204,34 +221,41 @@ def _necklaces(values: list[int], k: int, budget: int, parity: int,
                     extend(t + 1, q, rem - abs(v), odd ^ (v > 0), lead, run + 1,
                            ties + (t,) if back == ahead else ties)
             return
-        for i in range(start, first[top + cap + 1]):
-            x = a[t] = values[i]
-            q = p if x == prev else t
-            v = rem - abs(x)
-            if odd ^ (x > 0) == parity:
-                v = -v
-            low = a[k - q]
-            if v < low or (v == low and k % q) or first[top + v] == first[top + v + 1]:
-                continue
-            a[k] = v
-            if dihedral:
-                if x == a[1] and run + 1 == lead and a[t:0:-1] < a[1:t + 1]:
-                    continue  # x ends an inner run whose reversal is less
-                # the leading run, then each tie j: the reversal read back
-                # from a[j] is less when a[k:j:-1] is below a[j + 1:]; when
-                # a[1..k-1] are all m, a[lead + 1] is m, and that passes
-                w = a[lead + 1]
-                if w > v or (w == v and a[lead + 1:] > a[k:lead:-1]):
+        # below a positive a[1] only the all-positive parity; at t = 1, a[1]
+        # is not placed yet
+        for want in positive if t > 1 and a[1] > 0 else parities:
+            n = 0
+            for i in range(start, end):
+                x = a[t] = values[i]
+                q = p if x == prev else t
+                v = rem - abs(x)
+                if odd ^ (x > 0) == want:
+                    v = -v
+                low = a[k - q]
+                if v < low or (v == low and k % q) or first[top + v] == first[top + v + 1]:
                     continue
-                if ties and any(a[j + 1:] > a[k:j:-1] for j in ties):
-                    continue
-            if count:
-                tally += 1
-            else:
-                found.append(tuple(a[1:]))
+                a[k] = v
+                if dihedral:
+                    if x == a[1] and run + 1 == lead and a[t:0:-1] < a[1:t + 1]:
+                        continue  # x ends an inner run whose reversal is less
+                    # the leading run, then each tie j: the reversal read back
+                    # from a[j] is less when a[k:j:-1] is below a[j + 1:]; when
+                    # a[1..k-1] are all m, a[lead + 1] is m, and that passes
+                    w = a[lead + 1]
+                    if w > v or (w == v and a[lead + 1:] > a[k:lead:-1]):
+                        continue
+                    if ties and any(a[j + 1:] > a[k:j:-1] for j in ties):
+                        continue
+                if count:
+                    n += 1
+                else:
+                    found.append(tuple(a[1:]))
+            tally[want] += n
 
     extend(1, 1, budget, 0, 0, 0, ())
-    return tally if count else found
+    if not count:
+        return found
+    return tuple(tally) if parity is None else tally[parity]
 
 
 def _strip_values(link_type: int, top: int) -> tuple[list[int], int]:
@@ -284,15 +308,20 @@ def enumerate_classes(c: int, link_type: int, ceiling: int = DEFAULT_ENUM_CEILIN
             for delta, strips in class_strips(c, link_type, ceiling)]
 
 
-def _budget_count(link_type: int, budget: int, parity: int = 0) -> int:
+def _budget_count(link_type: int, budget: int,
+                  parity: int | None = 0) -> int | tuple[int, int]:
     """The number of strip tuples that ``class_strips`` draws from
     ``_necklaces`` for the type at one budget, summed over k >= 3: at the
-    given parity for type 3 (all-negative tuples included), at k % 2, which
-    keeps every tuple, for types 1 and 2."""
+    given parity for type 3 (all-negative tuples included), or with parity
+    None the pair for parities 0 and 1 from one walk; at k % 2, which keeps
+    every tuple, for types 1 and 2."""
     values, least = _strip_values(link_type, budget)
-    return sum(_necklaces(values, k, budget, parity if link_type == 3 else k % 2,
+    tallies = [_necklaces(values, k, budget, parity if link_type == 3 else k % 2,
                           dihedral=link_type > 1, count=True)
-               for k in range(3, budget // least + 1))
+               for k in range(3, budget // least + 1)]
+    if link_type == 3 and parity is None:
+        return sum(even for even, _ in tallies), sum(odd for _, odd in tallies)
+    return sum(tallies)
 
 
 def class_counts(max_c: int,
@@ -301,12 +330,14 @@ def class_counts(max_c: int,
     c = 1..max_c, each counted when asked for.  Refuses, when called, max_c
     above the ceiling or below 1.
 
-    Each (type, budget, parity) is counted once, by ``_budget_count``, and
-    row c counts only budget c, and c - 1 at odd parity: p1 sums type 1 over
-    the budgets up to c, p2 is type 2 at c, and p3 sums type 3 over the
-    budgets b up to c at parity c - b, less p2 for the all-negative bracelets
-    at delta = 0 (k1 = 0, so delta + k1 is below 2), which negation maps one
-    to one onto the type 2 classes at c.
+    Each (type, budget) is walked once, by ``_budget_count``, and row c
+    walks only budget c: p1 sums type 1 over the budgets up to c, p2 is type
+    2 at c, and p3 sums type 3 over the budgets b up to c at parity c - b,
+    less p2 for the all-negative bracelets at delta = 0 (k1 = 0, so delta +
+    k1 is below 2), which negation maps one to one onto the type 2 classes
+    at c.  One type 3 walk counts both parities of budget c: parity 0 for
+    row c and parity 1, carried, for row c + 1.  Row max_c walks its budget
+    at parity 0 alone.
     """
     check_ceiling(max_c, ceiling)
     if max_c < 1:
@@ -316,12 +347,17 @@ def class_counts(max_c: int,
 
 def _rows(max_c: int) -> Iterator[tuple[int, int, int]]:
     p1 = 0
-    # type 3's counts at parity 0 and at parity 1, each summed over the
-    # budgets of one parity: index b % 2 holds those up to budget b
-    even, odd = [0, 0], [0, 0]
+    # p3[c % 2] sums type 3 over the budgets b <= c at parity c - b, the
+    # all-negative tuples included; odd is budget c - 1's count at parity 1
+    p3 = [0, 0]
+    odd = 0
     for c in range(1, max_c + 1):
         p1 += _budget_count(1, c)
         p2 = _budget_count(2, c)
-        even[c % 2] += _budget_count(3, c, 0)
-        odd[(c - 1) % 2] += _budget_count(3, c - 1, 1)
-        yield p1, p2, even[c % 2] + odd[(c - 1) % 2] - p2
+        if c < max_c:
+            even, carried = _budget_count(3, c, None)
+        else:  # no row reads the top budget at parity 1
+            even, carried = _budget_count(3, c, 0), 0
+        p3[c % 2] += even + odd
+        odd = carried
+        yield p1, p2, p3[c % 2] - p2

@@ -6,7 +6,7 @@ Each builds the objects it counts, or asks the oracle's generator in
 from itertools import combinations
 from operator import itemgetter
 
-from pretzeltab.tcodes import _least_dihedral, _necklaces
+from pretzeltab.tcodes import _least_dihedral, _least_rotation, _necklaces
 
 
 def compositions(n, k):
@@ -37,6 +37,29 @@ def interleavings(n1, k1, n2, k2):
         for pos_parts in positives:
             for neg_parts in negatives:
                 yield pick(pos_parts + neg_parts)
+
+
+def least_rotations(values, k, budget, parity):
+    """Every k-tuple over the sorted values whose sizes sum to budget, whose
+    count of positive entries has the parity, and that is its own least
+    rotation, in lexicographic order: each tuple that starts with its least
+    entry is built and tested, with no bound but the least size."""
+    least = min(map(abs, values))
+    found = []
+
+    def grow(prefix, rem):
+        if len(prefix) == k:
+            if (not rem and sum(s > 0 for s in prefix) % 2 == parity
+                    and prefix == _least_rotation(prefix)):
+                found.append(prefix)
+            return
+        for v in values:
+            # each entry still to come takes at least the least size
+            if (not prefix or v >= prefix[0]) and abs(v) <= rem - least * (k - len(prefix) - 1):
+                grow(prefix + (v,), rem - abs(v))
+
+    grow((), budget)
+    return found
 
 
 def composition_class_count(n, k, dihedral=False):

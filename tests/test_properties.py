@@ -10,7 +10,7 @@ from pretzeltab.signed_bracelets import signed_bracelet_count
 from pretzeltab.tcodes import (
     TCode, _least_dihedral, _necklaces, _strip_values, canonicalize, violation)
 
-from brute import signed_class_count
+from brute import least_rotations, signed_class_count
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=200)
 
@@ -95,9 +95,14 @@ def test_canonical_form_starts_with_its_least_entry(code):
 @example((3, 11, 5, 0))  # a[L + 1] == a[k]: the rest of the tuple settles the leading run
 @example((3, 13, 5, 1))  # the entry at k - 1 closes an inner run
 @example((3, 15, 7, 1))  # inner runs of two least entries
+@example((3, 12, 4, 1))  # k % 2 != parity: the walk stops at the first positive a[1]
+@example((3, 13, 5, 0))  # the same with an odd k
+@example((3, 8, 2, 1))  # the same where position 1 is also the frame at k - 1
 def test_dihedral_walk_keeps_exactly_the_bracelets(params):
     link_type, budget, k, parity = params
     values, _ = _strip_values(link_type, budget)
     necklaces = _necklaces(values, k, budget, parity)
+    # both walks share the parity prune, so the necklaces are checked on their own
+    assert necklaces == least_rotations(values, k, budget, parity)
     assert _necklaces(values, k, budget, parity, dihedral=True) == \
         [s for s in necklaces if s == _least_dihedral(s)]

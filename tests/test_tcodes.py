@@ -225,8 +225,10 @@ class TestGenerators:
 
 class TestCountClasses:
     def test_counts_what_enumerate_classes_lists(self):
-        assert list(class_counts(16)) == [tuple(len(enumerate_classes(c, t)) for t in (1, 2, 3))
-                                          for c in range(1, 17)]
+        # every last row, odd and even: the top budget is walked at parity 0 alone
+        expected = [tuple(len(enumerate_classes(c, t)) for t in (1, 2, 3)) for c in range(1, 17)]
+        for max_c in range(1, 17):
+            assert list(class_counts(max_c)) == expected[:max_c], max_c
 
     def test_refuses_above_the_ceiling(self):
         with pytest.raises(ResourceLimitError):
@@ -261,15 +263,19 @@ class TestCountClasses:
         assert len(set(asked)) == len(asked)
 
     def test_count_mode_counts_the_list(self):
+        # with parity None, one walk counts both parities
         for link_type in (1, 2, 3):
             values = list(strip_values(link_type, 16))
             for budget in range(1, 17):
-                for k in range(3, budget // 2 + 2):
-                    for parity in (0, 1):
-                        for dihedral in (False, True):
+                for k in range(2, budget // 2 + 2):
+                    for dihedral in (False, True):
+                        counts = []
+                        for parity in (0, 1):
                             args = (values, k, budget, parity, dihedral)
-                            assert _necklaces(*args, count=True) == len(_necklaces(*args)), \
-                                (link_type, args[1:])
+                            counts.append(_necklaces(*args, count=True))
+                            assert counts[-1] == len(_necklaces(*args)), (link_type, args[1:])
+                        pair = _necklaces(values, k, budget, None, dihedral, count=True)
+                        assert pair == tuple(counts), (link_type, k, budget, dihedral)
 
     def test_all_negative_bracelets_match_type_2(self):
         # the identity that lets class_counts subtract p2 from type 3's
