@@ -173,19 +173,3 @@ def point_columns(max_c: int) -> tuple[list[int], list[int], list[int]]:
         p3[c] += p3[c - 2]
     return p1, p2, p3
 
-
-def count_type1_alt(c: int) -> int:
-    """Type 1 count by an independent route, for cross-checking.
-
-    Folds the (delta, k) double sum by the parity of c: with q = c // 2 the
-    inner index j = (delta + k - (c % 2)) / 2 starts at floor(k/2) for odd c
-    and ceil(k/2) for even c.
-    """
-    _check_point_c(c)
-    q, odd = divmod(c, 2)
-    total = 0
-    for i in range(3, q + 1):
-        start = i // 2 if odd else (i + 1) // 2
-        for j in range(start, q - i + 1):
-            total += necklace_count(q - j, i)
-    return total

@@ -2,10 +2,14 @@
 
 Each builds the objects it counts, or asks the oracle's generator in
 ``tcodes`` for them, and shares no arithmetic with the Burnside counters.
+The exception is ``count_type1_alt``, a second route to the type 1 count: it
+sums ``necklaces.necklace_count`` in another order than ``counts.columns``
+sums its series.
 """
 from itertools import combinations
 from operator import itemgetter
 
+from pretzeltab.necklaces import _check_point_c, necklace_count
 from pretzeltab.tcodes import _least_dihedral, _least_rotation, _necklaces
 
 
@@ -87,3 +91,21 @@ def signed_class_count(n1, k1, n2, k2):
         return 0  # the empty tuple is no pretzel code
     return len({_least_dihedral(t) for t in interleavings(n1, k1, n2, k2)
                 if t[0] == min(t) and (k < 2 or t[1] <= t[-1])})
+
+
+def count_type1_alt(c: int) -> int:
+    """Type 1 count by an independent route, for cross-checking; like the
+    per-point route it refuses c above ``necklaces.POINT_MAX_C``.
+
+    Folds the (delta, k) double sum by the parity of c: with q = c // 2 the
+    inner index j = (delta + k - (c % 2)) / 2 starts at floor(k/2) for odd c
+    and ceil(k/2) for even c.
+    """
+    _check_point_c(c)
+    q, odd = divmod(c, 2)
+    total = 0
+    for i in range(3, q + 1):
+        start = i // 2 if odd else (i + 1) // 2
+        for j in range(start, q - i + 1):
+            total += necklace_count(q - j, i)
+    return total

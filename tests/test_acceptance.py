@@ -12,7 +12,6 @@ from pretzeltab.fit import fit_growth
 from pretzeltab.necklaces import (
     Type3Params,
     bracelet_count,
-    count_type1_alt,
     necklace_count,
     point_columns,
     type3_params,
@@ -20,7 +19,7 @@ from pretzeltab.necklaces import (
 from pretzeltab.signed_bracelets import signed_bracelet_count
 from pretzeltab.tcodes import TCode, canonicalize, enumerate_classes
 
-from brute import composition_class_count
+from brute import composition_class_count, count_type1_alt
 from reference_data import COUNT_TABLE, SIGNED_BRACELET_10, TYPE3_CLASSES_10, TYPE3_PARAMS_10
 
 

@@ -371,6 +371,32 @@ class TestClosedStdout:
                               env=fresh_env(), timeout=60)
 
 
+class TestExitHandler:
+    # runs in a fresh child: this process has long since registered the handler
+    PROBE = """
+import atexit, gc
+from pretzeltab import cli
+# exit handlers run last in, first out: the probe runs after main's handler
+atexit.register(lambda: print("frozen at exit:", gc.get_freeze_count() > 0))
+before = atexit._ncallbacks()
+codes = [cli.main(["count", "-c", "6"]) for _ in range(2)]
+print("frozen before exit:", gc.get_freeze_count() > 0)
+print("handlers added:", atexit._ncallbacks() - before, "exit codes:", codes)
+"""
+
+    def test_main_freezes_at_exit_with_one_handler(self):
+        child = subprocess.run([sys.executable, "-c", self.PROBE], capture_output=True,
+                               env=fresh_env(), timeout=60)
+        assert (child.returncode, child.stderr) == (0, b"")
+        assert child.stdout.decode().splitlines() == [
+            "0 1 1",
+            "0 1 1",
+            "frozen before exit: False",
+            "handlers added: 1 exit codes: [0, 0]",
+            "frozen at exit: True",
+        ]
+
+
 class TestInternalError:
     def test_failed_exactness_check_exits_with_one_line(self, capsys, monkeypatch):
         # a wrong totient makes a Burnside sum indivisible: ArithmeticError

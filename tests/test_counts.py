@@ -7,12 +7,12 @@ from pretzeltab.counts import MAX_C, CountRow, columns, count_row, count_rows
 from pretzeltab.necklaces import (
     POINT_MAX_C,
     Type3Params,
-    count_type1_alt,
     point_columns,
     type3_params,
 )
 from pretzeltab.tcodes import ResourceLimitError, enumerate_classes
 
+from brute import count_type1_alt
 from reference_data import COUNT_TABLE
 
 
@@ -107,6 +107,11 @@ class TestCountRow:
 class TestColumns:
     def test_matches_per_point_route(self):
         assert point_columns(100) == columns(100)
+
+    @pytest.mark.slow
+    def test_matches_per_point_route_at_the_point_limit(self):
+        # about 20 s: left out of the default run, see pyproject.toml
+        assert point_columns(POINT_MAX_C) == columns(POINT_MAX_C)
 
     def test_type1_matches_per_point_route_up_to_1000(self, monkeypatch):
         monkeypatch.setattr(necklaces, "POINT_MAX_C", 1000)
