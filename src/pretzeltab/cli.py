@@ -6,6 +6,14 @@ Exit codes: 0 success, 1 argument error, 2 verification mismatch,
 that closes stdout early), 5 internal error (a failed exactness check,
 ``ArithmeticError``).
 
+Each command's options are described once, in ``_SPEC``.  ``_read_plain``
+reads a plain command line (``table --min 6 --max 80``: exact ``FLAG VALUE``
+pairs with well-formed values) directly from it.  Every other spelling
+(``-h``/``--help``, ``--max=8``, ``-c14``, an abbreviated flag, ``--``, a bad
+value, a missing or unknown command) goes to the argparse parser that
+``_build_parser`` builds from the same table, so every help text, usage
+error and exit code comes from argparse, which is imported only then.
+
 Each command imports only the modules it runs: ``table`` and ``count`` never
 load the oracle in ``tcodes`` or the fit.
 
@@ -14,7 +22,6 @@ collection (``gc.freeze`` at exit); library calls are not affected.
 """
 from __future__ import annotations
 
-import argparse
 import atexit
 import gc
 # Kept at the top: perfbench/child.py imports json right after this module, so
@@ -22,6 +29,8 @@ import gc
 import json
 import os
 import sys
+from types import SimpleNamespace
+from typing import NamedTuple
 
 from . import counts
 from .combinat import DEFAULT_ENUM_CEILING, ResourceLimitError
@@ -36,48 +45,107 @@ EXIT_INTERNAL = 5
 CSV_HEADER = ",".join(counts.CountRow._fields)
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on bad arguments; the contract here is 1.
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+class _Option(NamedTuple):
+    flag: str
+    dest: str
+    kind: type | tuple[str, ...]  # int, str, or the choices of a str
+    default: object = None
+    required: bool = False
+    metavar: str | None = None
+    help: str | None = None
 
-    # argparse's own print_help drops a failed write; this lets it reach main (exit 4).
-    def print_help(self, file=None):
-        (file or sys.stdout).write(self.format_help())
+
+_CEILING_HELP = "exhaustive-enumeration ceiling (default: %(default)s)"
+
+# Each command's help line and options: the one description that both
+# _read_plain and _build_parser read.
+_SPEC = {
+    "table": ("emit count rows for a crossing-number range", (
+        _Option("--min", "min_c", int, 6, metavar="N"),
+        _Option("--max", "max_c", int, 50, metavar="N"),
+        _Option("--format", "format", ("csv", "json"), "csv"),
+        _Option("--out", "out", str, metavar="PATH", help="output file (default: stdout)"),
+    )),
+    "count": ("print counts for one crossing number", (
+        _Option("-c", "c", int, required=True, metavar="N"),
+        _Option("--type", "type", ("1", "2", "3", "all"), "all"),
+    )),
+    "list": ("list canonical class representatives", (
+        _Option("-c", "c", int, required=True, metavar="N"),
+        _Option("--type", "type", ("1", "2", "3"), required=True),
+        _Option("--format", "format", ("lines", "json"), "lines"),
+        _Option("--ceiling", "ceiling", int, DEFAULT_ENUM_CEILING, metavar="N", help=_CEILING_HELP),
+    )),
+    "verify": ("check closed-form counts against exhaustive enumeration", (
+        _Option("--max", "max_c", int, 16, metavar="N"),
+        _Option("--ceiling", "ceiling", int, DEFAULT_ENUM_CEILING, metavar="N", help=_CEILING_HELP),
+    )),
+    "fit": ("least-squares exponential growth fit of the counts", (
+        _Option("--min", "min_c", int, 6, metavar="N"),
+        _Option("--max", "max_c", int, 50, metavar="N"),
+    )),
+}
 
 
-def _build_parser() -> _Parser:
+def _read_plain(argv: list[str]) -> SimpleNamespace | None:
+    """The arguments of a plain command line, or None for any other.
+
+    Plain is a known command followed by exact ``FLAG VALUE`` pairs, every
+    required flag among them: an int value is ASCII digits that ``int``
+    converts, a choice is one of the choices word for word, and no value is
+    empty or starts with ``-``.  A repeated flag keeps its last value.  The
+    result's ``vars`` equal those of ``_build_parser().parse_args(argv)``.
+    Anything else is left to argparse: this neither prints, exits nor raises.
+    """
+    if not argv or argv[0] not in _SPEC or len(argv) % 2 == 0:
+        return None
+    options = {option.flag: option for option in _SPEC[argv[0]][1]}
+    values = {option.dest: option.default for option in options.values()}
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        option = options.get(flag)
+        if option is None or not value or value[0] == "-":
+            return None
+        if option.kind is int:
+            if not (value.isascii() and value.isdigit()):
+                return None
+            try:
+                value = int(value)
+            except ValueError:  # more digits than int() converts
+                return None
+        elif option.kind is not str and value not in option.kind:
+            return None
+        values[option.dest] = value
+    # a required option has no default, and no value read is None
+    if any(values[option.dest] is None for option in options.values() if option.required):
+        return None
+    return SimpleNamespace(command=argv[0], **values)
+
+
+def _build_parser():
+    """The argparse parser of every command, built from ``_SPEC``."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        # argparse exits with status 2 on bad arguments; the contract here is 1.
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+        # argparse's own print_help drops a failed write; this lets it reach main (exit 4).
+        def print_help(self, file=None):
+            (file or sys.stdout).write(self.format_help())
+
     parser = _Parser(prog="pretzeltab",
                      description="Tabulate alternating oriented pretzel links by crossing number.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    table = sub.add_parser("table", help="emit count rows for a crossing-number range")
-    table.add_argument("--min", type=int, default=6, dest="min_c", metavar="N")
-    table.add_argument("--max", type=int, default=50, dest="max_c", metavar="N")
-    table.add_argument("--format", choices=("csv", "json"), default="csv")
-    table.add_argument("--out", metavar="PATH", help="output file (default: stdout)")
-
-    count = sub.add_parser("count", help="print counts for one crossing number")
-    count.add_argument("-c", type=int, required=True, metavar="N")
-    count.add_argument("--type", choices=("1", "2", "3", "all"), default="all")
-
-    lst = sub.add_parser("list", help="list canonical class representatives")
-    lst.add_argument("-c", type=int, required=True, metavar="N")
-    lst.add_argument("--type", choices=("1", "2", "3"), required=True)
-    lst.add_argument("--format", choices=("lines", "json"), default="lines")
-    lst.add_argument("--ceiling", type=int, default=DEFAULT_ENUM_CEILING, metavar="N",
-                     help="exhaustive-enumeration ceiling (default: %(default)s)")
-
-    verify = sub.add_parser("verify", help="check closed-form counts against exhaustive enumeration")
-    verify.add_argument("--max", type=int, default=16, dest="max_c", metavar="N")
-    verify.add_argument("--ceiling", type=int, default=DEFAULT_ENUM_CEILING, metavar="N",
-                        help="exhaustive-enumeration ceiling (default: %(default)s)")
-
-    fit = sub.add_parser("fit", help="least-squares exponential growth fit of the counts")
-    fit.add_argument("--min", type=int, default=6, dest="min_c", metavar="N")
-    fit.add_argument("--max", type=int, default=50, dest="max_c", metavar="N")
-
+    for command, (summary, options) in _SPEC.items():
+        command_parser = sub.add_parser(command, help=summary)
+        for option in options:
+            choices = None if option.kind in (int, str) else option.kind
+            command_parser.add_argument(
+                option.flag, type=int if option.kind is int else None, choices=choices,
+                default=option.default, required=option.required, dest=option.dest,
+                metavar=option.metavar, help=option.help)
     return parser
 
 
@@ -170,11 +238,12 @@ _COMMANDS = {
 
 
 def _run(argv: list[str] | None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    args = _read_plain(sys.argv[1:] if argv is None else argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         code = _COMMANDS[args.command](args)
         sys.stdout.flush()

@@ -1,8 +1,15 @@
-"""The environment of the fresh interpreters that some tests start."""
+"""What several test modules share: the environment of the fresh interpreters
+that some tests start, and the command lines that the README, the benchmark
+and CI run."""
+import importlib.util
 import os
+import re
+import shlex
+import sys
 from pathlib import Path
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
 
 
 def fresh_env():
@@ -12,3 +19,36 @@ def fresh_env():
     env = dict(os.environ, PYTHONPATH=SRC)
     env.pop("PYTHONUNBUFFERED", None)
     return env
+
+
+def readme_examples() -> list[tuple[str, str]]:
+    """Each `$ pretzeltab ...` line in README's Examples block and the output under it."""
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("Examples:\n\n```text\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        if line.startswith("$ "):
+            examples.append((line[2:], []))
+        else:
+            examples[-1][1].append(line)
+    return [(command, "\n".join(out).rstrip("\n") + "\n") for command, out in examples]
+
+
+def benchmark_commands() -> list[list[str]]:
+    """The CLI arguments of every command that perfbench/run.py's workloads run."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = run  # dataclasses looks its module up
+    try:
+        spec.loader.exec_module(run)
+    finally:
+        del sys.modules[spec.name]
+    return [argv for workload in run.WORKLOADS.values() for argv in workload.commands(0)]
+
+
+def ci_commands() -> list[list[str]]:
+    """The CLI arguments of each `pretzeltab` call in CI's console-script step,
+    up to its first redirection, pipe, `;`, `)` or line end."""
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    step = workflow.split("name: Console script", 1)[1]
+    return [shlex.split(call) for call in re.findall(r"\bpretzeltab\b([^;|>)\n]*)", step)]

@@ -1,11 +1,14 @@
+import io
 import json
 import os
 import shlex
 import subprocess
 import sys
-from pathlib import Path
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pretzeltab import cli, counts, tcodes
 from pretzeltab.cli import (
@@ -19,7 +22,7 @@ from pretzeltab.cli import (
     main,
 )
 
-from helpers import fresh_env
+from helpers import benchmark_commands, ci_commands, fresh_env, readme_examples
 
 
 class TestTable:
@@ -261,19 +264,6 @@ class TestParsing:
         capsys.readouterr()
 
 
-def readme_examples() -> list[tuple[str, str]]:
-    """Each `$ pretzeltab ...` line in README's Examples block and the output under it."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = readme.split("Examples:\n\n```text\n", 1)[1].split("```", 1)[0]
-    examples = []
-    for line in block.splitlines():
-        if line.startswith("$ "):
-            examples.append((line[2:], []))
-        else:
-            examples[-1][1].append(line)
-    return [(command, "\n".join(out).rstrip("\n") + "\n") for command, out in examples]
-
-
 class TestReadme:
     def test_examples_print_what_the_readme_shows(self, capsys):
         examples = readme_examples()
@@ -283,6 +273,104 @@ class TestReadme:
             assert prog == "pretzeltab"
             assert main(argv) == EXIT_OK, command
             assert capsys.readouterr().out == expected, command
+
+
+FLAGS = {"table": ["--min", "--max", "--format", "--out"], "count": ["-c", "--type"],
+         "list": ["-c", "--type", "--format", "--ceiling"], "verify": ["--max", "--ceiling"],
+         "fit": ["--min", "--max"]}
+DIGITS = ["0", "7", "14", "007", "0020", "9" * 5000]
+WELL_FORMED = {"--min": DIGITS, "--max": DIGITS, "-c": DIGITS, "--ceiling": DIGITS,
+               "--format": ["csv", "json", "lines"], "--type": ["1", "2", "3", "all"],
+               "--out": ["t.csv", "14"]}
+TOKENS = [*FLAGS, "tabulate",  # commands
+          *WELL_FORMED, "--mi", "--ma", "--form", "--ty", "--ceil",  # flags
+          "--max=8", "--type=2", "-c14", "-h", "--help", "--",
+          *DIGITS, "csv", "json", "lines", "all", "3",  # values
+          "-3", "+5", " 5", "\u0663", "", "abc"]
+
+
+@st.composite
+def argvs(draw):
+    """A plain command line, or one up to two edits away from it: a token
+    inserted, replaced or deleted."""
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    argv = [command]
+    for flag in draw(st.lists(st.sampled_from(FLAGS[command]), max_size=4)):
+        argv += [flag, draw(st.sampled_from(WELL_FORMED[flag]))]
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(argv)))
+        end = at + draw(st.sampled_from([0, 1]))  # insert or replace
+        argv[at:end] = draw(st.lists(st.sampled_from(TOKENS), max_size=1))  # or delete
+    return argv
+
+
+def argparse_outcome(argv):
+    """vars of argparse's namespace for argv, or its exit code."""
+    try:
+        return vars(cli._build_parser().parse_args(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestDirectRoute:
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(argvs())
+    @example(["table", "--max", "9" * 5000])
+    @example(["table", "--min", "6", "--min", "7"])
+    @example(["list", "-c", "9", "--type", "1"])
+    @example(["table", "--out", "-h"])
+    def test_reader_agrees_with_argparse_or_declines(self, argv):
+        printed = io.StringIO()
+        with redirect_stdout(printed), redirect_stderr(printed):
+            args = cli._read_plain(argv)
+        assert printed.getvalue() == ""
+        if args is not None:
+            assert vars(args) == argparse_outcome(argv)
+
+    def test_documented_and_benchmarked_commands_are_read_directly(self):
+        readme = [shlex.split(command)[1:] for command, _ in readme_examples()]
+        for argv in readme + benchmark_commands():
+            args = cli._read_plain(argv)
+            assert args is not None and vars(args) == argparse_outcome(argv), argv
+
+    def test_ci_leaves_only_its_other_spellings_to_argparse(self):
+        declined = [argv for argv in ci_commands() if cli._read_plain(argv) is None]
+        assert declined == [["--help"], ["table", "--max=10"], ["count", "-c14", "--ty", "2"],
+                            ["table", "--max", "abc"]]
+
+
+class TestDeclinedSpellings:
+    # what argparse prints and returns for each spelling the direct reader leaves to it
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="int() converts any number of digits")
+    def test_overlong_int_is_a_usage_error(self, capsys):
+        argv = ["table", "--max", "9" * 5000]
+        assert cli._read_plain(argv) is None
+        assert argparse_outcome(argv) == EXIT_USAGE
+        expected = capsys.readouterr().err
+        assert "argument --max: invalid int value: '999" in expected
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr() == ("", expected)
+
+    def test_negative_count_reaches_the_command(self, capsys):
+        argv = ["count", "-c", "-3"]
+        assert cli._read_plain(argv) is None
+        assert argparse_outcome(argv)["c"] == -3
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr() == ("", "pretzeltab count: crossing number must be positive, got -3\n")
+
+    def test_equals_spelling_prints_what_the_plain_one_does(self, capsys):
+        assert cli._read_plain(["verify", "--max=20"]) is None
+        assert main(["verify", "--max=20"]) == EXIT_OK
+        joined = capsys.readouterr()
+        assert main(["verify", "--max", "20"]) == EXIT_OK
+        assert capsys.readouterr() == joined
+
+    def test_repeated_flag_keeps_its_last_value(self, capsys):
+        argv = ["table", "--min", "6", "--min", "7", "--max", "8"]
+        assert vars(cli._read_plain(argv)) == argparse_outcome(argv)
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == CSV_HEADER + "\n7,0,0,3,3,6\n8,0,2,10,12,24\n"
 
 
 class TestBrokenPipe:

@@ -1,5 +1,6 @@
 """The package namespace (README's Library section) and what each import loads."""
 import json
+import shlex
 import subprocess
 import sys
 
@@ -7,7 +8,7 @@ import pytest
 
 import pretzeltab
 
-from helpers import fresh_env
+from helpers import benchmark_commands, fresh_env, readme_examples
 
 LIBRARY_NAMES = {
     "columns", "count_row", "point_columns", "type3_params",
@@ -51,6 +52,14 @@ class TestImports:
             package = {name for name in loaded if name.split(".")[0] == "pretzeltab"}
             assert package == {"pretzeltab", "pretzeltab.cli", "pretzeltab.combinat",
                                "pretzeltab.counts"} | extra, call
+
+
+    def test_argparse_loads_only_for_other_spellings(self):
+        plain = benchmark_commands() + [shlex.split(command)[1:] for command, _ in readme_examples()]
+        loaded = loaded_after(f"from pretzeltab import cli\nfor argv in {plain!r}:\n    cli.main(argv)")
+        assert "argparse" not in loaded
+        for argv in (["--help"], ["table", "--max=8"], ["count", "-c14"]):
+            assert "argparse" in loaded_after(f"from pretzeltab import cli\ncli.main({argv!r})"), argv
 
 
 class TestLibrary:
