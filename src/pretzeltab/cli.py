@@ -184,11 +184,12 @@ def _cmd_list(args) -> int:
     link_type = int(args.type)
     codes = (str(tcodes.TCode(link_type, delta, strips))
              for delta, strips in tcodes.class_strips(args.c, link_type, ceiling=args.ceiling))
+    write = sys.stdout.write
     if args.format == "lines":
         for code in codes:
-            print(code)
+            write(f"{code}\n")
     else:
-        print(json.dumps(list(codes), indent=2))
+        write(json.dumps(list(codes), indent=2) + "\n")
     return EXIT_OK
 
 
@@ -199,16 +200,17 @@ def _cmd_verify(args) -> int:
     enumerated_rows = tcodes.class_counts(args.max_c, ceiling=args.ceiling)
     columns = counts.columns(args.max_c)
     failures = []
-    print("   c  type     formula  enumerated  result")
+    write = sys.stdout.write
+    write("   c  type     formula  enumerated  result\n")
     for c, row in enumerate(enumerated_rows, 1):
         for link_type, enumerated in enumerate(row, 1):
             formula = columns[link_type - 1][c]
             if formula != enumerated:
                 failures.append(f"c={c} type {link_type} (formula {formula}, enumerated {enumerated})")
-            print(f"{c:4d}  {link_type:4d}  {formula:10d}  {enumerated:10d}  "
-                  f"{'PASS' if formula == enumerated else 'FAIL'}")
+            write(f"{c:4d}  {link_type:4d}  {formula:10d}  {enumerated:10d}  "
+                  f"{'PASS' if formula == enumerated else 'FAIL'}\n")
     checks = 3 * args.max_c
-    print(f"verify: {checks - len(failures)}/{checks} checks passed")
+    write(f"verify: {checks - len(failures)}/{checks} checks passed\n")
     if failures:
         print(f"pretzeltab verify: first failure at {failures[0]}", file=sys.stderr)
         return EXIT_MISMATCH

@@ -17,17 +17,18 @@ One route computes them: ``columns(C)`` gives every count for c <= C at
 once from the Polya cycle index (Flajolet & Sedgewick, *Analytic
 Combinatorics*, Ch. I).  A strip is a power series in x marking its
 crossings, and the cycle index of the cyclic or dihedral group, summed over
-the strip count k, turns it into the series of classes.  Every series
-involved is a rational function with a denominator of degree at most 6, so
-each coefficient costs O(1) big-integer operations and the cyclic divisor
-sums O(C log C) in all.  ``count_row`` and ``count_rows`` read from it.  The
-tests check it against the paper's per-point formula.
+the strip count k, turns it into the series of classes.  Each series is
+computed once, at O(1) big-integer operations a coefficient; one loop adds
+up the cyclic divisor sums of all four strip families, O(C log C) in all.
+``count_row`` and ``count_rows`` read from it; the tests check it against
+the paper's per-point formula.
 """
 from __future__ import annotations
 
+from itertools import accumulate, product
 from typing import NamedTuple
 
-from .combinat import MAX_C, ResourceLimitError, exact_div, totient
+from .combinat import MAX_C, ResourceLimitError, totient
 
 
 def _check_c(c: int) -> None:
@@ -36,103 +37,102 @@ def _check_c(c: int) -> None:
 
 
 # Truncated power series are lists of coefficients, constant term first.  A
-# strip family is a rational function (numerator, 1 - x^2): positive strips
-# P = x^2/(1 - x) = x^2 (1 + x)/(1 - x^2), negative strips N = x^2/(1 - x^2)
-# and the odd strips of type 1 Q = x^3/(1 - x^2).
-_ONE_MINUS_X2 = [1, 0, -1]
-_ODD_STRIPS = [0, 0, 0, 1]
+# strip family is a rational function a/D with D = 1 - x^2: positive strips
+# P = x^2/(1 - x) = x^2 (1 + x)/D, negative strips N = x^2/D and the odd
+# strips of type 1 Q = x^3/D.  Type 3 needs u P + N for u = +-1.
+_D = [1, 0, -1]
+_D2 = [1, 0, 0, 0, -1]  # D(x^2) = D (1 + x^2)
+_Q, _P_PLUS_N, _N_MINUS_P, _N = [0, 0, 0, 1], [0, 0, 2, 1], [0, 0, 0, -1], [0, 0, 1]
 
 
-def _signed_strips(u: int) -> list[int]:
-    """Numerator of u*P + N over 1 - x^2: x^2 (u (1 + x) + 1)."""
-    return [0, 0, u + 1, u]
-
-
-def _mul(a: list[int], b: list[int], n: int) -> list[int]:
-    """First n coefficients of a*b; len(a) * len(b) operations at most."""
-    out = [0] * min(n, len(a) + len(b) - 1)
-    for i, ai in enumerate(a[:n]):
-        if ai:
-            for j, bj in enumerate(b[:n - i]):
-                out[i + j] += ai * bj
+def _poly(*products: tuple[list[int], list[int]]) -> list[int]:
+    """The sum of the products of pairs of polynomials."""
+    out = [0] * max(len(a) + len(b) - 1 for a, b in products)
+    for a, b in products:
+        for (i, ai), (j, bj) in product(enumerate(a), enumerate(b)):
+            out[i + j] += ai * bj
     return out
 
 
-def _div(a: list[int], b: list[int], n: int) -> list[int]:
-    """First n coefficients of a/b for b[0] == 1; n operations per nonzero b[j]."""
-    out = (a + [0] * n)[:n]
+def _div(a: list[int], b: list[int], n: int, *ks: int) -> list[int]:
+    """a / (b (1 - x^k1) (1 - x^k2) ...) to n terms, b[0] == 1: n steps per term and per k."""
+    top = len(b) - 1
+    out = [0] * top + (a + [0] * n)[:n]  # the zeros stand for x^-top..x^-1
     terms = [(j, bj) for j, bj in enumerate(b) if j and bj]
-    for m in range(n):
+    for m in range(top, top + n):
+        v = out[m]
         for j, bj in terms:
-            if j <= m:
-                out[m] -= bj * out[m - j]
+            v -= bj * out[m - j]
+        out[m] = v
+    del out[:top]
+    for k in ks:  # 1/(1 - x^k) sums each residue class mod k
+        for r in range(k):
+            out[r::k] = accumulate(out[r::k])
     return out
 
 
-def _sub(a: list[int], b: list[int]) -> list[int]:
-    width = max(len(a), len(b))
-    return [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(width)]
+def _exact(values, divisors, what: str) -> list[int]:
+    """values[i] / divisors[i], raising ArithmeticError unless exact: the check
+    of ``combinat.exact_div`` (also under ``python -O``) without a call per value."""
+    quotients, rems = zip(*map(divmod, values, divisors))
+    if any(rems):
+        i = rems.index(next(filter(None, rems)))
+        raise ArithmeticError(f"{what}: remainder {rems[i]} on division by {divisors[i]}")
+    return list(quotients)
 
 
-def _stretch(a: list[int], d: int) -> list[int]:
-    """Coefficients of a(x^d)."""
-    out = [0] * ((len(a) - 1) * d + 1)
-    out[::d] = a
-    return out
-
-
-def _log_derivative(a: list[int], n: int) -> list[int]:
-    """h = x f'/(1 - f) for f = a/(1 - x^2), so that [x^m] log 1/(1 - f) = h_m/m.
-
-    With f = a/D: h = (x a' D - a x D') / (D (D - a)), integer coefficients.
+def _cyclic_sums(n: int) -> list[list[int]]:
+    """[x^c] sum_{k>=1} Z(C_k) = (1/c) sum_{d | c} phi(d) h^(d)_{c/d} for c < n,
+    with p_d <- f(x^d) for f = Q, P + N, N - P and N, but P + N for N - P at
+    even d.  h = x f'/(1 - f), so that [x^m] log 1/(1 - f) = h_m/m, is
+    (x a' D + 2 x^2 a) / (D (D - a)) for f = a/D.  One loop adds up all four
+    in place: going down m, it reads h_m before a smaller divisor adds to it.
     """
-    d = _ONE_MINUS_X2
-    xa = [i * v for i, v in enumerate(a)]
-    xd = [i * v for i, v in enumerate(d)]
-    return _div(_sub(_mul(xa, d, n), _mul(a, xd, n)), _mul(d, _sub(d, a), n), n)
+    series = odd, plus, minus, zero = [
+        _div(_poly(([i * v for i, v in enumerate(a)], _D), ([0, 0, 2], a)),
+             _poly((_D, [1]), (a, [-1])), n, 2) for a in (_Q, _P_PLUS_N, _N_MINUS_P, _N)]
+    phi = [0] + [totient(d) for d in range(1, n)]
+    for m in range((n - 1) // 2, 0, -1):
+        q, p, r, z = odd[m], plus[m], minus[m], zero[m]
+        for d in range(2, (n - 1) // m + 1):
+            t, f = m * d, phi[d]
+            odd[t] += f * q
+            plus[t] += f * p
+            minus[t] += f * (r if d % 2 else p)
+            zero[t] += f * z
+    for h in series:
+        h[1:] = _exact(h[1:], range(1, n), "cyclic sum")
+    return series
 
 
-def _cycle_sum(h_odd: list[int], h_even: list[int], n: int) -> list[int]:
-    """[x^c] sum_{k>=1} Z(C_k) for c < n, where h_odd and h_even are the
-    ``_log_derivative`` series of the substitution for p_d, before x -> x^d,
-    at odd and at even d:
+def _stretch(a: list[int]) -> list[int]:
+    """a(x^2)."""
+    return [w for v in a for w in (v, 0)]
 
-    [x^c] = (1/c) sum_{d | c} phi(d) h^(d)_{c/d}.
+
+def _low(a: list[int], a2: list[int]) -> list[int]:
+    """Numerator over D D(x^2) of ``_dihedral``'s low = 2 p1 + p2 + p1^2."""
+    return _poly(([2 * v for v in a], _D2), (_stretch(a2), _D), (_poly((a, a)), [1, 0, 1]))
+
+
+def _dihedral(cyclic: list[int], a: list[int], a2: list[int], n: int) -> list[int]:
+    """[x^c] sum_{k>=3} Z(D_k) for c < n, from the ``_cyclic_sums`` series for
+    p_d <- p1(x^d) = a(x^d)/D(x^d) at odd d and a2(x^d)/D(x^d) at even d.
+    With p2 = a2(x^2)/D(x^2), low = 2 p1 + p2 + p1^2 is twice Z(G_1) + Z(G_2)
+    for G = C or D: the classes of 1 or 2 strips.  Z(D_k) is half Z(C_k) plus
+    a reflection part, low/(4 (1 - p2)) summed over k >= 1.
     """
-    out = [0] * n
-    for d in range(1, n):
-        h = h_odd if d % 2 else h_even
-        phi = totient(d)
-        for m in range(1, (n - 1) // d + 1):
-            out[m * d] += phi * h[m]
-    return [0] + [exact_div(out[c], c, "cyclic sum") for c in range(1, n)]
-
-
-def _classes(a: list[int], a2: list[int], n: int) -> tuple[list[int], list[int]]:
-    """[x^c] sum_{k>=3} Z(C_k) and sum_{k>=3} Z(D_k) for c < n, with p_d <-
-    a(x^d)/D(x^d) for odd d and a2(x^d)/D(x^d) for even d, D = 1 - x^2.
-
-    Z(D_k) is half Z(C_k) plus a reflection part, which summed over k >= 1 is
-    low/(4 (1 - p2)).  low = 2 p1 + p2 + p1^2 is twice Z(G_1) + Z(G_2) for
-    G = C or D: the classes of 1 or 2 strips, which are taken off.
-    """
-    d, d2 = _ONE_MINUS_X2, _stretch(_ONE_MINUS_X2, 2)
-    h = _log_derivative(a, n)
-    cyclic = _cycle_sum(h, h if a2 == a else _log_derivative(a2, n), n)
-    low = [2 * v1 + v2 + v11 for v1, v2, v11 in zip(
-        _div(a, d, n), _div(_stretch(a2, 2), d2, n), _div(_mul(a, a, n), _mul(d, d, n), n))]
-    # 1/(1 - p2) = D(x^2) / (D(x^2) - a2(x^2)).
-    mirrored = _div(_mul(low, d2, n), _sub(d2, _stretch(a2, 2)), n)
-    return ([exact_div(2 * cyc - lo, 2, "cyclic sum") for cyc, lo in zip(cyclic, low)],
-            [exact_div(2 * cyc - 2 * lo + mir, 4, "dihedral sum")
-             for cyc, lo, mir in zip(cyclic, low, mirrored)])
+    num = _low(a, a2)
+    mirrored = _div(num, _poly((_D2, [1]), (_stretch(a2), [-1])), n, 2)  # low/(1 - p2)
+    sums = [2 * (cyc - lo) + mir for cyc, lo, mir in zip(cyclic, _div(num, [1], n, 2, 4), mirrored)]
+    return _exact(sums, (4,) * n, "dihedral sum")
 
 
 def columns(max_c: int) -> tuple[list[int], list[int], list[int]]:
     """The p1, p2 and p3 columns for 0 <= c <= max_c, from the cycle index.
 
     * type 1: sum_{k>=3} Z(C_k) with p_d <- Q(x^d), times 1/(1 - x) for
-      delta >= 0;
+      delta >= 0; sum_{k>=3} Z(C_k) is the cyclic sum less low/2;
     * type 2: sum_{k>=3} Z(D_k) with p_d <- N(x^d);
     * type 3: B_u = sum_{k>=3} Z(D_k) with p_d <- u^d P(x^d) + N(x^d) marks
       each positive strip with u, and B_u/(1 - u x) each horizontal twist
@@ -148,12 +148,15 @@ def columns(max_c: int) -> tuple[list[int], list[int], list[int]]:
         raise ResourceLimitError(
             f"counts up to {max_c} crossings exceed the limit of {MAX_C} (counts.MAX_C)")
     n = max_c + 1
-    p1 = _div(_classes(_ODD_STRIPS, _ODD_STRIPS, n)[0], [1, -1], n)
-    b1, b_minus1, p2 = (_classes(_signed_strips(u), _signed_strips(u * u), n)[1]
-                        for u in (1, -1, 0))
-    p3 = [exact_div(v + w, 2, "parity average") - v2
-          for v, w, v2 in zip(_div(b1, [1, -1], n), _div(b_minus1, [1, 1], n), p2)]
-    return p1, p2, p3
+    series = _cyclic_sums(n)
+    p2 = _dihedral(series.pop(), _N, _N, n)
+    b_minus1 = _dihedral(series.pop(), _N_MINUS_P, _P_PLUS_N, n)
+    b1 = _dihedral(series.pop(), _P_PLUS_N, _P_PLUS_N, n)
+    sums = [v + w - 2 * v2 for v, w, v2 in zip(
+        accumulate(b1), accumulate(b_minus1, lambda s, v: v - s), p2)]
+    halves = [2 * cyc - lo for cyc, lo in zip(series.pop(), _div(_low(_Q, _Q), [1], n, 2, 4))]
+    return (list(accumulate(_exact(halves, (2,) * n, "cyclic sum"))), p2,
+            _exact(sums, (2,) * n, "parity average"))
 
 
 class CountRow(NamedTuple):
@@ -173,11 +176,8 @@ def count_rows(min_c: int, max_c: int) -> list[CountRow]:
     if min_c > max_c:
         raise ValueError(f"need min_c <= max_c, got {min_c} > {max_c}")
     p1, p2, p3 = columns(max_c)
-    rows = []
-    for c in range(min_c, max_c + 1):
-        p = p1[c] + p2[c] + p3[c]
-        rows.append(CountRow(c, p1[c], p2[c], p3[c], p, 2 * p))
-    return rows
+    return [CountRow(c, p1[c], p2[c], p3[c], (p := p1[c] + p2[c] + p3[c]), 2 * p)
+            for c in range(min_c, max_c + 1)]
 
 
 def count_row(c: int) -> CountRow:

@@ -21,6 +21,22 @@ def fresh_env():
     return env
 
 
+def counts_faults(counts) -> dict[str, tuple[str, object]]:
+    """One fault for each exactness check in ``counts.columns``, keyed by the
+    sum the check names: the attribute of ``counts`` to replace and its
+    replacement.  Each fault leaves the checks before its own exact."""
+    dihedral = counts._dihedral
+    return {
+        # every cyclic divisor sum stops dividing by c
+        "cyclic sum": ("totient", lambda d: d),
+        # a wrong D(x^2) reaches only the reflection part
+        "dihedral sum": ("_D2", [1, 0, 0, 0, -2]),
+        # B_-1 one too large at every c: the two parities no longer pair up
+        "parity average": ("_dihedral", lambda cyclic, a, a2, n: [
+            v + (a is counts._N_MINUS_P) for v in dihedral(cyclic, a, a2, n)]),
+    }
+
+
 def readme_examples() -> list[tuple[str, str]]:
     """Each `$ pretzeltab ...` line in README's Examples block and the output under it."""
     readme = (ROOT / "README.md").read_text()

@@ -22,7 +22,8 @@ from pretzeltab.cli import (
     main,
 )
 
-from helpers import benchmark_commands, ci_commands, fresh_env, readme_examples
+from helpers import benchmark_commands, ci_commands, counts_faults, fresh_env, readme_examples
+from reference_data import COUNT_TABLE
 
 
 class TestTable:
@@ -494,3 +495,33 @@ class TestInternalError:
         assert captured.out == ""
         assert captured.err.startswith("pretzeltab count: internal error: ")
         assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("check", ["cyclic sum", "dihedral sum", "parity average"])
+    def test_each_check_names_its_sum(self, check, capsys, monkeypatch):
+        monkeypatch.setattr(counts, *counts_faults(counts)[check])
+        assert main(["count", "-c", "20"]) == EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"pretzeltab count: internal error: {check}: ")
+        assert len(captured.err.splitlines()) == 1
+
+
+class TestOneWritePerLine:
+    # Under PYTHONUNBUFFERED=1 each write call on stdout is one write(2), and
+    # print makes two: the text and the newline.
+    @pytest.mark.parametrize("args, lines", [
+        (["verify", "--max", "6"], 1 + 3 * 6 + 1),
+        (["list", "-c", "12", "--type", "3"], COUNT_TABLE[12][2]),
+    ], ids=["verify", "list"])
+    def test_each_line_is_one_write(self, args, lines, monkeypatch):
+        writes = []
+
+        class Recorder(io.StringIO):
+            def write(self, text):
+                writes.append(text)
+                return super().write(text)
+
+        monkeypatch.setattr(sys, "stdout", Recorder())
+        assert main(args) == EXIT_OK
+        assert len(writes) == lines
+        assert all(text.endswith("\n") and text.count("\n") == 1 for text in writes), writes

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -131,6 +132,13 @@ class TestColumns:
             assert burnside % (2 * n) == 0, n
             assert p2[2 * n] == burnside // (2 * n) - 2 - n // 2, n
             assert p2[2 * n - 1] == 0, n
+
+    def test_digest_up_to_2000(self):
+        # the decimal text of all three columns, as the column route gave it
+        # before it computed each series once; no other check reaches c > 150
+        text = "\n".join(",".join(map(str, column)) for column in columns(2000))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "343c0affd4d55a535bd15c4ce6e6501911e77dd12d995ad21d014ef34fc2973b")
 
     def test_zero_below_six(self):
         assert columns(5) == ([0] * 6, [0] * 6, [0] * 6)

@@ -5,7 +5,9 @@ import sys
 from pretzeltab.necklaces import _reflection_sum, bracelet_count, necklace_count
 
 from brute import composition_class_count
-from helpers import fresh_env
+from helpers import ROOT, fresh_env
+
+TESTS = ROOT / "tests"
 
 
 class TestNecklaceCount:
@@ -77,16 +79,26 @@ def test_divisibility_assertions_hold_up_to_40():
             bracelet_count(n, k)
 
 
-_OFF_BY_ONE_UNDER_O = """
+_FAULTS_UNDER_O = f"""
+import sys
+sys.path.insert(0, {str(TESTS)!r})
+from helpers import counts_faults
 from pretzeltab import combinat, counts, necklaces
 assert False, "assert statements must be stripped by -O"
 necklaces.composition_count = lambda n, k: combinat.composition_count(n, k) + 1
-counts.totient = lambda d: d
-for call in (lambda: necklaces.necklace_count(7, 3), lambda: counts.columns(20)):
+
+def report(call):
     try:
         call()
     except ArithmeticError as exc:
         print("ArithmeticError:", exc)
+
+report(lambda: necklaces.necklace_count(7, 3))
+for name, fault in counts_faults(counts).values():
+    kept = getattr(counts, name)
+    setattr(counts, name, fault)
+    report(lambda: counts.columns(20))
+    setattr(counts, name, kept)
 """
 
 
@@ -96,10 +108,14 @@ def _run_fresh(*args: str, timeout: float) -> subprocess.CompletedProcess:
 
 
 def test_exactness_checks_survive_optimize_flag():
-    result = _run_fresh("-O", "-c", _OFF_BY_ONE_UNDER_O, timeout=60)
+    # the necklace counter's check, then each check of counts.columns, each
+    # naming its own sum
+    result = _run_fresh("-O", "-c", _FAULTS_UNDER_O, timeout=60)
     assert result.returncode == 0, result.stderr
     lines = result.stdout.splitlines()
-    assert len(lines) == 2 and all(line.startswith("ArithmeticError:") for line in lines), lines
+    assert len(lines) == 4 and lines[0].startswith("ArithmeticError:"), lines
+    for line, check in zip(lines[1:], ["cyclic sum", "dihedral sum", "parity average"]):
+        assert line.startswith(f"ArithmeticError: {check}: "), lines
 
 
 def test_huge_gcd_costs_its_square_root():

@@ -6,6 +6,7 @@ reproduces on every run.
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pretzeltab.counts import columns
 from pretzeltab.signed_bracelets import signed_bracelet_count
 from pretzeltab.tcodes import (
     TCode, _least_dihedral, _necklaces, _strip_values, canonicalize, violation)
@@ -106,3 +107,12 @@ def test_dihedral_walk_keeps_exactly_the_bracelets(params):
     assert necklaces == least_rotations(values, k, budget, parity)
     assert _necklaces(values, k, budget, parity, dihedral=True) == \
         [s for s in necklaces if s == _least_dihedral(s)]
+
+
+@PROPERTY
+@given(st.integers(2, 300).flatmap(lambda top: st.tuples(st.integers(1, top - 1), st.just(top))))
+@example((1, 2))
+@example((299, 300))
+def test_longer_columns_extend_shorter_ones(sizes):
+    c, top = sizes
+    assert [column[:c + 1] for column in columns(top)] == list(columns(c))
