@@ -174,7 +174,7 @@ def _cmd_count(args) -> int:
     picked = counts.columns(args.c)
     if args.type != "all":
         picked = picked[int(args.type) - 1:int(args.type)]
-    print(" ".join(str(column[args.c]) for column in picked))
+    sys.stdout.write(" ".join(str(column[args.c]) for column in picked) + "\n")
     return EXIT_OK
 
 
@@ -221,12 +221,13 @@ def _cmd_fit(args) -> int:
     from .fit import fit_growth
 
     result = fit_growth(args.min_c, args.max_c)
-    print("model: p(c) ~ a * exp(b * c)")
-    print(f"range: c = {result.c_min}..{result.c_max} ({result.n_points} points)")
-    print(f"a  = {result.a:.6g}")
-    print(f"b  = {result.b:.6g}")
-    print(f"r2 = {result.r2:.6g}")
-    print(f"2a = {2 * result.a:.6g}  (doubled-total prefactor)")
+    write = sys.stdout.write
+    write("model: p(c) ~ a * exp(b * c)\n")
+    write(f"range: c = {result.c_min}..{result.c_max} ({result.n_points} points)\n")
+    write(f"a  = {result.a:.6g}\n")
+    write(f"b  = {result.b:.6g}\n")
+    write(f"r2 = {result.r2:.6g}\n")
+    write(f"2a = {2 * result.a:.6g}  (doubled-total prefactor)\n")
     return EXIT_OK
 
 

@@ -11,20 +11,24 @@ counters in ``counts`` are checked against.  It reads ``class_strips``,
 which produces each class once, as its canonical form, by orderly
 generation: a prenecklace generator (Cattell, Ruskey, Sawada, Serra and
 Miers, J. Algorithms 37, 2000) extends only the prefixes that can still be
-the least rotation of a strip tuple.  The frame at position k - 1 also
-closes the tuple, since the budget and the parity fix the last entry.  For
-types 2 and 3 a necklace is kept only when no rotation of its reversal is
-less, and, as in Sawada's bracelet generator (SIAM J. Comput. 31, 2001), the
-walk follows the reversal as the prefix grows.  Only a rotation that starts
-at the end of a run of the least entry m = a[1] as long as the leading run,
-of L entries, can be less, and the walk makes no run longer.  So three
-checks suffice: a[L+1] <= a[k] (else the reversal read back from a[L] is
-less), which bounds the last entry's size; a prefix is dropped when an inner
-run of L ends at t and a[t:0:-1] < a[1:t+1], and the run is kept as a tie
-when they are equal; at the last entry the leading run and each tie j
-compare the rest, a[j+1:] <= a[k:j:-1], and most tuples are decided by
-a[L+1] < a[k] alone.  No tuple is built for the test.  Tuples come out in
-lexicographic order, so no dedup set and no sort is needed.
+the least rotation of a strip tuple.  One walk per (type, budget) serves
+every strip count k >= 3: the frame at position t closes the tuple of t + 1
+entries, since the budget fixes the size of the last entry, and extends the
+prefix while the budget leaves room for more, in one loop over the entry at
+t.  Both signs of the last entry are checked in that pass, one for each
+parity of the positive entries.  For types 2 and 3 a necklace is kept only
+when no rotation of its reversal is less, and, as in Sawada's bracelet
+generator (SIAM J. Comput. 31, 2001), the walk follows the reversal as the
+prefix grows.  Only a rotation that starts at the end of a run of the least
+entry m = a[1] as long as the leading run, of L entries, can be less, and
+the walk makes no run longer.  So three checks suffice: a[L+1] <= a[k]
+(else the reversal read back from a[L] is less), which bounds the last
+entry's size; a prefix is dropped when an inner run of L ends at t and
+a[t:0:-1] < a[1:t+1], and the run is kept as a tie when they are equal; at
+the last entry the leading run and each tie j compare the rest,
+a[j+1:k+1] <= a[k:j:-1], and most tuples are decided by a[L+1] < a[k]
+alone.  No tuple is built for the test.  Tuples of each strip count come
+out in lexicographic order, so no dedup set and no sort is needed.
 
 ``class_counts`` counts the same classes with no tuple list held: the
 generator's count mode returns a tally.  The classes with delta horizontal
@@ -133,31 +137,26 @@ def canonicalize(code: TCode) -> TCode:
     return TCode(code.link_type, code.delta, least(code.strips))
 
 
-def _necklaces(values: list[int], k: int, budget: int, parity: int | None,
-               dihedral: bool = False,
-               count: bool = False) -> list[tuple[int, ...]] | int | tuple[int, int]:
-    """Every k-entry tuple (k >= 2) over the sorted values whose sizes
+def _necklaces(values: list[int], budget: int, parity: int | None, dihedral: bool = False,
+               count: bool = False) -> list[list[tuple[int, ...]]] | tuple[int, int]:
+    """Every tuple of k >= 3 entries over the sorted values whose sizes
     (absolute values) sum to budget, whose count of positive entries has the
-    given parity, and that is the least of its rotations, each once, in
-    lexicographic order; with dihedral, only the bracelets among them: those
-    no greater than any rotation of their reversal.  Over positive values,
-    parity k % 2 keeps every tuple.  With count, only how many there are, and
-    no list is built; with count and parity None, the pair (even, odd) of
-    those counts for parities 0 and 1, from one walk.  The list takes an int
-    parity.
+    given parity (either, with parity None), and that is the least of its
+    rotations, each once: entry k of the list holds the k-entry ones in
+    lexicographic order.  With dihedral, only the bracelets among them: those
+    no greater than any rotation of their reversal.  With count, no tuple is
+    built and the pair (even, odd) of how many there are at parities 0 and 1
+    comes back, 0 for a parity not asked for.
 
-    Position t takes only values at least a[t - p], p being the period of the
-    prefix.  A prefix is dropped when the rest of the budget cannot fill the
-    remaining positions, each at the least size or at a[1] once that is
-    positive (no entry is below a[1]).  The frame at position k - 1 also
-    closes the tuple: its entry x leaves one size for the last entry, signed
-    to fit the parity, and the tuple is a necklace when that entry is at least
-    a[k - q] and, if equal, q divides k (q being the period with x).  Only
-    this frame reads the parity, so the walk is shared by both parities, and
-    the frame runs its loop over x once for each parity asked.  A positive
-    a[1] makes every entry positive, so below it only parity k % 2 can be
-    met: the frame skips the other, and a walk asking only for the other
-    stops at position 1 at the first positive value.
+    One walk serves every k.  Position t takes only values at least a[t - p],
+    p being the period of a[1..t-1], and its frame does two things for each
+    value x, in one loop.  It closes the tuple of k = t + 1 entries, whose
+    last entry has the size s left: the tuple is a necklace when that entry
+    is at least a[k - q] and, if equal, q divides k (q being the period with
+    x).  Both signs of the last entry are tried in the same pass: -s keeps
+    the parity of a[1..t], s flips it.  And it extends the prefix when s
+    leaves room for one more entry and the last, each at the least size or
+    at a[1] once that is positive (no entry is below a[1]).
 
     A rotation of the reversal can be less than a necklace only if it starts
     at the end of a run of m = a[1] as long as the leading run, of L entries;
@@ -166,21 +165,22 @@ def _necklaces(values: list[int], k: int, budget: int, parity: int | None,
     a[L+1] is positive the last entry needs at least that size.  When placing
     m ends an inner run of L at position t, a[t:0:-1] < a[1:t+1] means the
     reversal read back from a[t] is less whatever follows, and the value is
-    skipped; if they are equal the run is kept as a tie.  At the last entry
-    the leading run and each tie j pass when a[j+1:] <= a[k:j:-1], which
-    a[L+1] < a[k] settles for most tuples with one comparison.
+    skipped, for closing and extending alike; if they are equal the run is
+    kept as a tie.  A closing reads the runs of a[1..t-1]: the leading run
+    and each tie j pass when a[j+1:k+1] <= a[k:j:-1], which a[L+1] < a[k]
+    settles for most tuples with one comparison.
     """
     # first[top + v] is bisect_left of v; for integers, first[top + v + 1] is
     # bisect_right of v, so v is one of the values when the two differ
     top = max(budget, -values[0])
     first = [bisect_left(values, v) for v in range(-top, top + 2)]
     least = min(map(abs, values))
-    found = []
+    most = budget // least  # the most entries a tuple holds
+    found = [[] for _ in range(most + 1)]
     tally = [0, 0]
-    parities = (0, 1) if parity is None else (parity,)
-    # an all-positive tuple has k positive entries: the parities it can meet
-    positive = (k % 2,) if k % 2 in parities else ()
-    a = [values[0]] * (k + 1)  # a[0] is a sentinel no entry is below
+    # the parities of a[1..t] at which a last entry -s, or s, misses the parity asked
+    miss_neg, miss_pos = (2, 2) if parity is None else (1 - parity, parity)
+    a = [values[0]] * (most + 1)  # a[0] is a sentinel no entry is below
 
     def extend(t: int, p: int, rem: int, odd: int, lead: int, run: int,
                ties: tuple[int, ...]) -> None:
@@ -188,74 +188,74 @@ def _necklaces(values: list[int], k: int, budget: int, parity: int | None,
         # it is below t - 1; run is the run of m that ends a[t-1] after it;
         # ties are the ends j of the inner runs of m as long as lead whose
         # reversal a[j:0:-1] equals a[1:j+1]
-        prev = a[t - p]
-        floor = least  # the least size of the entries after position t
-        if t > 1 and a[1] > floor:
-            floor = a[1]
+        m = a[1]
+        floor = m if m > least else least  # the least size of the entries after position t
         last = floor  # and of the last entry
         if dihedral and lead < t - 1 and a[lead + 1] > last:
             last = a[lead + 1]
-        cap = rem - (k - t - 1) * floor - last  # the largest size position t may take
+        cap = rem - last  # the largest size position t may take
         if cap < 0:
             return
+        prev = a[t - p]
         start = first[top + prev]  # the first value at least prev and of size at most cap
         if first[top - cap] > start:
             start = first[top - cap]
-        end = first[top + cap + 1]
-        if t == 1 and not positive and first[top + 1] < end:
-            end = first[top + 1]  # no tuple starting with a positive value is asked
-        if t < k - 1:
-            for i in range(start, end):
-                v = a[t] = values[i]
-                q = p if v == prev else t
-                if v != a[1] or not dihedral:  # the runs of m matter only to bracelets
-                    extend(t + 1, q, rem - abs(v), odd ^ (v > 0), lead, 0, ties)
-                elif lead == t - 1:
-                    extend(t + 1, q, rem - abs(v), odd ^ (v > 0), t, 0, ties)
-                elif run + 1 < lead:
-                    extend(t + 1, q, rem - abs(v), odd ^ (v > 0), lead, run + 1, ties)
-                else:  # an inner run as long as the leading one ends at t
-                    back, ahead = a[t:0:-1], a[1:t + 1]
-                    if back < ahead:
-                        continue  # its reversal, read from a[t], is less
-                    extend(t + 1, q, rem - abs(v), odd ^ (v > 0), lead, run + 1,
-                           ties + (t,) if back == ahead else ties)
-            return
-        # below a positive a[1] only the all-positive parity; at t = 1, a[1]
-        # is not placed yet
-        for want in positive if t > 1 and a[1] > 0 else parities:
-            n = 0
-            for i in range(start, end):
-                x = a[t] = values[i]
-                q = p if x == prev else t
-                v = rem - abs(x)
-                if odd ^ (x > 0) == want:
-                    v = -v
-                low = a[k - q]
-                if v < low or (v == low and k % q) or first[top + v] == first[top + v + 1]:
-                    continue
+        deep = floor + last  # the least s that leaves room for one more entry
+        k = t + 1
+        for i in range(start, first[top + cap + 1]):
+            x = a[t] = values[i]
+            q = p if x == prev else t
+            s = rem - abs(x)
+            par = odd ^ (x > 0)
+            if x != m or not dihedral:  # the runs of m matter only to bracelets
+                new_lead, new_run, new_ties = lead, 0, ties
+            elif lead == t - 1:
+                new_lead, new_run, new_ties = t, 0, ties
+            elif run + 1 < lead:
+                new_lead, new_run, new_ties = lead, run + 1, ties
+            else:  # an inner run as long as the leading one ends at t
+                back, ahead = a[t:0:-1], a[1:t + 1]
+                if back < ahead:
+                    continue  # its reversal, read from a[t], is less
+                new_lead, new_run = lead, run + 1
+                new_ties = ties + (t,) if back == ahead else ties
+            # close the tuple of k entries with -s, then s: a necklace when the
+            # last entry is at least a[k - q] and, if equal, q divides k; a
+            # bracelet unless, for the leading run or a tie j, a[k:j:-1] is
+            # below a[j + 1:k + 1] (the reversal read back from a[j] is less)
+            low = a[k - q]
+            v = -s
+            if (v >= low and par != miss_neg and (v > low or not k % q)
+                    and first[top + v] < first[top + v + 1]):
+                w = a[lead + 1]
                 a[k] = v
-                if dihedral:
-                    if x == a[1] and run + 1 == lead and a[t:0:-1] < a[1:t + 1]:
-                        continue  # x ends an inner run whose reversal is less
-                    # the leading run, then each tie j: the reversal read back
-                    # from a[j] is less when a[k:j:-1] is below a[j + 1:]; when
-                    # a[1..k-1] are all m, a[lead + 1] is m, and that passes
-                    w = a[lead + 1]
-                    if w > v or (w == v and a[lead + 1:] > a[k:lead:-1]):
-                        continue
-                    if ties and any(a[j + 1:] > a[k:j:-1] for j in ties):
-                        continue
-                if count:
-                    n += 1
-                else:
-                    found.append(tuple(a[1:]))
-            tally[want] += n
+                if not dihedral or ((w < v or w == v and a[lead + 1:k + 1] <= a[k:lead:-1])
+                                    and not (ties and any(a[j + 1:k + 1] > a[k:j:-1]
+                                                          for j in ties))):
+                    if count:
+                        tally[par] += 1
+                    else:
+                        found[k].append(tuple(a[1:k + 1]))
+            if (s >= low and par != miss_pos and (s > low or not k % q)
+                    and first[top + s] < first[top + s + 1]):
+                w = a[lead + 1]
+                a[k] = s
+                if not dihedral or ((w < s or w == s and a[lead + 1:k + 1] <= a[k:lead:-1])
+                                    and not (ties and any(a[j + 1:k + 1] > a[k:j:-1]
+                                                          for j in ties))):
+                    if count:
+                        tally[par ^ 1] += 1
+                    else:
+                        found[k].append(tuple(a[1:k + 1]))
+            if s >= deep:
+                extend(k, q, s, par, new_lead, new_run, new_ties)
 
-    extend(1, 1, budget, 0, 0, 0, ())
-    if not count:
-        return found
-    return tuple(tally) if parity is None else tally[parity]
+    # position 1 leaves room for two more entries; a positive a[1] is the
+    # least size of both
+    for x in values[first[top - max(budget - 2 * least, 0)]:first[top + budget // 3 + 1]]:
+        a[1] = x
+        extend(2, 1, budget - abs(x), int(x > 0), 1, 0, ())
+    return tuple(tally) if count else found
 
 
 def _strip_values(link_type: int, top: int) -> tuple[list[int], int]:
@@ -275,12 +275,14 @@ def class_strips(c: int, link_type: int,
 
     Each class comes once, ordered by (delta, strip count, strips).  Only
     positive type 1 and type 2 codes are generated (one link per mirror
-    pair).  For each delta and strip count k, ascending, ``_necklaces`` yields
-    the strip tuples that are their own least rotation, for types 2 and 3
-    only the bracelets, in lexicographic order.  Types 1 and 2 ask for parity
-    k % 2, which keeps all of them; type 3 asks for delta % 2 and keeps those
-    whose positive strip count k1 makes delta + k1 even and at least 2:
-    exactly the canonical forms, already in output order.
+    pair).  For each delta, ascending, one ``_necklaces`` walk of budget c -
+    delta lists, for every strip count k, the strip tuples that are their own
+    least rotation, for types 2 and 3 only the bracelets, in lexicographic
+    order, and the lists are read by k, ascending.  Types 1 and 2 ask for
+    either parity, since all their entries are positive; type 3 asks for
+    delta % 2 and keeps those whose positive strip count k1 makes delta + k1
+    even and at least 2: exactly the canonical forms, already in output
+    order.  One budget's classes are held at a time.
 
     Refuses c above the enumeration ceiling (``check_ceiling``) when the
     first class is asked for.
@@ -292,10 +294,11 @@ def class_strips(c: int, link_type: int,
     check_ceiling(c, ceiling)
     values, least = _strip_values(link_type, c)
     for delta in range(1 if link_type == 2 else c):
-        budget = c - delta
-        for k in range(3, budget // least + 1):
-            parity = k % 2 if link_type < 3 else delta % 2
-            for strips in _necklaces(values, k, budget, parity, dihedral=link_type > 1):
+        if c - delta < 3 * least:
+            break  # no three strips fit
+        parity = delta % 2 if link_type == 3 else None
+        for group in _necklaces(values, c - delta, parity, dihedral=link_type > 1):
+            for strips in group:
                 if link_type == 3 and not delta and max(strips) < 0:
                     continue  # k1 = 0: delta + k1 is below 2
                 yield delta, strips
@@ -309,19 +312,16 @@ def enumerate_classes(c: int, link_type: int, ceiling: int = DEFAULT_ENUM_CEILIN
 
 
 def _budget_count(link_type: int, budget: int,
-                  parity: int | None = 0) -> int | tuple[int, int]:
-    """The number of strip tuples that ``class_strips`` draws from
-    ``_necklaces`` for the type at one budget, summed over k >= 3: at the
-    given parity for type 3 (all-negative tuples included), or with parity
-    None the pair for parities 0 and 1 from one walk; at k % 2, which keeps
-    every tuple, for types 1 and 2."""
+                  parity: int | None = None) -> tuple[int, int]:
+    """The pair (even, odd) of strip tuples that ``class_strips`` draws from
+    ``_necklaces`` for the type at one budget, over every strip count k >= 3
+    in one walk, by the parity of their positive entries, 0 for a parity not
+    asked for.  Type 3's tuples include the all-negative ones; a type 1 or 2
+    tuple has parity k % 2, so its pair sums to all of them."""
     values, least = _strip_values(link_type, budget)
-    tallies = [_necklaces(values, k, budget, parity if link_type == 3 else k % 2,
-                          dihedral=link_type > 1, count=True)
-               for k in range(3, budget // least + 1)]
-    if link_type == 3 and parity is None:
-        return sum(even for even, _ in tallies), sum(odd for _, odd in tallies)
-    return sum(tallies)
+    if budget < 3 * least:  # no three strips fit
+        return 0, 0
+    return _necklaces(values, budget, parity, dihedral=link_type > 1, count=True)
 
 
 def class_counts(max_c: int,
@@ -352,12 +352,10 @@ def _rows(max_c: int) -> Iterator[tuple[int, int, int]]:
     p3 = [0, 0]
     odd = 0
     for c in range(1, max_c + 1):
-        p1 += _budget_count(1, c)
-        p2 = _budget_count(2, c)
-        if c < max_c:
-            even, carried = _budget_count(3, c, None)
-        else:  # no row reads the top budget at parity 1
-            even, carried = _budget_count(3, c, 0), 0
+        p1 += sum(_budget_count(1, c))
+        p2 = sum(_budget_count(2, c))
+        # no row reads the top budget at parity 1
+        even, carried = _budget_count(3, c, None if c < max_c else 0)
         p3[c % 2] += even + odd
         odd = carried
         yield p1, p2, p3[c % 2] - p2

@@ -68,12 +68,17 @@ def least_rotations(values, k, budget, parity):
 
 def composition_class_count(n, k, dihedral=False):
     """Orbit count of k-part compositions of n under rotation: the oracle
-    generator's necklaces, or with dihedral its bracelets."""
+    generator's necklaces, or with dihedral its bracelets.  The generator
+    closes only k >= 3, so two parts come from ``least_rotations``."""
     if not 1 <= k <= n:
         return 0
     if k == 1:
         return 1
-    return len(_necklaces(list(range(1, n + 1)), k, n, k % 2, dihedral))
+    values = list(range(1, n + 1))
+    if k == 2:
+        return len([t for t in least_rotations(values, 2, n, 0)
+                    if not dihedral or t == _least_dihedral(t)])
+    return len(_necklaces(values, n, None, dihedral)[k])
 
 
 def signed_class_count(n1, k1, n2, k2):

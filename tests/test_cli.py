@@ -512,7 +512,9 @@ class TestOneWritePerLine:
     @pytest.mark.parametrize("args, lines", [
         (["verify", "--max", "6"], 1 + 3 * 6 + 1),
         (["list", "-c", "12", "--type", "3"], COUNT_TABLE[12][2]),
-    ], ids=["verify", "list"])
+        (["count", "-c", "140"], 1),
+        (["fit"], 6),
+    ], ids=["verify", "list", "count", "fit"])
     def test_each_line_is_one_write(self, args, lines, monkeypatch):
         writes = []
 

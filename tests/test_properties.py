@@ -3,13 +3,15 @@
 Examples are drawn deterministically (``derandomize=True``), so a failure
 reproduces on every run.
 """
+from itertools import product
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pretzeltab.counts import columns
 from pretzeltab.signed_bracelets import signed_bracelet_count
 from pretzeltab.tcodes import (
-    TCode, _least_dihedral, _necklaces, _strip_values, canonicalize, violation)
+    TCode, _least_dihedral, _least_rotation, _necklaces, _strip_values, canonicalize, violation)
 
 from brute import least_rotations, signed_class_count
 
@@ -47,10 +49,11 @@ def valid_codes(draw):
 
 @st.composite
 def walk_params(draw):
-    """(link_type, budget, k, parity) for one bracelet walk of type 2 or 3."""
+    """(link_type, budget, k, parity) for one bracelet walk of type 2 or 3,
+    read at strip count k >= 3."""
     link_type = draw(st.sampled_from((2, 3)))
-    budget = draw(st.integers(4, 20))
-    return link_type, budget, draw(st.integers(2, budget // 2)), draw(st.integers(0, 1))
+    budget = draw(st.integers(6, 20))
+    return link_type, budget, draw(st.integers(3, budget // 2)), draw(st.integers(0, 1))
 
 
 def orbit(code):
@@ -96,17 +99,32 @@ def test_canonical_form_starts_with_its_least_entry(code):
 @example((3, 11, 5, 0))  # a[L + 1] == a[k]: the rest of the tuple settles the leading run
 @example((3, 13, 5, 1))  # the entry at k - 1 closes an inner run
 @example((3, 15, 7, 1))  # inner runs of two least entries
-@example((3, 12, 4, 1))  # k % 2 != parity: the walk stops at the first positive a[1]
+@example((3, 12, 4, 1))  # k % 2 != parity: no all-positive tuple
 @example((3, 13, 5, 0))  # the same with an odd k
-@example((3, 8, 2, 1))  # the same where position 1 is also the frame at k - 1
 def test_dihedral_walk_keeps_exactly_the_bracelets(params):
     link_type, budget, k, parity = params
     values, _ = _strip_values(link_type, budget)
-    necklaces = _necklaces(values, k, budget, parity)
-    # both walks share the parity prune, so the necklaces are checked on their own
+    necklaces = _necklaces(values, budget, parity)[k]
+    # both walks share the parity test, so the necklaces are checked on their own
     assert necklaces == least_rotations(values, k, budget, parity)
-    assert _necklaces(values, k, budget, parity, dihedral=True) == \
+    assert _necklaces(values, budget, parity, dihedral=True)[k] == \
         [s for s in necklaces if s == _least_dihedral(s)]
+
+
+@PROPERTY
+@given(st.tuples(st.sampled_from((2, 3)), st.integers(4, 20), st.just(2), st.integers(0, 1)))
+@example((3, 8, 2, 1))  # one positive and one negative strip
+def test_two_strips_come_from_the_brute_force(params):
+    # the walk closes only k >= 3; composition_class_count takes k = 2 from
+    # least_rotations, whose pairs are all bracelets
+    link_type, budget, k, parity = params
+    values, _ = _strip_values(link_type, budget)
+    assert _necklaces(values, budget, parity)[k] == []
+    pairs = [t for t in product(values, repeat=k)
+             if sum(map(abs, t)) == budget and sum(s > 0 for s in t) % 2 == parity]
+    necklaces = least_rotations(values, k, budget, parity)
+    assert necklaces == sorted({_least_rotation(t) for t in pairs})
+    assert all(s == _least_dihedral(s) for s in necklaces)
 
 
 @PROPERTY

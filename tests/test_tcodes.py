@@ -18,7 +18,7 @@ from pretzeltab.tcodes import (
     violation,
 )
 
-from brute import composition_class_count, signed_class_count
+from brute import composition_class_count, least_rotations, signed_class_count
 from helpers import fresh_env
 
 
@@ -170,6 +170,12 @@ class TestEnumerateClasses:
             enumerate_classes(10, 5)
 
 
+def group(walked, k):
+    """The k-entry tuples of one walk; the list stops at the most entries
+    the budget holds."""
+    return walked[k] if k < len(walked) else []
+
+
 class TestGenerators:
     def test_raw_codes_are_valid_sized_and_distinct(self):
         # _necklaces' output before enumerate_classes keeps the bracelets
@@ -177,12 +183,13 @@ class TestGenerators:
             for c in range(6, 15):
                 values = list(strip_values(link_type, c))
                 for delta in range(1 if link_type == 2 else c):
-                    for k in range(3, (c - delta) // 2 + 1):
-                        parity = k % 2 if link_type < 3 else delta % 2
-                        raw = _necklaces(values, k, c - delta, parity)
+                    parity = None if link_type < 3 else delta % 2
+                    for k, raw in enumerate(_necklaces(values, c - delta, parity)):
+                        assert k >= 3 or raw == [], (link_type, c, delta, k)
                         # distinct and in lexicographic order
                         assert all(a < b for a, b in zip(raw, raw[1:])), (link_type, c, delta, k)
                         for strips in raw:
+                            assert len(strips) == k, strips
                             assert strips == _least_rotation(strips), strips
                             code = TCode(link_type, delta, strips)
                             if link_type == 3 and not delta and max(strips) < 0:
@@ -193,34 +200,60 @@ class TestGenerators:
 
     def test_dihedral_filter_keeps_exactly_the_bracelets(self):
         # the inline reversal checks against the definition, a necklace that is
-        # its own least dihedral image, over the raw necklaces, short strip
-        # counts included
+        # its own least dihedral image, over the raw necklaces of every strip
+        # count of one walk
         for link_type in (1, 2, 3):
             for c in range(6, 17):
                 values = list(strip_values(link_type, c))
                 for delta in range(1 if link_type == 2 else c):
-                    for k in range(2, (c - delta) // 2 + 1):
-                        parity = k % 2 if link_type < 3 else delta % 2
-                        raw = _necklaces(values, k, c - delta, parity)
-                        bracelets = _necklaces(values, k, c - delta, parity, dihedral=True)
-                        assert bracelets == [s for s in raw if s == _least_dihedral(s)], \
-                            (link_type, c, delta, k)
+                    parity = None if link_type < 3 else delta % 2
+                    raw = _necklaces(values, c - delta, parity)
+                    bracelets = _necklaces(values, c - delta, parity, dihedral=True)
+                    assert bracelets == [[s for s in necklaces if s == _least_dihedral(s)]
+                                         for necklaces in raw], (link_type, c, delta)
+
+    def test_each_frame_has_room_for_its_entry_and_the_last(self):
+        # a looser bound on the recursion changes no tuple, only the work
+        rems = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_name == "extend":
+                rems.append(frame.f_locals["rem"])
+
+        for link_type in (1, 2, 3):
+            values, least = tcodes._strip_values(link_type, 18)
+            for dihedral in (False, True):
+                rems.clear()
+                sys.setprofile(profile)
+                try:
+                    _necklaces(values, 18, None, dihedral, count=True)
+                finally:
+                    sys.setprofile(None)
+                assert rems and min(rems) >= 2 * least, (link_type, dihedral)
 
     def test_short_tuples_match_a_plain_product(self):
-        # k = 2 never occurs in the oracle; composition_class_count uses it
+        # the walk closes only k >= 3, and composition_class_count takes k = 2
+        # from least_rotations: both are held to the product here
         for link_type in (1, 2, 3):
             values = list(strip_values(link_type, 9))
             for budget in range(2, 10):
-                for k in (2, 3):
-                    for parity in ((k % 2,) if link_type < 3 else (0, 1)):
+                for parity in (0, 1):
+                    walked = _necklaces(values, budget, parity)
+                    walked_bracelets = _necklaces(values, budget, parity, dihedral=True)
+                    for k in (2, 3):
                         tuples = [t for t in product(values, repeat=k)
                                   if sum(map(abs, t)) == budget
                                   and sum(s > 0 for s in t) % 2 == parity]
                         necklaces = sorted({_least_rotation(t) for t in tuples})
                         bracelets = sorted({_least_dihedral(t) for t in tuples})
                         case = (link_type, budget, k, parity)
-                        assert _necklaces(values, k, budget, parity) == necklaces, case
-                        assert _necklaces(values, k, budget, parity, dihedral=True) == bracelets, case
+                        if k == 2:
+                            assert group(walked, k) == group(walked_bracelets, k) == [], case
+                            assert least_rotations(values, k, budget, parity) == necklaces, case
+                            assert necklaces == bracelets, case
+                        else:
+                            assert group(walked, k) == necklaces, case
+                            assert group(walked_bracelets, k) == bracelets, case
 
 
 class TestCountClasses:
@@ -248,42 +281,47 @@ class TestCountClasses:
         asked = []
         necklaces = tcodes._necklaces
 
-        def recording(values, k, budget, parity, dihedral=False, count=False):
-            asked.append((tuple(values), k, budget, parity, dihedral))
-            return necklaces(values, k, budget, parity, dihedral, count)
+        def recording(values, budget, parity, dihedral=False, count=False):
+            asked.append((tuple(values), budget, parity, dihedral))
+            return necklaces(values, budget, parity, dihedral, count)
 
         monkeypatch.setattr(tcodes, "_necklaces", recording)
         rows = class_counts(20)
         assert asked == []
         for c, _ in enumerate(rows, 1):
-            budgets = {budget for _, _, budget, _, _ in asked}
+            budgets = {budget for _, budget, _, _ in asked}
             # row c counts budget c, the first with 3 strips being 6, and none above
             assert max(budgets, default=0) <= c
             assert c < 6 or c in budgets
         assert len(set(asked)) == len(asked)
+        # one walk for each (type, budget), whatever the parity asked
+        assert len({(values, budget, dihedral) for values, budget, _, dihedral in asked}) \
+            == len(asked)
 
     def test_count_mode_counts_the_list(self):
         # with parity None, one walk counts both parities
         for link_type in (1, 2, 3):
             values = list(strip_values(link_type, 16))
             for budget in range(1, 17):
-                for k in range(2, budget // 2 + 2):
-                    for dihedral in (False, True):
-                        counts = []
-                        for parity in (0, 1):
-                            args = (values, k, budget, parity, dihedral)
-                            counts.append(_necklaces(*args, count=True))
-                            assert counts[-1] == len(_necklaces(*args)), (link_type, args[1:])
-                        pair = _necklaces(values, k, budget, None, dihedral, count=True)
-                        assert pair == tuple(counts), (link_type, k, budget, dihedral)
+                for dihedral in (False, True):
+                    counts = []
+                    for parity in (0, 1):
+                        args = (values, budget, parity, dihedral)
+                        pair = _necklaces(*args, count=True)
+                        listed = sum(map(len, _necklaces(*args)))
+                        assert pair[parity] == listed and pair[1 - parity] == 0, \
+                            (link_type, args[1:])
+                        counts.append(listed)
+                    pair = _necklaces(values, budget, None, dihedral, count=True)
+                    assert pair == tuple(counts), (link_type, budget, dihedral)
+                    assert sum(map(len, _necklaces(values, budget, None, dihedral))) == sum(counts)
 
     def test_all_negative_bracelets_match_type_2(self):
         # the identity that lets class_counts subtract p2 from type 3's
         # delta = 0 count: negation maps those bracelets onto the type 2 classes
         for c in range(1, 21):
             negative = [-s for s in range(c - c % 2, 1, -2)]
-            found = sum(len(_necklaces(negative, k, c, 0, dihedral=True))
-                        for k in range(3, c // 2 + 1))
+            found = sum(map(len, _necklaces(negative, c, 0, dihedral=True))) if negative else 0
             assert found == len(enumerate_classes(c, 2)), c
 
 
