@@ -6,9 +6,10 @@ Exit codes: 0 success, 1 argument error, 2 verification mismatch,
 that closes stdout early), 5 internal error (a failed exactness check,
 ``ArithmeticError``).
 
-Each command's options are described once, in ``_SPEC``.  ``_read_plain``
-reads a plain command line (``table --min 6 --max 80``: exact ``FLAG VALUE``
-pairs with well-formed values) directly from it.  Every other spelling
+Each command's help line, handler and options are described once, in
+``_SPEC``, and ``_run`` calls the handler from there.  ``_read_plain`` reads a
+plain command line (``table --min 6 --max 80``: exact ``FLAG VALUE`` pairs
+with well-formed values) directly from it.  Every other spelling
 (``-h``/``--help``, ``--max=8``, ``-c14``, an abbreviated flag, ``--``, a bad
 value, a missing or unknown command) goes to the argparse parser that
 ``_build_parser`` builds from the same table, so every help text, usage
@@ -57,36 +58,6 @@ class _Option(NamedTuple):
 
 _CEILING_HELP = "exhaustive-enumeration ceiling (default: %(default)s)"
 
-# Each command's help line and options: the one description that both
-# _read_plain and _build_parser read.
-_SPEC = {
-    "table": ("emit count rows for a crossing-number range", (
-        _Option("--min", "min_c", int, 6, metavar="N"),
-        _Option("--max", "max_c", int, 50, metavar="N"),
-        _Option("--format", "format", ("csv", "json"), "csv"),
-        _Option("--out", "out", str, metavar="PATH", help="output file (default: stdout)"),
-    )),
-    "count": ("print counts for one crossing number", (
-        _Option("-c", "c", int, required=True, metavar="N"),
-        _Option("--type", "type", ("1", "2", "3", "all"), "all"),
-    )),
-    "list": ("list canonical class representatives", (
-        _Option("-c", "c", int, required=True, metavar="N"),
-        _Option("--type", "type", ("1", "2", "3"), required=True),
-        _Option("--format", "format", ("lines", "json"), "lines"),
-        _Option("--ceiling", "ceiling", int, DEFAULT_ENUM_CEILING, metavar="N", help=_CEILING_HELP),
-    )),
-    "verify": ("check closed-form counts against exhaustive enumeration", (
-        _Option("--max", "max_c", int, 16, metavar="N"),
-        _Option("--ceiling", "ceiling", int, DEFAULT_ENUM_CEILING, metavar="N", help=_CEILING_HELP),
-    )),
-    "fit": ("least-squares exponential growth fit of the counts", (
-        _Option("--min", "min_c", int, 6, metavar="N"),
-        _Option("--max", "max_c", int, 50, metavar="N"),
-    )),
-}
-
-
 def _read_plain(argv: list[str]) -> SimpleNamespace | None:
     """The arguments of a plain command line, or None for any other.
 
@@ -99,7 +70,7 @@ def _read_plain(argv: list[str]) -> SimpleNamespace | None:
     """
     if not argv or argv[0] not in _SPEC or len(argv) % 2 == 0:
         return None
-    options = {option.flag: option for option in _SPEC[argv[0]][1]}
+    options = {option.flag: option for option in _SPEC[argv[0]][2]}
     values = {option.dest: option.default for option in options.values()}
     for flag, value in zip(argv[1::2], argv[2::2]):
         option = options.get(flag)
@@ -138,7 +109,7 @@ def _build_parser():
     parser = _Parser(prog="pretzeltab",
                      description="Tabulate alternating oriented pretzel links by crossing number.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (summary, options) in _SPEC.items():
+    for command, (summary, _, options) in _SPEC.items():
         command_parser = sub.add_parser(command, help=summary)
         for option in options:
             choices = None if option.kind in (int, str) else option.kind
@@ -181,9 +152,7 @@ def _cmd_count(args) -> int:
 def _cmd_list(args) -> int:
     from . import tcodes
 
-    link_type = int(args.type)
-    codes = (str(tcodes.TCode(link_type, delta, strips))
-             for delta, strips in tcodes.class_strips(args.c, link_type, ceiling=args.ceiling))
+    codes = map(str, tcodes.class_strips(args.c, int(args.type), ceiling=args.ceiling))
     write = sys.stdout.write
     if args.format == "lines":
         for code in codes:
@@ -231,12 +200,33 @@ def _cmd_fit(args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "table": _cmd_table,
-    "count": _cmd_count,
-    "list": _cmd_list,
-    "verify": _cmd_verify,
-    "fit": _cmd_fit,
+# Each command's help line, handler and options: the one table that _read_plain,
+# _build_parser and _run read.  Its order is the order of the subcommands in help.
+_SPEC = {
+    "table": ("emit count rows for a crossing-number range", _cmd_table, (
+        _Option("--min", "min_c", int, 6, metavar="N"),
+        _Option("--max", "max_c", int, 50, metavar="N"),
+        _Option("--format", "format", ("csv", "json"), "csv"),
+        _Option("--out", "out", str, metavar="PATH", help="output file (default: stdout)"),
+    )),
+    "count": ("print counts for one crossing number", _cmd_count, (
+        _Option("-c", "c", int, required=True, metavar="N"),
+        _Option("--type", "type", ("1", "2", "3", "all"), "all"),
+    )),
+    "list": ("list canonical class representatives", _cmd_list, (
+        _Option("-c", "c", int, required=True, metavar="N"),
+        _Option("--type", "type", ("1", "2", "3"), required=True),
+        _Option("--format", "format", ("lines", "json"), "lines"),
+        _Option("--ceiling", "ceiling", int, DEFAULT_ENUM_CEILING, metavar="N", help=_CEILING_HELP),
+    )),
+    "verify": ("check closed-form counts against exhaustive enumeration", _cmd_verify, (
+        _Option("--max", "max_c", int, 16, metavar="N"),
+        _Option("--ceiling", "ceiling", int, DEFAULT_ENUM_CEILING, metavar="N", help=_CEILING_HELP),
+    )),
+    "fit": ("least-squares exponential growth fit of the counts", _cmd_fit, (
+        _Option("--min", "min_c", int, 6, metavar="N"),
+        _Option("--max", "max_c", int, 50, metavar="N"),
+    )),
 }
 
 
@@ -248,7 +238,7 @@ def _run(argv: list[str] | None) -> int:
         except SystemExit as exc:
             return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        code = _COMMANDS[args.command](args)
+        code = _SPEC[args.command][1](args)
         sys.stdout.flush()
         return code
     except (ValueError, ResourceLimitError) as exc:

@@ -71,11 +71,12 @@ def exact_div(value: int, divisor: int, what: str) -> int:
     """value / divisor, raising ArithmeticError unless the division is exact.
 
     Guards every Burnside average and series division; unlike an assert, the
-    check also runs under ``python -O``.
+    check also runs under ``python -O``.  The message names the remainder, not
+    the dividend, which may have more digits than ``str`` converts.
     """
     quotient, rem = divmod(value, divisor)
     if rem:
-        raise ArithmeticError(f"{what}: {value} not divisible by {divisor}")
+        raise ArithmeticError(f"{what}: remainder {rem} on division by {divisor}")
     return quotient
 
 

@@ -7,39 +7,14 @@ and delta and their strip tuples agree up to rotation (type 1) or up to
 rotation and reversal (types 2 and 3).
 
 ``enumerate_classes`` is the brute-force ground truth that the closed-form
-counters in ``counts`` are checked against.  It reads ``class_strips``,
-which produces each class once, as its canonical form, by orderly
-generation: a prenecklace generator (Cattell, Ruskey, Sawada, Serra and
-Miers, J. Algorithms 37, 2000) extends only the prefixes that can still be
-the least rotation of a strip tuple.  One walk per (type, budget) serves
-every strip count k >= 3: the frame at position t closes the tuple of t + 1
-entries, since the budget fixes the size of the last entry, and extends the
-prefix while the budget leaves room for more, in one loop over the entry at
-t.  Both signs of the last entry are checked in that pass, one for each
-parity of the positive entries.  For types 2 and 3 a necklace is kept only
-when no rotation of its reversal is less, and, as in Sawada's bracelet
-generator (SIAM J. Comput. 31, 2001), the walk follows the reversal as the
-prefix grows.  Only a rotation that starts at the end of a run of the least
-entry m = a[1] as long as the leading run, of L entries, can be less, and
-the walk makes no run longer.  So three checks suffice: a[L+1] <= a[k]
-(else the reversal read back from a[L] is less), which bounds the last
-entry's size; a prefix is dropped when an inner run of L ends at t and
-a[t:0:-1] < a[1:t+1], and the run is kept as a tie when they are equal; at
-the last entry the leading run and each tie j compare the rest,
-a[j+1:k+1] <= a[k:j:-1], and most tuples are decided by a[L+1] < a[k]
-alone.  No tuple is built for the test.  Tuples of each strip count come
-out in lexicographic order, so no dedup set and no sort is needed.
-
-``class_counts`` counts the same classes with no tuple list held: the
-generator's count mode returns a tally.  The classes with delta horizontal
-twists at c are the tuples at budget c - delta, so each (type, budget) is
-walked once and shared by every row that needs it.  Only the last entry
-reads the parity, so one type 3 walk counts both parities: row c takes
-budget c's parity 0 count, and the parity 1 count goes to row c + 1.  The
-last row walks its budget at parity 0 only, since no row reads the other.
-Type 3's tuples at delta = 0 include the all-negative bracelets, which are
-no codes; negation maps them onto the type 2 classes at c, so p2 is
-subtracted.
+counters in ``counts`` are checked against: the list of ``class_strips``,
+which yields each class once, as its canonical ``TCode``, already in
+``list`` order, so no dedup set and no sort is needed.  ``class_counts``
+counts the same classes with no tuple held.  Both read ``_necklaces``, an
+orderly generator that walks each (type, budget) once for every strip count
+and extends only the prefixes that can still be the least rotation (for
+types 2 and 3, the least dihedral image) of a strip tuple; its docstring
+holds the walk in full.
 
 Enumeration grows exponentially with the crossing number, so it refuses to
 run above a ceiling (``ceiling`` argument, the CLI's ``--ceiling``), and
@@ -56,9 +31,11 @@ from .combinat import DEFAULT_ENUM_CEILING, MAX_C, ResourceLimitError
 
 
 def check_ceiling(c: int, ceiling: int) -> None:
-    """Refuse exhaustive enumeration at c crossings above the ceiling."""
+    """Refuse exhaustive enumeration at c crossings below 1 or above the ceiling."""
     if ceiling < 1:
         raise ValueError(f"the enumeration ceiling must be positive, got {ceiling}")
+    if c < 1:
+        raise ValueError(f"crossing number must be positive, got {c}")
     if c > ceiling:
         raise ResourceLimitError(
             f"exhaustive enumeration at {c} crossings exceeds the ceiling of {ceiling}"
@@ -133,8 +110,8 @@ def canonicalize(code: TCode) -> TCode:
     problem = violation(code)
     if problem is not None:
         raise ValueError(f"invalid code {code!r}: {problem}")
-    least = _least_rotation if code.link_type == 1 else _least_dihedral
-    return TCode(code.link_type, code.delta, least(code.strips))
+    least_form = _least_rotation if code.link_type == 1 else _least_dihedral
+    return TCode(code.link_type, code.delta, least_form(code.strips))
 
 
 def _necklaces(values: list[int], budget: int, parity: int | None, dihedral: bool = False,
@@ -146,21 +123,27 @@ def _necklaces(values: list[int], budget: int, parity: int | None, dihedral: boo
     lexicographic order.  With dihedral, only the bracelets among them: those
     no greater than any rotation of their reversal.  With count, no tuple is
     built and the pair (even, odd) of how many there are at parities 0 and 1
-    comes back, 0 for a parity not asked for.
+    comes back, 0 for a parity not asked for.  Values of size above budget
+    are never taken, and a budget below three entries of the least size
+    gives no tuple.
 
-    One walk serves every k.  Position t takes only values at least a[t - p],
-    p being the period of a[1..t-1], and its frame does two things for each
-    value x, in one loop.  It closes the tuple of k = t + 1 entries, whose
-    last entry has the size s left: the tuple is a necklace when that entry
-    is at least a[k - q] and, if equal, q divides k (q being the period with
-    x).  Both signs of the last entry are tried in the same pass: -s keeps
-    the parity of a[1..t], s flips it.  And it extends the prefix when s
-    leaves room for one more entry and the last, each at the least size or
-    at a[1] once that is positive (no entry is below a[1]).
+    The walk is a prenecklace generator (Cattell, Ruskey, Sawada, Serra and
+    Miers, J. Algorithms 37, 2000), and one walk serves every k.  Position t
+    takes only values at least a[t - p], p being the period of a[1..t-1], and
+    its frame does two things for each value x, in one loop.  It closes the
+    tuple of k = t + 1 entries, whose last entry has the size s left: the
+    tuple is a necklace when that entry is at least a[k - q] and, if equal,
+    q divides k (q being the period with x).  Both signs of the last entry
+    are tried in the same pass: -s keeps the parity of a[1..t], s flips it.
+    And it extends the prefix when s leaves room for one more entry and the
+    last, each at the least size or at a[1] once that is positive (no entry
+    is below a[1]).
 
-    A rotation of the reversal can be less than a necklace only if it starts
-    at the end of a run of m = a[1] as long as the leading run, of L entries;
-    the walk makes no run longer.  Three checks follow.  A bracelet has
+    For bracelets the walk follows the reversal as the prefix grows, as in
+    Sawada's bracelet generator (SIAM J. Comput. 31, 2001).  A rotation of
+    the reversal can be less than a necklace only if it starts at the end of
+    a run of m = a[1] as long as the leading run, of L entries; the walk
+    makes no run longer.  Three checks follow.  A bracelet has
     a[L+1] <= a[k], else the reversal read back from a[L] is less, so once
     a[L+1] is positive the last entry needs at least that size.  When placing
     m ends an inner run of L at position t, a[t:0:-1] < a[1:t+1] means the
@@ -171,16 +154,17 @@ def _necklaces(values: list[int], budget: int, parity: int | None, dihedral: boo
     settles for most tuples with one comparison.
     """
     # first[top + v] is bisect_left of v; for integers, first[top + v + 1] is
-    # bisect_right of v, so v is one of the values when the two differ
-    top = max(budget, -values[0])
+    # bisect_right of v, so v is one of the values when the two differ.  No
+    # entry, and so no v looked up, is of size above the budget.
+    top = budget
     first = [bisect_left(values, v) for v in range(-top, top + 2)]
-    least = min(map(abs, values))
+    least = min(map(abs, values), default=budget + 1)  # no values: no entry fits
     most = budget // least  # the most entries a tuple holds
     found = [[] for _ in range(most + 1)]
     tally = [0, 0]
     # the parities of a[1..t] at which a last entry -s, or s, misses the parity asked
     miss_neg, miss_pos = (2, 2) if parity is None else (1 - parity, parity)
-    a = [values[0]] * (most + 1)  # a[0] is a sentinel no entry is below
+    a = [0] * (most + 1)  # a[t] is the entry at position t >= 1
 
     def extend(t: int, p: int, rem: int, odd: int, lead: int, run: int,
                ties: tuple[int, ...]) -> None:
@@ -258,104 +242,84 @@ def _necklaces(values: list[int], budget: int, parity: int | None, dihedral: boo
     return tuple(tally) if count else found
 
 
-def _strip_values(link_type: int, top: int) -> tuple[list[int], int]:
-    """The sorted strip entries a code of the type may hold, of size at most
-    top, and the fewest crossings a strip takes."""
+def _strip_values(link_type: int, top: int) -> list[int]:
+    """The sorted strip entries a code of the type may hold, of size at most top."""
     if link_type == 1:
-        return list(range(3, top + 1, 2)), 3
+        return list(range(3, top + 1, 2))
     if link_type == 2:
-        return list(range(2, top + 1, 2)), 2
-    return list(range(-top + top % 2, -1, 2)) + list(range(2, top + 1)), 2
+        return list(range(2, top + 1, 2))
+    return list(range(-top + top % 2, -1, 2)) + list(range(2, top + 1))
 
 
 def class_strips(c: int, link_type: int,
-                 ceiling: int = DEFAULT_ENUM_CEILING) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Every equivalence class of the given type at crossing number c, as the
-    (delta, strips) of its canonical form, lazily and in ``list`` order.
+                 ceiling: int = DEFAULT_ENUM_CEILING) -> Iterator[TCode]:
+    """Every equivalence class of the given type at crossing number c, as its
+    canonical ``TCode``, lazily and in ``list`` order.
 
     Each class comes once, ordered by (delta, strip count, strips).  Only
     positive type 1 and type 2 codes are generated (one link per mirror
     pair).  For each delta, ascending, one ``_necklaces`` walk of budget c -
-    delta lists, for every strip count k, the strip tuples that are their own
-    least rotation, for types 2 and 3 only the bracelets, in lexicographic
-    order, and the lists are read by k, ascending.  Types 1 and 2 ask for
-    either parity, since all their entries are positive; type 3 asks for
-    delta % 2 and keeps those whose positive strip count k1 makes delta + k1
-    even and at least 2: exactly the canonical forms, already in output
-    order.  One budget's classes are held at a time.
+    delta lists the canonical strip tuples by strip count, and the lists are
+    read in that order.  Types 1 and 2 ask for either parity, since all their
+    entries are positive; type 3 asks for delta % 2 and drops, at delta = 0,
+    the all-negative tuples, whose delta + k1 is below 2.  One budget's
+    classes are held at a time.
 
-    Refuses c above the enumeration ceiling (``check_ceiling``) when the
-    first class is asked for.
+    Refuses c below 1 or above the enumeration ceiling (``check_ceiling``)
+    when the first class is asked for.
     """
-    if c < 1:
-        raise ValueError(f"crossing number must be positive, got {c}")
     if link_type not in (1, 2, 3):
         raise ValueError(f"link type must be 1, 2 or 3, got {link_type}")
     check_ceiling(c, ceiling)
-    values, least = _strip_values(link_type, c)
+    values = _strip_values(link_type, c)
     for delta in range(1 if link_type == 2 else c):
-        if c - delta < 3 * least:
-            break  # no three strips fit
         parity = delta % 2 if link_type == 3 else None
         for group in _necklaces(values, c - delta, parity, dihedral=link_type > 1):
             for strips in group:
                 if link_type == 3 and not delta and max(strips) < 0:
                     continue  # k1 = 0: delta + k1 is below 2
-                yield delta, strips
+                yield TCode(link_type, delta, strips)
 
 
 def enumerate_classes(c: int, link_type: int, ceiling: int = DEFAULT_ENUM_CEILING) -> list[TCode]:
     """All equivalence classes of the given type at crossing number c, as
     canonical ``TCode``s in ``class_strips`` order."""
-    return [TCode(link_type, delta, strips)
-            for delta, strips in class_strips(c, link_type, ceiling)]
-
-
-def _budget_count(link_type: int, budget: int,
-                  parity: int | None = None) -> tuple[int, int]:
-    """The pair (even, odd) of strip tuples that ``class_strips`` draws from
-    ``_necklaces`` for the type at one budget, over every strip count k >= 3
-    in one walk, by the parity of their positive entries, 0 for a parity not
-    asked for.  Type 3's tuples include the all-negative ones; a type 1 or 2
-    tuple has parity k % 2, so its pair sums to all of them."""
-    values, least = _strip_values(link_type, budget)
-    if budget < 3 * least:  # no three strips fit
-        return 0, 0
-    return _necklaces(values, budget, parity, dihedral=link_type > 1, count=True)
+    return list(class_strips(c, link_type, ceiling))
 
 
 def class_counts(max_c: int,
                  ceiling: int = DEFAULT_ENUM_CEILING) -> Iterator[tuple[int, int, int]]:
     """The lengths of ``enumerate_classes`` for types 1, 2 and 3, one triple per
     c = 1..max_c, each counted when asked for.  Refuses, when called, max_c
-    above the ceiling or below 1.
+    below 1 or above the ceiling.
 
-    Each (type, budget) is walked once, by ``_budget_count``, and row c
-    walks only budget c: p1 sums type 1 over the budgets up to c, p2 is type
-    2 at c, and p3 sums type 3 over the budgets b up to c at parity c - b,
-    less p2 for the all-negative bracelets at delta = 0 (k1 = 0, so delta +
-    k1 is below 2), which negation maps one to one onto the type 2 classes
-    at c.  One type 3 walk counts both parities of budget c: parity 0 for
-    row c and parity 1, carried, for row c + 1.  Row max_c walks its budget
-    at parity 0 alone.
+    Each (type, budget) is walked once, by ``_necklaces``' count mode, and
+    row c walks only budget c: p1 sums type 1 over the budgets up to c, p2
+    is type 2 at c, and p3 sums type 3 over the budgets b up to c at parity
+    c - b, less p2 for the all-negative bracelets at delta = 0 (k1 = 0, so
+    delta + k1 is below 2), which negation maps one to one onto the type 2
+    classes at c.  One type 3 walk counts both parities of budget c: parity
+    0 for row c and parity 1, carried, for row c + 1.  Row max_c walks its
+    budget at parity 0 alone.  A type 1 or 2 tuple has parity k % 2, so the
+    two counts of a walk at either parity sum to all of them.
     """
     check_ceiling(max_c, ceiling)
-    if max_c < 1:
-        raise ValueError(f"crossing number must be positive, got {max_c}")
     return _rows(max_c)
 
 
 def _rows(max_c: int) -> Iterator[tuple[int, int, int]]:
+    values1, values2, values3 = (_strip_values(link_type, max_c) for link_type in (1, 2, 3))
     p1 = 0
     # p3[c % 2] sums type 3 over the budgets b <= c at parity c - b, the
     # all-negative tuples included; odd is budget c - 1's count at parity 1
     p3 = [0, 0]
     odd = 0
     for c in range(1, max_c + 1):
-        p1 += sum(_budget_count(1, c))
-        p2 = sum(_budget_count(2, c))
+        p1 += sum(_necklaces(values1, c, None, count=True))
+        p2 = sum(_necklaces(values2, c, None, dihedral=True, count=True))
         # no row reads the top budget at parity 1
-        even, carried = _budget_count(3, c, None if c < max_c else 0)
+        even, carried = _necklaces(values3, c, None if c < max_c else 0, dihedral=True,
+                                   count=True)
         p3[c % 2] += even + odd
         odd = carried
         yield p1, p2, p3[c % 2] - p2

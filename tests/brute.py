@@ -1,16 +1,17 @@
-"""Brute-force reference counters that the tests check the closed forms against.
+"""Brute-force references that the tests check the closed forms and the oracle against.
 
-Each builds the objects it counts, or asks the oracle's generator in
+Each counter builds the objects it counts, or asks the oracle's generator in
 ``tcodes`` for them, and shares no arithmetic with the Burnside counters.
 The exception is ``count_type1_alt``, a second route to the type 1 count: it
 sums ``necklaces.necklace_count`` in another order than ``counts.columns``
-sums its series.
+sums its series.  ``orbit`` lists the images of a code under rotation and,
+for types 2 and 3, reversal, which ``canonicalize`` must map to one form.
 """
 from itertools import combinations
 from operator import itemgetter
 
 from pretzeltab.necklaces import _check_point_c, necklace_count
-from pretzeltab.tcodes import _least_dihedral, _least_rotation, _necklaces
+from pretzeltab.tcodes import TCode, _least_dihedral, _least_rotation, _necklaces
 
 
 def compositions(n, k):
@@ -96,6 +97,15 @@ def signed_class_count(n1, k1, n2, k2):
         return 0  # the empty tuple is no pretzel code
     return len({_least_dihedral(t) for t in interleavings(n1, k1, n2, k2)
                 if t[0] == min(t) and (k < 2 or t[1] <= t[-1])})
+
+
+def orbit(code):
+    """Every rotation of the code's strips and, for types 2 and 3, of their
+    reversal, as ``TCode``s: the images that ``canonicalize`` maps to one form."""
+    k = len(code.strips)
+    bases = (code.strips,) if code.link_type == 1 else (code.strips, code.strips[::-1])
+    return [TCode(code.link_type, code.delta, (base + base)[i:i + k])
+            for base in bases for i in range(k)]
 
 
 def count_type1_alt(c: int) -> int:

@@ -1,6 +1,6 @@
 import pytest
 
-from pretzeltab.combinat import binom, composition_count, totient
+from pretzeltab.combinat import binom, composition_count, exact_div, totient
 
 from brute import compositions
 
@@ -36,6 +36,14 @@ class TestTotient:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             totient(0)
+
+
+class TestExactDiv:
+    def test_names_the_remainder_of_a_huge_dividend(self):
+        # the dividend has more digits than str() converts: still ArithmeticError
+        with pytest.raises(ArithmeticError) as excinfo:
+            exact_div(10**5000 + 1, 2, "x")
+        assert str(excinfo.value) == "x: remainder 1 on division by 2"
 
 
 class TestBinom:

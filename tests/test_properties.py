@@ -13,7 +13,7 @@ from pretzeltab.signed_bracelets import signed_bracelet_count
 from pretzeltab.tcodes import (
     TCode, _least_dihedral, _least_rotation, _necklaces, _strip_values, canonicalize, violation)
 
-from brute import least_rotations, signed_class_count
+from brute import least_rotations, orbit, signed_class_count
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=200)
 
@@ -56,14 +56,6 @@ def walk_params(draw):
     return link_type, budget, draw(st.integers(3, budget // 2)), draw(st.integers(0, 1))
 
 
-def orbit(code):
-    """Every rotation of the code's strips and, for types 2 and 3, of their reversal."""
-    k = len(code.strips)
-    bases = (code.strips,) if code.link_type == 1 else (code.strips, code.strips[::-1])
-    return [TCode(code.link_type, code.delta, (base + base)[i:i + k])
-            for base in bases for i in range(k)]
-
-
 @PROPERTY
 @given(signed_params())
 @example((5, 3, 0, 0))
@@ -103,7 +95,7 @@ def test_canonical_form_starts_with_its_least_entry(code):
 @example((3, 13, 5, 0))  # the same with an odd k
 def test_dihedral_walk_keeps_exactly_the_bracelets(params):
     link_type, budget, k, parity = params
-    values, _ = _strip_values(link_type, budget)
+    values = _strip_values(link_type, budget)
     necklaces = _necklaces(values, budget, parity)[k]
     # both walks share the parity test, so the necklaces are checked on their own
     assert necklaces == least_rotations(values, k, budget, parity)
@@ -118,7 +110,7 @@ def test_two_strips_come_from_the_brute_force(params):
     # the walk closes only k >= 3; composition_class_count takes k = 2 from
     # least_rotations, whose pairs are all bracelets
     link_type, budget, k, parity = params
-    values, _ = _strip_values(link_type, budget)
+    values = _strip_values(link_type, budget)
     assert _necklaces(values, budget, parity)[k] == []
     pairs = [t for t in product(values, repeat=k)
              if sum(map(abs, t)) == budget and sum(s > 0 for s in t) % 2 == parity]
