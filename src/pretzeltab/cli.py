@@ -13,7 +13,10 @@ with well-formed values) directly from it.  Every other spelling
 (``-h``/``--help``, ``--max=8``, ``-c14``, an abbreviated flag, ``--``, a bad
 value, a missing or unknown command) goes to the argparse parser that
 ``_build_parser`` builds from the same table, so every help text, usage
-error and exit code comes from argparse, which is imported only then.
+error and exit code comes from argparse, which is imported only then.  An
+option's dest and metavar are derived, not listed: the dest is the flag
+without its dashes, as argparse names it (``--min`` is ``args.min``), and the
+metavar is ``N`` for an int and ``PATH`` for a path.
 
 Each command imports only the modules it runs: ``table`` and ``count`` never
 load the oracle in ``tcodes`` or the fit.
@@ -48,11 +51,9 @@ CSV_HEADER = ",".join(counts.CountRow._fields)
 
 class _Option(NamedTuple):
     flag: str
-    dest: str
     kind: type | tuple[str, ...]  # int, str, or the choices of a str
     default: object = None
     required: bool = False
-    metavar: str | None = None
     help: str | None = None
 
 
@@ -71,7 +72,7 @@ def _read_plain(argv: list[str]) -> SimpleNamespace | None:
     if not argv or argv[0] not in _SPEC or len(argv) % 2 == 0:
         return None
     options = {option.flag: option for option in _SPEC[argv[0]][2]}
-    values = {option.dest: option.default for option in options.values()}
+    values = {flag: option.default for flag, option in options.items()}
     for flag, value in zip(argv[1::2], argv[2::2]):
         option = options.get(flag)
         if option is None or not value or value[0] == "-":
@@ -85,11 +86,12 @@ def _read_plain(argv: list[str]) -> SimpleNamespace | None:
                 return None
         elif option.kind is not str and value not in option.kind:
             return None
-        values[option.dest] = value
+        values[flag] = value
     # a required option has no default, and no value read is None
-    if any(values[option.dest] is None for option in options.values() if option.required):
+    if any(values[flag] is None for flag, option in options.items() if option.required):
         return None
-    return SimpleNamespace(command=argv[0], **values)
+    return SimpleNamespace(command=argv[0], **{flag.lstrip("-"): value
+                                               for flag, value in values.items()})
 
 
 def _build_parser():
@@ -115,13 +117,13 @@ def _build_parser():
             choices = None if option.kind in (int, str) else option.kind
             command_parser.add_argument(
                 option.flag, type=int if option.kind is int else None, choices=choices,
-                default=option.default, required=option.required, dest=option.dest,
-                metavar=option.metavar, help=option.help)
+                default=option.default, required=option.required,
+                metavar={int: "N", str: "PATH"}.get(option.kind), help=option.help)
     return parser
 
 
 def _cmd_table(args) -> int:
-    rows = counts.count_rows(args.min_c, args.max_c)
+    rows = counts.count_rows(args.min, args.max)
     if args.format == "csv":
         text = "\n".join([CSV_HEADER, *(",".join(map(str, row)) for row in rows)]) + "\n"
     else:
@@ -166,8 +168,8 @@ def _cmd_verify(args) -> int:
     from . import tcodes
 
     # first, so that an oversized --max meets the enumeration ceiling, not MAX_C
-    enumerated_rows = tcodes.class_counts(args.max_c, ceiling=args.ceiling)
-    columns = counts.columns(args.max_c)
+    enumerated_rows = tcodes.class_counts(args.max, ceiling=args.ceiling)
+    columns = counts.columns(args.max)
     failures = []
     write = sys.stdout.write
     write("   c  type     formula  enumerated  result\n")
@@ -178,7 +180,7 @@ def _cmd_verify(args) -> int:
                 failures.append(f"c={c} type {link_type} (formula {formula}, enumerated {enumerated})")
             write(f"{c:4d}  {link_type:4d}  {formula:10d}  {enumerated:10d}  "
                   f"{'PASS' if formula == enumerated else 'FAIL'}\n")
-    checks = 3 * args.max_c
+    checks = 3 * args.max
     write(f"verify: {checks - len(failures)}/{checks} checks passed\n")
     if failures:
         print(f"pretzeltab verify: first failure at {failures[0]}", file=sys.stderr)
@@ -189,7 +191,7 @@ def _cmd_verify(args) -> int:
 def _cmd_fit(args) -> int:
     from .fit import fit_growth
 
-    result = fit_growth(args.min_c, args.max_c)
+    result = fit_growth(args.min, args.max)
     write = sys.stdout.write
     write("model: p(c) ~ a * exp(b * c)\n")
     write(f"range: c = {result.c_min}..{result.c_max} ({result.n_points} points)\n")
@@ -204,28 +206,28 @@ def _cmd_fit(args) -> int:
 # _build_parser and _run read.  Its order is the order of the subcommands in help.
 _SPEC = {
     "table": ("emit count rows for a crossing-number range", _cmd_table, (
-        _Option("--min", "min_c", int, 6, metavar="N"),
-        _Option("--max", "max_c", int, 50, metavar="N"),
-        _Option("--format", "format", ("csv", "json"), "csv"),
-        _Option("--out", "out", str, metavar="PATH", help="output file (default: stdout)"),
+        _Option("--min", int, 6),
+        _Option("--max", int, 50),
+        _Option("--format", ("csv", "json"), "csv"),
+        _Option("--out", str, help="output file (default: stdout)"),
     )),
     "count": ("print counts for one crossing number", _cmd_count, (
-        _Option("-c", "c", int, required=True, metavar="N"),
-        _Option("--type", "type", ("1", "2", "3", "all"), "all"),
+        _Option("-c", int, required=True),
+        _Option("--type", ("1", "2", "3", "all"), "all"),
     )),
     "list": ("list canonical class representatives", _cmd_list, (
-        _Option("-c", "c", int, required=True, metavar="N"),
-        _Option("--type", "type", ("1", "2", "3"), required=True),
-        _Option("--format", "format", ("lines", "json"), "lines"),
-        _Option("--ceiling", "ceiling", int, DEFAULT_ENUM_CEILING, metavar="N", help=_CEILING_HELP),
+        _Option("-c", int, required=True),
+        _Option("--type", ("1", "2", "3"), required=True),
+        _Option("--format", ("lines", "json"), "lines"),
+        _Option("--ceiling", int, DEFAULT_ENUM_CEILING, help=_CEILING_HELP),
     )),
     "verify": ("check closed-form counts against exhaustive enumeration", _cmd_verify, (
-        _Option("--max", "max_c", int, 16, metavar="N"),
-        _Option("--ceiling", "ceiling", int, DEFAULT_ENUM_CEILING, metavar="N", help=_CEILING_HELP),
+        _Option("--max", int, 16),
+        _Option("--ceiling", int, DEFAULT_ENUM_CEILING, help=_CEILING_HELP),
     )),
     "fit": ("least-squares exponential growth fit of the counts", _cmd_fit, (
-        _Option("--min", "min_c", int, 6, metavar="N"),
-        _Option("--max", "max_c", int, 50, metavar="N"),
+        _Option("--min", int, 6),
+        _Option("--max", int, 50),
     )),
 }
 

@@ -1,13 +1,13 @@
 """Exact integer combinatorics shared by all counters, and the shared limits.
 
 Everything here is pure, exact (Python big integers throughout) and safe to
-call concurrently.  ``composition_count`` is the one place that gives the
-empty family (n = k = 0) its one composition.  The shared limits,
-``ResourceLimitError``, ``DEFAULT_ENUM_CEILING`` and ``MAX_C``, live here
-too, in the base module that the others build on, so that ``counts`` and the
-CLI can refuse oversized work without loading the oracle in ``tcodes``.  The
-tests enumerate compositions themselves (``tests/brute.py``); nothing here
-does.
+call concurrently.  Each shared rule has its one copy here: ``exact_div``
+checks that a division is exact, ``check_c`` refuses a crossing number below
+1, and ``composition_count`` gives the empty family (n = k = 0) its one
+composition.  The shared limits, ``ResourceLimitError``,
+``DEFAULT_ENUM_CEILING`` and ``MAX_C``, live here too, in the base module that
+the others build on, so that ``counts`` and the CLI can refuse oversized work
+without loading the oracle in ``tcodes``.
 """
 from __future__ import annotations
 
@@ -32,6 +32,12 @@ MAX_C = 10_000
 
 class ResourceLimitError(RuntimeError):
     """Raised when a computation would exceed its size ceiling."""
+
+
+def check_c(c: int) -> None:
+    """Refuse a crossing number below 1: every entry point that takes one calls this."""
+    if c < 1:
+        raise ValueError(f"crossing number must be positive, got {c}")
 
 
 @lru_cache(maxsize=None)

@@ -25,15 +25,10 @@ the paper's per-point formula.
 """
 from __future__ import annotations
 
-from itertools import accumulate, product
+from itertools import accumulate, product, repeat
 from typing import NamedTuple
 
-from .combinat import MAX_C, ResourceLimitError, totient
-
-
-def _check_c(c: int) -> None:
-    if c < 1:
-        raise ValueError(f"crossing number must be positive, got {c}")
+from .combinat import MAX_C, ResourceLimitError, check_c, exact_div, totient
 
 
 # Truncated power series are lists of coefficients, constant term first.  A
@@ -71,16 +66,6 @@ def _div(a: list[int], b: list[int], n: int, *ks: int) -> list[int]:
     return out
 
 
-def _exact(values, divisors, what: str) -> list[int]:
-    """values[i] / divisors[i], raising ArithmeticError unless exact: the check
-    of ``combinat.exact_div`` (also under ``python -O``) without a call per value."""
-    quotients, rems = zip(*map(divmod, values, divisors))
-    if any(rems):
-        i = rems.index(next(filter(None, rems)))
-        raise ArithmeticError(f"{what}: remainder {rems[i]} on division by {divisors[i]}")
-    return list(quotients)
-
-
 def _cyclic_sums(n: int) -> list[list[int]]:
     """[x^c] sum_{k>=1} Z(C_k) = (1/c) sum_{d | c} phi(d) h^(d)_{c/d} for c < n,
     with p_d <- f(x^d) for f = Q, P + N, N - P and N, but P + N for N - P at
@@ -101,7 +86,7 @@ def _cyclic_sums(n: int) -> list[list[int]]:
             minus[t] += f * (r if d % 2 else p)
             zero[t] += f * z
     for h in series:
-        h[1:] = _exact(h[1:], range(1, n), "cyclic sum")
+        h[1:] = map(exact_div, h[1:], range(1, n), repeat("cyclic sum"))
     return series
 
 
@@ -125,7 +110,7 @@ def _dihedral(cyclic: list[int], a: list[int], a2: list[int], n: int) -> list[in
     num = _low(a, a2)
     mirrored = _div(num, _poly((_D2, [1]), (_stretch(a2), [-1])), n, 2)  # low/(1 - p2)
     sums = [2 * (cyc - lo) + mir for cyc, lo, mir in zip(cyclic, _div(num, [1], n, 2, 4), mirrored)]
-    return _exact(sums, (4,) * n, "dihedral sum")
+    return list(map(exact_div, sums, repeat(4), repeat("dihedral sum")))
 
 
 def columns(max_c: int) -> tuple[list[int], list[int], list[int]]:
@@ -143,7 +128,7 @@ def columns(max_c: int) -> tuple[list[int], list[int], list[int]]:
     Index c of each list is the count at crossing number c.  Refuses max_c
     above MAX_C.
     """
-    _check_c(max_c)
+    check_c(max_c)
     if max_c > MAX_C:
         raise ResourceLimitError(
             f"counts up to {max_c} crossings exceed the limit of {MAX_C} (counts.MAX_C)")
@@ -155,8 +140,8 @@ def columns(max_c: int) -> tuple[list[int], list[int], list[int]]:
     sums = [v + w - 2 * v2 for v, w, v2 in zip(
         accumulate(b1), accumulate(b_minus1, lambda s, v: v - s), p2)]
     halves = [2 * cyc - lo for cyc, lo in zip(series.pop(), _div(_low(_Q, _Q), [1], n, 2, 4))]
-    return (list(accumulate(_exact(halves, (2,) * n, "cyclic sum"))), p2,
-            _exact(sums, (2,) * n, "parity average"))
+    return (list(accumulate(map(exact_div, halves, repeat(2), repeat("cyclic sum")))), p2,
+            list(map(exact_div, sums, repeat(2), repeat("parity average"))))
 
 
 class CountRow(NamedTuple):
@@ -172,7 +157,7 @@ class CountRow(NamedTuple):
 
 def count_rows(min_c: int, max_c: int) -> list[CountRow]:
     """Rows for min_c <= c <= max_c, all read from one ``columns(max_c)``."""
-    _check_c(min_c)
+    check_c(min_c)
     if min_c > max_c:
         raise ValueError(f"need min_c <= max_c, got {min_c} > {max_c}")
     p1, p2, p3 = columns(max_c)

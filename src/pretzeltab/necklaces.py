@@ -22,7 +22,7 @@ import math
 from itertools import accumulate
 from typing import Iterator, NamedTuple
 
-from .combinat import ResourceLimitError, binom, composition_count, exact_div, totient
+from .combinat import ResourceLimitError, binom, check_c, composition_count, exact_div, totient
 
 # Largest c that the per-point route accepts, a bound on time: point_columns
 # walks its O(c^4) type 3 families one at a time.  In a fresh process it takes
@@ -121,8 +121,7 @@ class Type3Params(NamedTuple):
 
 
 def _check_point_c(c: int) -> None:
-    if c < 1:
-        raise ValueError(f"crossing number must be positive, got {c}")
+    check_c(c)
     if c > POINT_MAX_C:
         raise ResourceLimitError(f"the per-point route at {c} crossings exceeds the limit "
                                  f"of {POINT_MAX_C} (necklaces.POINT_MAX_C)")

@@ -27,15 +27,14 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Iterator, NamedTuple
 
-from .combinat import DEFAULT_ENUM_CEILING, MAX_C, ResourceLimitError
+from .combinat import DEFAULT_ENUM_CEILING, MAX_C, ResourceLimitError, check_c
 
 
 def check_ceiling(c: int, ceiling: int) -> None:
     """Refuse exhaustive enumeration at c crossings below 1 or above the ceiling."""
     if ceiling < 1:
         raise ValueError(f"the enumeration ceiling must be positive, got {ceiling}")
-    if c < 1:
-        raise ValueError(f"crossing number must be positive, got {c}")
+    check_c(c)
     if c > ceiling:
         raise ResourceLimitError(
             f"exhaustive enumeration at {c} crossings exceeds the ceiling of {ceiling}"

@@ -63,8 +63,10 @@ def benchmark_commands() -> list[list[str]]:
 
 
 def ci_commands() -> list[list[str]]:
-    """The CLI arguments of each `pretzeltab` call in CI's console-script step,
-    up to its first redirection, pipe, `;`, `)` or line end."""
+    """The CLI arguments of each `pretzeltab` or `-m pretzeltab.cli` call in
+    CI's console-script step, up to its first redirection, pipe, `;`, `)` or
+    line end."""
     workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
     step = workflow.split("name: Console script", 1)[1]
-    return [shlex.split(call) for call in re.findall(r"\bpretzeltab\b([^;|>)\n]*)", step)]
+    return [shlex.split(call)
+            for call in re.findall(r"\bpretzeltab(?:\.cli)?\b([^;|>)\n]*)", step)]

@@ -264,6 +264,19 @@ class TestParsing:
         assert main(["--help"]) == EXIT_OK
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command, usage", [
+        ("table", "[-h] [--min N] [--max N] [--format {csv,json}] [--out PATH]"),
+        ("count", "[-h] -c N [--type {1,2,3,all}]"),
+        ("list", "[-h] -c N --type {1,2,3} [--format {lines,json}] [--ceiling N]"),
+        ("verify", "[-h] [--max N] [--ceiling N]"),
+        ("fit", "[-h] [--min N] [--max N]"),
+    ])
+    def test_usage_names_each_value(self, command, usage, monkeypatch):
+        # wide enough that no usage line wraps
+        monkeypatch.setenv("COLUMNS", "200")
+        subparsers = cli._build_parser()._subparsers._group_actions[0]
+        assert subparsers.choices[command].format_usage() == f"usage: pretzeltab {command} {usage}\n"
+
 
 class TestReadme:
     def test_examples_print_what_the_readme_shows(self, capsys):

@@ -1,6 +1,9 @@
 import pytest
 
 from pretzeltab.combinat import binom, composition_count, exact_div, totient
+from pretzeltab.counts import columns, count_rows
+from pretzeltab.necklaces import point_columns, type3_params
+from pretzeltab.tcodes import class_counts, enumerate_classes
 
 from brute import compositions
 
@@ -44,6 +47,26 @@ class TestExactDiv:
         with pytest.raises(ArithmeticError) as excinfo:
             exact_div(10**5000 + 1, 2, "x")
         assert str(excinfo.value) == "x: remainder 1 on division by 2"
+
+
+# Each public entry point that takes a crossing number, called at c.
+CROSSING_ENTRY_POINTS = {
+    "columns": columns,
+    "count_rows": lambda c: count_rows(c, 6),
+    "point_columns": point_columns,
+    "type3_params": type3_params,
+    "enumerate_classes": lambda c: enumerate_classes(c, 3),
+    "class_counts": class_counts,
+}
+
+
+class TestCheckC:
+    @pytest.mark.parametrize("c", [0, -1])
+    @pytest.mark.parametrize("entry", CROSSING_ENTRY_POINTS)
+    def test_every_entry_point_refuses_with_one_message(self, entry, c):
+        with pytest.raises(ValueError) as excinfo:
+            CROSSING_ENTRY_POINTS[entry](c)
+        assert str(excinfo.value) == f"crossing number must be positive, got {c}"
 
 
 class TestBinom:
