@@ -24,8 +24,6 @@ load the oracle in ``tcodes`` or the fit.
 A process that runs ``main`` ends without the interpreter's exit-time garbage
 collection (``gc.freeze`` at exit); library calls are not affected.
 """
-from __future__ import annotations
-
 import atexit
 import gc
 # Kept at the top: perfbench/child.py imports json right after this module, so

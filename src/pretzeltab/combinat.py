@@ -9,8 +9,6 @@ composition.  The shared limits, ``ResourceLimitError``,
 the others build on, so that ``counts`` and the CLI can refuse oversized work
 without loading the oracle in ``tcodes``.
 """
-from __future__ import annotations
-
 import math
 from functools import lru_cache
 

@@ -23,8 +23,6 @@ up the cyclic divisor sums of all four strip families, O(C log C) in all.
 ``count_row`` and ``count_rows`` read from it; the tests check it against
 the paper's per-point formula.
 """
-from __future__ import annotations
-
 from itertools import accumulate, product, repeat
 from typing import NamedTuple
 

@@ -1,6 +1,4 @@
 """Exponential growth fit p(c) ~ a * exp(b * c) for the link counts."""
-from __future__ import annotations
-
 import math
 import statistics
 from typing import Iterable, NamedTuple, Sequence

@@ -16,8 +16,6 @@ admissible parameter point, one walk over the O(C^4) type 3 strip families
 for all c <= C at once.  It is the tests' independent check of
 ``counts.columns`` and refuses C above POINT_MAX_C.
 """
-from __future__ import annotations
-
 import math
 from itertools import accumulate
 from typing import Iterator, NamedTuple

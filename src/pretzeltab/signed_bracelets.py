@@ -6,8 +6,6 @@ counts arrangements up to rotation and reversal of the k1 + k2 positions, from
 the rotation and reflection sums of ``necklaces``, whose axis beads may come
 from either family.
 """
-from __future__ import annotations
-
 from .necklaces import _bracelets
 
 

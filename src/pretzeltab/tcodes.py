@@ -22,8 +22,6 @@ run above a ceiling (``ceiling`` argument, the CLI's ``--ceiling``), and
 module holds the oracle only; the tests' brute-force orbit counters live in
 ``tests/brute.py``.
 """
-from __future__ import annotations
-
 from bisect import bisect_left
 from typing import Iterator, NamedTuple
 
@@ -165,12 +163,14 @@ def _necklaces(values: list[int], budget: int, parity: int | None, dihedral: boo
     miss_neg, miss_pos = (2, 2) if parity is None else (1 - parity, parity)
     a = [0] * (most + 1)  # a[t] is the entry at position t >= 1
 
-    def extend(t: int, p: int, rem: int, odd: int, lead: int, run: int,
-               ties: tuple[int, ...]) -> None:
-        # lead is the run of m = a[1] that starts a[1..t-1], and is final once
-        # it is below t - 1; run is the run of m that ends a[t-1] after it;
-        # ties are the ends j of the inner runs of m as long as lead whose
-        # reversal a[j:0:-1] equals a[1:j+1]
+    def extend(t, p, rem, odd, lead, run, ties):
+        # t is the position to fill, p the period of a[1..t-1], rem the size
+        # left for the entries from position t on, and odd the parity of the
+        # count of positive entries in a[1..t-1]; lead is the run of m = a[1]
+        # that starts a[1..t-1], and is final once it is below t - 1; run is
+        # the run of m that ends a[t-1] after it; ties are the ends j of the
+        # inner runs of m as long as lead whose reversal a[j:0:-1] equals
+        # a[1:j+1]
         m = a[1]
         floor = m if m > least else least  # the least size of the entries after position t
         last = floor  # and of the last entry

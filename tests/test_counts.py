@@ -1,5 +1,6 @@
 import hashlib
 import math
+from decimal import Decimal, localcontext
 
 import pytest
 
@@ -15,6 +16,21 @@ from pretzeltab.tcodes import ResourceLimitError, enumerate_classes
 
 from brute import count_type1_alt
 from reference_data import COUNT_TABLE
+
+
+def log_gap(p, c):
+    """|ln p - ln p~(c)| at 60 digits, where p~(c) = rho^-c sum_{j<c} rho^j / (c - j) / 4
+    and rho is the root in (0, 1) of rho^3 + 3 rho^2 - 1 (1/rho = 2 cos(pi/9))."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        rho = Decimal(1 / (2 * math.cos(math.pi / 9)))
+        for _ in range(3):  # Newton's method: 16 digits, then 32, 64 and 128
+            rho -= (rho ** 3 + 3 * rho ** 2 - 1) / (3 * rho ** 2 + 6 * rho)
+        total, power = Decimal(0), Decimal(1)
+        for j in range(c):
+            total += power / (c - j)
+            power *= rho
+        return abs(Decimal(p).ln() - (total.ln() - c * rho.ln() - Decimal(4).ln()))
 
 
 class TestType3Params:
@@ -133,9 +149,17 @@ class TestColumns:
             assert p2[2 * n] == burnside // (2 * n) - 2 - n // 2, n
             assert p2[2 * n - 1] == 0, n
 
+    def test_total_follows_its_asymptotic_form_up_to_max_c(self):
+        # an independent check of p = p1 + p2 + p3 where no other route reaches:
+        # by c = 1,000 the only gap left is the 60-digit rounding
+        p1, p2, p3 = columns(MAX_C)
+        bounds = {150: "1e-12", 200: "1e-17", 1000: "1e-40", 5000: "1e-40", MAX_C: "1e-40"}
+        for c, bound in bounds.items():
+            assert log_gap(p1[c] + p2[c] + p3[c], c) < Decimal(bound), c
+
     def test_digest_up_to_2000(self):
         # the decimal text of all three columns, as the column route gave it
-        # before it computed each series once; no other check reaches c > 150
+        # before it computed each series once
         text = "\n".join(",".join(map(str, column)) for column in columns(2000))
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "343c0affd4d55a535bd15c4ce6e6501911e77dd12d995ad21d014ef34fc2973b")

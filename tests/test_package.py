@@ -32,6 +32,11 @@ class TestImports:
         assert "pretzeltab.cli" in loaded
         assert not loaded & {"dataclasses", "pretzeltab.tcodes", "pretzeltab.fit"}
 
+    def test_cli_loads_no_future(self):
+        # every annotation the package writes is evaluated natively, so no
+        # module defers them; a site hook may load __future__ before any import
+        assert "__future__" not in loaded_after("import pretzeltab.cli") - loaded_after("")
+
     def test_package_loads_no_submodule(self):
         loaded = loaded_after("import pretzeltab")
         assert "pretzeltab" in loaded
@@ -47,11 +52,13 @@ class TestImports:
             'cli.main(["verify", "--max", "6"])': {"pretzeltab.tcodes"},
             "from pretzeltab import point_columns\npoint_columns(10)": {"pretzeltab.necklaces"},
         }
+        started = loaded_after("")
         for call, extra in runs.items():
             loaded = loaded_after(f"from pretzeltab import cli, counts\n{call}")
             package = {name for name in loaded if name.split(".")[0] == "pretzeltab"}
             assert package == {"pretzeltab", "pretzeltab.cli", "pretzeltab.combinat",
                                "pretzeltab.counts"} | extra, call
+            assert "__future__" not in loaded - started, call
 
 
     def test_argparse_loads_only_for_other_spellings(self):
