@@ -11,10 +11,10 @@ counters in ``counts`` are checked against: the list of ``class_strips``,
 which yields each class once, as its canonical ``TCode``, already in
 ``list`` order, so no dedup set and no sort is needed.  ``class_counts``
 counts the same classes with no tuple held.  Both read ``_necklaces``, an
-orderly generator that walks each (type, budget) once for every strip count
-and extends only the prefixes that can still be the least rotation (for
-types 2 and 3, the least dihedral image) of a strip tuple; its docstring
-holds the walk in full.
+orderly generator that walks each type once, at the top budget, for every
+budget and strip count, and extends only the prefixes that can still be the
+least rotation (for types 2 and 3, the least dihedral image) of a strip
+tuple; its docstring holds the walk in full.
 
 Enumeration grows exponentially with the crossing number, so it refuses to
 run above a ceiling (``ceiling`` argument, the CLI's ``--ceiling``), and
@@ -111,27 +111,27 @@ def canonicalize(code: TCode) -> TCode:
     return TCode(code.link_type, code.delta, least_form(code.strips))
 
 
-def _necklaces(values: list[int], budget: int, parity: int | None, dihedral: bool = False,
-               count: bool = False) -> list[list[tuple[int, ...]]] | tuple[int, int]:
+def _necklaces(values: list[int], top: int, dihedral: bool = False, count: bool = False
+               ) -> list[list[list[list[tuple[int, ...]]]]] | list[list[int]]:
     """Every tuple of k >= 3 entries over the sorted values whose sizes
-    (absolute values) sum to budget, whose count of positive entries has the
-    given parity (either, with parity None), and that is the least of its
-    rotations, each once: entry k of the list holds the k-entry ones in
-    lexicographic order.  With dihedral, only the bracelets among them: those
-    no greater than any rotation of their reversal.  With count, no tuple is
-    built and the pair (even, odd) of how many there are at parities 0 and 1
-    comes back, 0 for a parity not asked for.  Values of size above budget
+    (absolute values) sum to at most top and that is the least of its
+    rotations, each once, by its budget b (the sum of its sizes) and the
+    parity of its count of positive entries: entry [b][parity][k] of the
+    list holds the k-entry ones in lexicographic order.  With dihedral, only
+    the bracelets among them: those no greater than any rotation of their
+    reversal.  With count, no tuple is built and entry [b] is the pair
+    [even, odd] of how many there are at budget b.  Values of size above top
     are never taken, and a budget below three entries of the least size
     gives no tuple.
 
     The walk is a prenecklace generator (Cattell, Ruskey, Sawada, Serra and
-    Miers, J. Algorithms 37, 2000), and one walk serves every k.  Position t
-    takes only values at least a[t - p], p being the period of a[1..t-1], and
-    its frame does two things for each value x, in one loop.  It closes the
-    tuple of k = t + 1 entries, whose last entry has the size s left: the
-    tuple is a necklace when that entry is at least a[k - q] and, if equal,
-    q divides k (q being the period with x).  Both signs of the last entry
-    are tried in the same pass: -s keeps the parity of a[1..t], s flips it.
+    Miers, J. Algorithms 37, 2000), and one walk at the top budget serves
+    every budget b <= top and every k.  Position t takes only values at
+    least a[t - p], p being the period of a[1..t-1], and its frame does two
+    things for each value x, in one loop.  It closes the tuple of k = t + 1
+    entries with each last entry v of size at most s, the room that x leaves
+    below top, at budget top - s + |v|: the tuple is a necklace when v is at
+    least a[k - q] and, if equal, q divides k (q being the period with x).
     And it extends the prefix when s leaves room for one more entry and the
     last, each at the least size or at a[1] once that is positive (no entry
     is below a[1]).
@@ -147,30 +147,37 @@ def _necklaces(values: list[int], budget: int, parity: int | None, dihedral: boo
     reversal read back from a[t] is less whatever follows, and the value is
     skipped, for closing and extending alike; if they are equal the run is
     kept as a tie.  A closing reads the runs of a[1..t-1]: the leading run
-    and each tie j pass when a[j+1:k+1] <= a[k:j:-1], which a[L+1] < a[k]
-    settles for most tuples with one comparison.
+    and each tie j pass when a[j+1:k+1] <= a[k:j:-1].
+
+    So a closing needs v at least the bound, the greatest of a[k - q] and,
+    for bracelets, of a[L+1] and each a[j+1], and every v above the bound
+    closes the tuple: it is above a[k - q], and each reversal comparison is
+    settled at its first entries, a[j+1] (or a[L+1]) below a[k] = v.  Only
+    the bound itself is checked in full.  The values above it form one index
+    range: list mode reads it, and count mode adds it as a whole to a
+    difference array per (parity of a[1..t], s), which one pass at the end
+    turns into counts per budget.
     """
     # first[top + v] is bisect_left of v; for integers, first[top + v + 1] is
-    # bisect_right of v, so v is one of the values when the two differ.  No
-    # entry, and so no v looked up, is of size above the budget.
-    top = budget
+    # bisect_right of v.  No entry, and so no v looked up, is of size above top.
     first = [bisect_left(values, v) for v in range(-top, top + 2)]
-    least = min(map(abs, values), default=budget + 1)  # no values: no entry fits
-    most = budget // least  # the most entries a tuple holds
-    found = [[] for _ in range(most + 1)]
-    tally = [0, 0]
-    # the parities of a[1..t] at which a last entry -s, or s, misses the parity asked
-    miss_neg, miss_pos = (2, 2) if parity is None else (1 - parity, parity)
-    a = [0] * (most + 1)  # a[t] is the entry at position t >= 1
+    least = min(map(abs, values), default=top + 1)  # no values: no entry fits
+    if count:
+        # spans[par][s] is the difference array, over the values, of the last
+        # entries that close a prefix of parity par and room s
+        spans = [[[0] * (len(values) + 1) for _ in range(top + 1)] for _ in (0, 1)]
+    else:
+        found = [[[[] for _ in range(b // least + 1)] for _ in (0, 1)] for b in range(top + 1)]
+    a = [0] * (top // least + 1)  # a[t] is the entry at position t >= 1
 
     def extend(t, p, rem, odd, lead, run, ties):
         # t is the position to fill, p the period of a[1..t-1], rem the size
-        # left for the entries from position t on, and odd the parity of the
-        # count of positive entries in a[1..t-1]; lead is the run of m = a[1]
-        # that starts a[1..t-1], and is final once it is below t - 1; run is
-        # the run of m that ends a[t-1] after it; ties are the ends j of the
-        # inner runs of m as long as lead whose reversal a[j:0:-1] equals
-        # a[1:j+1]
+        # left below top for the entries from position t on, and odd the
+        # parity of the count of positive entries in a[1..t-1]; lead is the
+        # run of m = a[1] that starts a[1..t-1], and is final once it is below
+        # t - 1; run is the run of m that ends a[t-1] after it; ties are the
+        # ends j of the inner runs of m as long as lead whose reversal
+        # a[j:0:-1] equals a[1:j+1]
         m = a[1]
         floor = m if m > least else least  # the least size of the entries after position t
         last = floor  # and of the last entry
@@ -202,43 +209,56 @@ def _necklaces(values: list[int], budget: int, parity: int | None, dihedral: boo
                     continue  # its reversal, read from a[t], is less
                 new_lead, new_run = lead, run + 1
                 new_ties = ties + (t,) if back == ahead else ties
-            # close the tuple of k entries with -s, then s: a necklace when the
-            # last entry is at least a[k - q] and, if equal, q divides k; a
-            # bracelet unless, for the leading run or a tie j, a[k:j:-1] is
-            # below a[j + 1:k + 1] (the reversal read back from a[j] is less)
-            low = a[k - q]
-            v = -s
-            if (v >= low and par != miss_neg and (v > low or not k % q)
-                    and first[top + v] < first[top + v + 1]):
+            # close the tuple of k entries with every last entry v from the
+            # bound up to size s; the bound is a necklace if q divides k when
+            # it equals a[k - q], and a bracelet unless, for the leading run or
+            # a tie j, a[k:j:-1] is below a[j + 1:k + 1]
+            low = bound = a[k - q]
+            if dihedral:
                 w = a[lead + 1]
-                a[k] = v
-                if not dihedral or ((w < v or w == v and a[lead + 1:k + 1] <= a[k:lead:-1])
-                                    and not (ties and any(a[j + 1:k + 1] > a[k:j:-1]
-                                                          for j in ties))):
-                    if count:
-                        tally[par] += 1
-                    else:
-                        found[k].append(tuple(a[1:k + 1]))
-            if (s >= low and par != miss_pos and (s > low or not k % q)
-                    and first[top + s] < first[top + s + 1]):
-                w = a[lead + 1]
-                a[k] = s
-                if not dihedral or ((w < s or w == s and a[lead + 1:k + 1] <= a[k:lead:-1])
-                                    and not (ties and any(a[j + 1:k + 1] > a[k:j:-1]
-                                                          for j in ties))):
-                    if count:
-                        tally[par ^ 1] += 1
-                    else:
-                        found[k].append(tuple(a[1:k + 1]))
+                if w > bound:
+                    bound = w
+                for j in ties:
+                    if a[j + 1] > bound:
+                        bound = a[j + 1]
+            if bound < -s:
+                lo = first[top - s]  # every v of size at most s is above the bound
+            else:
+                a[k] = bound
+                closes = bound <= s and (bound > low or not k % q) and (
+                    not dihedral or ((w < bound or a[lead + 1:k + 1] <= a[k:lead:-1])
+                                     and not (ties and any(a[j + 1:k + 1] > a[k:j:-1]
+                                                           for j in ties))))
+                lo = first[top + bound + (not closes)]
+            hi = first[top + s + 1]
+            if lo < hi:
+                if count:
+                    span = spans[par][s]
+                    span[lo] += 1
+                    span[hi] -= 1
+                else:
+                    head = tuple(a[1:k])
+                    for v in values[lo:hi]:
+                        found[top - s + abs(v)][par ^ (v > 0)][k].append(head + (v,))
             if s >= deep:
                 extend(k, q, s, par, new_lead, new_run, new_ties)
 
     # position 1 leaves room for two more entries; a positive a[1] is the
     # least size of both
-    for x in values[first[top - max(budget - 2 * least, 0)]:first[top + budget // 3 + 1]]:
+    for x in values[first[top - max(top - 2 * least, 0)]:first[top + top // 3 + 1]]:
         a[1] = x
-        extend(2, 1, budget - abs(x), int(x > 0), 1, 0, ())
-    return tuple(tally) if count else found
+        extend(2, 1, top - abs(x), int(x > 0), 1, 0, ())
+    if not count:
+        return found
+    tally = [[0, 0] for _ in range(top + 1)]
+    for par, by_room in enumerate(spans):
+        for s, span in enumerate(by_room):
+            closing = 0  # how many prefixes of room s the value v closes
+            for v, step in zip(values, span):
+                closing += step
+                if closing:
+                    tally[top - s + abs(v)][par ^ (v > 0)] += closing
+    return tally
 
 
 def _strip_values(link_type: int, top: int) -> list[int]:
@@ -257,12 +277,12 @@ def class_strips(c: int, link_type: int,
 
     Each class comes once, ordered by (delta, strip count, strips).  Only
     positive type 1 and type 2 codes are generated (one link per mirror
-    pair).  For each delta, ascending, one ``_necklaces`` walk of budget c -
-    delta lists the canonical strip tuples by strip count, and the lists are
-    read in that order.  Types 1 and 2 ask for either parity, since all their
-    entries are positive; type 3 asks for delta % 2 and drops, at delta = 0,
-    the all-negative tuples, whose delta + k1 is below 2.  One budget's
-    classes are held at a time.
+    pair).  One ``_necklaces`` walk at budget c lists the canonical strip
+    tuples of every budget by parity and strip count, and for each delta,
+    ascending, the lists of budget c - delta are read by strip count.  Type 3
+    reads parity delta % 2 and drops, at delta = 0, the all-negative tuples,
+    whose delta + k1 is below 2; a type 1 or 2 tuple, all of whose entries
+    are positive, has parity k % 2.  The walk's classes are all held at once.
 
     Refuses c below 1 or above the enumeration ceiling (``check_ceiling``)
     when the first class is asked for.
@@ -270,11 +290,11 @@ def class_strips(c: int, link_type: int,
     if link_type not in (1, 2, 3):
         raise ValueError(f"link type must be 1, 2 or 3, got {link_type}")
     check_ceiling(c, ceiling)
-    values = _strip_values(link_type, c)
+    walked = _necklaces(_strip_values(link_type, c), c, dihedral=link_type > 1)
     for delta in range(1 if link_type == 2 else c):
-        parity = delta % 2 if link_type == 3 else None
-        for group in _necklaces(values, c - delta, parity, dihedral=link_type > 1):
-            for strips in group:
+        by_parity = walked[c - delta]
+        for k in range(len(by_parity[0])):
+            for strips in by_parity[(delta if link_type == 3 else k) % 2][k]:
                 if link_type == 3 and not delta and max(strips) < 0:
                     continue  # k1 = 0: delta + k1 is below 2
                 yield TCode(link_type, delta, strips)
@@ -289,36 +309,31 @@ def enumerate_classes(c: int, link_type: int, ceiling: int = DEFAULT_ENUM_CEILIN
 def class_counts(max_c: int,
                  ceiling: int = DEFAULT_ENUM_CEILING) -> Iterator[tuple[int, int, int]]:
     """The lengths of ``enumerate_classes`` for types 1, 2 and 3, one triple per
-    c = 1..max_c, each counted when asked for.  Refuses, when called, max_c
-    below 1 or above the ceiling.
+    c = 1..max_c.  Refuses, when called, max_c below 1 or above the ceiling.
 
-    Each (type, budget) is walked once, by ``_necklaces``' count mode, and
-    row c walks only budget c: p1 sums type 1 over the budgets up to c, p2
-    is type 2 at c, and p3 sums type 3 over the budgets b up to c at parity
-    c - b, less p2 for the all-negative bracelets at delta = 0 (k1 = 0, so
-    delta + k1 is below 2), which negation maps one to one onto the type 2
-    classes at c.  One type 3 walk counts both parities of budget c: parity
-    0 for row c and parity 1, carried, for row c + 1.  Row max_c walks its
-    budget at parity 0 alone.  A type 1 or 2 tuple has parity k % 2, so the
-    two counts of a walk at either parity sum to all of them.
+    Each type is walked once, at budget max_c, by ``_necklaces``' count mode,
+    when the first row is asked for, and the rows read the counts per budget:
+    p1 sums type 1 over the budgets up to c, p2 is type 2 at c, and p3 sums
+    type 3 over the budgets b up to c at parity c - b, less p2 for the
+    all-negative bracelets at delta = 0 (k1 = 0, so delta + k1 is below 2),
+    which negation maps one to one onto the type 2 classes at c.
     """
     check_ceiling(max_c, ceiling)
     return _rows(max_c)
 
 
 def _rows(max_c: int) -> Iterator[tuple[int, int, int]]:
-    values1, values2, values3 = (_strip_values(link_type, max_c) for link_type in (1, 2, 3))
+    ones, twos, threes = (_necklaces(_strip_values(link_type, max_c), max_c,
+                                     dihedral=link_type > 1, count=True)
+                          for link_type in (1, 2, 3))
     p1 = 0
     # p3[c % 2] sums type 3 over the budgets b <= c at parity c - b, the
-    # all-negative tuples included; odd is budget c - 1's count at parity 1
+    # all-negative tuples included
     p3 = [0, 0]
-    odd = 0
     for c in range(1, max_c + 1):
-        p1 += sum(_necklaces(values1, c, None, count=True))
-        p2 = sum(_necklaces(values2, c, None, dihedral=True, count=True))
-        # no row reads the top budget at parity 1
-        even, carried = _necklaces(values3, c, None if c < max_c else 0, dihedral=True,
-                                   count=True)
-        p3[c % 2] += even + odd
-        odd = carried
+        p1 += sum(ones[c])
+        p2 = sum(twos[c])
+        even, odd = threes[c]
+        p3[c % 2] += even
+        p3[1 - c % 2] += odd
         yield p1, p2, p3[c % 2] - p2

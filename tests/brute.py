@@ -79,7 +79,8 @@ def composition_class_count(n, k, dihedral=False):
     if k == 2:
         return len([t for t in least_rotations(values, 2, n, 0)
                     if not dihedral or t == _least_dihedral(t)])
-    return len(_necklaces(values, n, None, dihedral)[k])
+    # all parts are positive, so a k-part composition has parity k % 2
+    return len(_necklaces(values, n, dihedral)[n][k % 2][k])
 
 
 def signed_class_count(n1, k1, n2, k2):

@@ -390,8 +390,8 @@ class TestDeclinedSpellings:
 class TestBrokenPipe:
     @pytest.mark.parametrize("args, lines, unbuffered", [
         # like `| head -1`: -u writes each line as it is printed, so the rest
-        # (198 kB for list, 17 more rows of enumeration for verify) comes
-        # after the read end is closed
+        # (198 kB for list; for verify, its 18 rows, which the oracle's walks
+        # all precede) comes after the read end is closed
         (["list", "-c", "20", "--type", "3"], 1, True),
         (["verify", "--max", "18"], 1, True),
         # like `| true`: the one line stays buffered until main's last flush

@@ -96,10 +96,10 @@ def test_canonical_form_starts_with_its_least_entry(code):
 def test_dihedral_walk_keeps_exactly_the_bracelets(params):
     link_type, budget, k, parity = params
     values = _strip_values(link_type, budget)
-    necklaces = _necklaces(values, budget, parity)[k]
+    necklaces = _necklaces(values, budget)[budget][parity][k]
     # both walks share the parity test, so the necklaces are checked on their own
     assert necklaces == least_rotations(values, k, budget, parity)
-    assert _necklaces(values, budget, parity, dihedral=True)[k] == \
+    assert _necklaces(values, budget, dihedral=True)[budget][parity][k] == \
         [s for s in necklaces if s == _least_dihedral(s)]
 
 
@@ -111,7 +111,7 @@ def test_two_strips_come_from_the_brute_force(params):
     # least_rotations, whose pairs are all bracelets
     link_type, budget, k, parity = params
     values = _strip_values(link_type, budget)
-    assert _necklaces(values, budget, parity)[k] == []
+    assert _necklaces(values, budget)[budget][parity][k] == []
     pairs = [t for t in product(values, repeat=k)
              if sum(map(abs, t)) == budget and sum(s > 0 for s in t) % 2 == parity]
     necklaces = least_rotations(values, k, budget, parity)

@@ -156,46 +156,61 @@ class TestEnumerateClasses:
 
 
 def group(walked, k):
-    """The k-entry tuples of one walk; the list stops at the most entries
-    the budget holds."""
+    """The k-entry tuples of one budget and parity of a walk; the list stops
+    at the most entries the budget holds."""
     return walked[k] if k < len(walked) else []
 
 
 class TestGenerators:
     def test_raw_codes_are_valid_sized_and_distinct(self):
-        # _necklaces' output before enumerate_classes keeps the bracelets
+        # _necklaces' output before enumerate_classes keeps the bracelets; one
+        # walk at c serves every delta
         for link_type in (1, 2, 3):
             for c in range(6, 15):
-                values = list(strip_values(link_type, c))
+                walked = _necklaces(list(strip_values(link_type, c)), c)
                 for delta in range(1 if link_type == 2 else c):
-                    parity = None if link_type < 3 else delta % 2
-                    for k, raw in enumerate(_necklaces(values, c - delta, parity)):
-                        assert k >= 3 or raw == [], (link_type, c, delta, k)
-                        # distinct and in lexicographic order
-                        assert all(a < b for a, b in zip(raw, raw[1:])), (link_type, c, delta, k)
-                        for strips in raw:
-                            assert len(strips) == k, strips
-                            assert strips == _least_rotation(strips), strips
-                            code = TCode(link_type, delta, strips)
-                            if link_type == 3 and not delta and max(strips) < 0:
-                                assert violation(code) is not None, code  # dropped by the oracle
-                            else:
-                                assert violation(code) is None, code
-                                assert code.delta + sum(map(abs, code.strips)) == c, code
+                    for parity in (delta % 2,) if link_type == 3 else (0, 1):
+                        case = (link_type, c, delta, parity)
+                        for k, raw in enumerate(walked[c - delta][parity]):
+                            assert k >= 3 or raw == [], (case, k)
+                            # distinct and in lexicographic order
+                            assert all(a < b for a, b in zip(raw, raw[1:])), (case, k)
+                            for strips in raw:
+                                assert len(strips) == k, strips
+                                assert strips == _least_rotation(strips), strips
+                                assert sum(s > 0 for s in strips) % 2 == parity, strips
+                                code = TCode(link_type, delta, strips)
+                                if link_type == 3 and not delta and max(strips) < 0:
+                                    assert violation(code) is not None, code  # dropped by the oracle
+                                else:
+                                    assert violation(code) is None, code
+                                    assert code.delta + sum(map(abs, code.strips)) == c, code
 
     def test_dihedral_filter_keeps_exactly_the_bracelets(self):
         # the inline reversal checks against the definition, a necklace that is
-        # its own least dihedral image, over the raw necklaces of every strip
-        # count of one walk
+        # its own least dihedral image, over the raw necklaces of every budget,
+        # parity and strip count of one walk
         for link_type in (1, 2, 3):
             for c in range(6, 17):
                 values = list(strip_values(link_type, c))
-                for delta in range(1 if link_type == 2 else c):
-                    parity = None if link_type < 3 else delta % 2
-                    raw = _necklaces(values, c - delta, parity)
-                    bracelets = _necklaces(values, c - delta, parity, dihedral=True)
-                    assert bracelets == [[s for s in necklaces if s == _least_dihedral(s)]
-                                         for necklaces in raw], (link_type, c, delta)
+                raw = _necklaces(values, c)
+                bracelets = _necklaces(values, c, dihedral=True)
+                assert bracelets == [[[[s for s in necklaces if s == _least_dihedral(s)]
+                                       for necklaces in by_k] for by_k in by_parity]
+                                     for by_parity in raw], (link_type, c)
+
+    def test_one_walk_serves_every_budget(self):
+        # a walk at the top budget, read at a lower budget b, is the walk at b:
+        # every prune reads the prefix's room, never the top budget alone
+        for link_type in (1, 2, 3):
+            values = tcodes._strip_values(link_type, 18)
+            for dihedral in (False, True):
+                for count in (False, True):
+                    walks = [_necklaces(values, top, dihedral, count) for top in range(19)]
+                    for top, walked in enumerate(walks):
+                        assert len(walked) == top + 1
+                        for b in range(top + 1):
+                            assert walked[b] == walks[b][b], (link_type, dihedral, count, top, b)
 
     def test_each_frame_has_room_for_its_entry_and_the_last(self):
         # a looser bound on the recursion changes no tuple, only the work
@@ -212,7 +227,7 @@ class TestGenerators:
                 rems.clear()
                 sys.setprofile(profile)
                 try:
-                    _necklaces(values, 18, None, dihedral, count=True)
+                    _necklaces(values, 18, dihedral, count=True)
                 finally:
                     sys.setprofile(None)
                 assert rems and min(rems) >= 2 * least, (link_type, dihedral)
@@ -222,10 +237,10 @@ class TestGenerators:
         # from least_rotations: both are held to the product here
         for link_type in (1, 2, 3):
             values = list(strip_values(link_type, 9))
+            walked = _necklaces(values, 9)
+            walked_bracelets = _necklaces(values, 9, dihedral=True)
             for budget in range(2, 10):
                 for parity in (0, 1):
-                    walked = _necklaces(values, budget, parity)
-                    walked_bracelets = _necklaces(values, budget, parity, dihedral=True)
                     for k in (2, 3):
                         tuples = [t for t in product(values, repeat=k)
                                   if sum(map(abs, t)) == budget
@@ -233,18 +248,20 @@ class TestGenerators:
                         necklaces = sorted({_least_rotation(t) for t in tuples})
                         bracelets = sorted({_least_dihedral(t) for t in tuples})
                         case = (link_type, budget, k, parity)
+                        listed = group(walked[budget][parity], k)
+                        listed_bracelets = group(walked_bracelets[budget][parity], k)
                         if k == 2:
-                            assert group(walked, k) == group(walked_bracelets, k) == [], case
+                            assert listed == listed_bracelets == [], case
                             assert least_rotations(values, k, budget, parity) == necklaces, case
                             assert necklaces == bracelets, case
                         else:
-                            assert group(walked, k) == necklaces, case
-                            assert group(walked_bracelets, k) == bracelets, case
+                            assert listed == necklaces, case
+                            assert listed_bracelets == bracelets, case
 
 
 class TestCountClasses:
     def test_counts_what_enumerate_classes_lists(self):
-        # every last row, odd and even: the top budget is walked at parity 0 alone
+        # every last row, odd and even
         expected = [tuple(len(enumerate_classes(c, t)) for t in (1, 2, 3)) for c in range(1, 17)]
         for max_c in range(1, 17):
             assert list(class_counts(max_c)) == expected[:max_c], max_c
@@ -267,48 +284,40 @@ class TestCountClasses:
         asked = []
         necklaces = tcodes._necklaces
 
-        def recording(values, budget, parity, dihedral=False, count=False):
-            asked.append((tuple(values), budget, parity, dihedral))
-            return necklaces(values, budget, parity, dihedral, count)
+        def recording(values, top, dihedral=False, count=False):
+            asked.append((tuple(values), top, dihedral, count))
+            return necklaces(values, top, dihedral, count)
 
         monkeypatch.setattr(tcodes, "_necklaces", recording)
         rows = class_counts(20)
+        with pytest.raises(ResourceLimitError):
+            class_counts(21, ceiling=20)
         assert asked == []
-        for c, _ in enumerate(rows, 1):
-            budgets = {budget for _, budget, _, _ in asked}
-            # row c counts budget c, the first with 3 strips being 6, and none above
-            assert max(budgets, default=0) <= c
-            assert c < 6 or c in budgets
-        assert len(set(asked)) == len(asked)
-        # one walk for each (type, budget), whatever the parity asked
-        assert len({(values, budget, dihedral) for values, budget, _, dihedral in asked}) \
-            == len(asked)
+        # the first row walks each type once, at the top budget, and no later
+        # row walks again
+        next(rows)
+        walks = [(tuple(tcodes._strip_values(t, 20)), 20, t > 1, True) for t in (1, 2, 3)]
+        assert asked == walks
+        assert len(list(rows)) == 19
+        assert asked == walks
 
     def test_count_mode_counts_the_list(self):
-        # with parity None, one walk counts both parities
+        # one walk counts both parities of every budget
         for link_type in (1, 2, 3):
             values = list(strip_values(link_type, 16))
-            for budget in range(1, 17):
+            for top in range(1, 17):
                 for dihedral in (False, True):
-                    counts = []
-                    for parity in (0, 1):
-                        args = (values, budget, parity, dihedral)
-                        pair = _necklaces(*args, count=True)
-                        listed = sum(map(len, _necklaces(*args)))
-                        assert pair[parity] == listed and pair[1 - parity] == 0, \
-                            (link_type, args[1:])
-                        counts.append(listed)
-                    pair = _necklaces(values, budget, None, dihedral, count=True)
-                    assert pair == tuple(counts), (link_type, budget, dihedral)
-                    assert sum(map(len, _necklaces(values, budget, None, dihedral))) == sum(counts)
+                    counted = _necklaces(values, top, dihedral, count=True)
+                    listed = _necklaces(values, top, dihedral)
+                    assert counted == [[sum(map(len, by_k)) for by_k in by_parity]
+                                       for by_parity in listed], (link_type, top, dihedral)
 
     def test_all_negative_bracelets_match_type_2(self):
         # the identity that lets class_counts subtract p2 from type 3's
         # delta = 0 count: negation maps those bracelets onto the type 2 classes
+        walked = _necklaces(list(range(-20, -1, 2)), 20, dihedral=True)
         for c in range(1, 21):
-            negative = [-s for s in range(c - c % 2, 1, -2)]
-            found = sum(map(len, _necklaces(negative, c, 0, dihedral=True)))
-            assert found == len(enumerate_classes(c, 2)), c
+            assert sum(map(len, walked[c][0])) == len(enumerate_classes(c, 2)), c
 
 
 class TestCeiling:
