@@ -166,14 +166,15 @@ def _cmd_verify(args) -> int:
     from . import tcodes
 
     # first, so that an oversized --max meets the enumeration ceiling, not MAX_C
-    enumerated_rows = tcodes.class_counts(args.max, ceiling=args.ceiling)
+    enumerated_columns = tcodes.class_counts(args.max, ceiling=args.ceiling)
     columns = counts.columns(args.max)
     failures = []
     write = sys.stdout.write
     write("   c  type     formula  enumerated  result\n")
-    for c, row in enumerate(enumerated_rows, 1):
-        for link_type, enumerated in enumerate(row, 1):
+    for c in range(1, args.max + 1):
+        for link_type in (1, 2, 3):
             formula = columns[link_type - 1][c]
+            enumerated = enumerated_columns[link_type - 1][c]
             if formula != enumerated:
                 failures.append(f"c={c} type {link_type} (formula {formula}, enumerated {enumerated})")
             write(f"{c:4d}  {link_type:4d}  {formula:10d}  {enumerated:10d}  "

@@ -10,7 +10,6 @@ the others build on, so that ``counts`` and the CLI can refuse oversized work
 without loading the oracle in ``tcodes``.
 """
 import math
-from functools import lru_cache
 
 # Largest crossing number the exhaustive oracle enumerates unless told otherwise.
 DEFAULT_ENUM_CEILING = 22
@@ -38,7 +37,6 @@ def check_c(c: int) -> None:
         raise ValueError(f"crossing number must be positive, got {c}")
 
 
-@lru_cache(maxsize=None)
 def totient(d: int) -> int:
     """Euler's totient: how many of 1..d are coprime to d.
 

@@ -10,11 +10,11 @@ rotation and reversal (types 2 and 3).
 counters in ``counts`` are checked against: the list of ``class_strips``,
 which yields each class once, as its canonical ``TCode``, already in
 ``list`` order, so no dedup set and no sort is needed.  ``class_counts``
-counts the same classes with no tuple held.  Both read ``_necklaces``, an
-orderly generator that walks each type once, at the top budget, for every
-budget and strip count, and extends only the prefixes that can still be the
-least rotation (for types 2 and 3, the least dihedral image) of a strip
-tuple; its docstring holds the walk in full.
+returns their counts, with no tuple held, as the columns of ``counts.columns``.
+Both read ``_necklaces``, an orderly generator that walks each type once, at
+the top budget, for every budget and strip count, and extends only the
+prefixes that can still be the least rotation (for types 2 and 3, the least
+dihedral image) of a strip tuple; its docstring holds the walk in full.
 
 Enumeration grows exponentially with the crossing number, so it refuses to
 run above a ceiling (``ceiling`` argument, the CLI's ``--ceiling``), and
@@ -23,6 +23,7 @@ module holds the oracle only; the tests' brute-force orbit counters live in
 ``tests/brute.py``.
 """
 from bisect import bisect_left
+from itertools import accumulate
 from typing import Iterator, NamedTuple
 
 from .combinat import DEFAULT_ENUM_CEILING, MAX_C, ResourceLimitError, check_c
@@ -306,34 +307,23 @@ def enumerate_classes(c: int, link_type: int, ceiling: int = DEFAULT_ENUM_CEILIN
     return list(class_strips(c, link_type, ceiling))
 
 
-def class_counts(max_c: int,
-                 ceiling: int = DEFAULT_ENUM_CEILING) -> Iterator[tuple[int, int, int]]:
-    """The lengths of ``enumerate_classes`` for types 1, 2 and 3, one triple per
-    c = 1..max_c.  Refuses, when called, max_c below 1 or above the ceiling.
+def class_counts(max_c: int, ceiling: int = DEFAULT_ENUM_CEILING
+                 ) -> tuple[list[int], list[int], list[int]]:
+    """The p1, p2 and p3 columns of ``counts.columns``, 0 <= c <= max_c, as the
+    lengths of ``enumerate_classes``.  Refuses max_c below 1 or above the ceiling.
 
     Each type is walked once, at budget max_c, by ``_necklaces``' count mode,
-    when the first row is asked for, and the rows read the counts per budget:
-    p1 sums type 1 over the budgets up to c, p2 is type 2 at c, and p3 sums
-    type 3 over the budgets b up to c at parity c - b, less p2 for the
-    all-negative bracelets at delta = 0 (k1 = 0, so delta + k1 is below 2),
-    which negation maps one to one onto the type 2 classes at c.
+    and the columns read the counts per budget: p1 sums type 1 over the
+    budgets up to c, p2 is type 2 at c, and p3 sums type 3 over the budgets b
+    up to c at parity c - b, less p2 for the all-negative bracelets at
+    delta = 0 (k1 = 0, so delta + k1 is below 2), which negation maps one to
+    one onto the type 2 classes at c.
     """
     check_ceiling(max_c, ceiling)
-    return _rows(max_c)
-
-
-def _rows(max_c: int) -> Iterator[tuple[int, int, int]]:
     ones, twos, threes = (_necklaces(_strip_values(link_type, max_c), max_c,
                                      dihedral=link_type > 1, count=True)
                           for link_type in (1, 2, 3))
-    p1 = 0
-    # p3[c % 2] sums type 3 over the budgets b <= c at parity c - b, the
-    # all-negative tuples included
-    p3 = [0, 0]
-    for c in range(1, max_c + 1):
-        p1 += sum(ones[c])
-        p2 = sum(twos[c])
-        even, odd = threes[c]
-        p3[c % 2] += even
-        p3[1 - c % 2] += odd
-        yield p1, p2, p3[c % 2] - p2
+    p2 = list(map(sum, twos))
+    return (list(accumulate(map(sum, ones))), p2,
+            [sum(threes[b][(c - b) % 2] for b in range(c + 1)) - p2[c]
+             for c in range(max_c + 1)])

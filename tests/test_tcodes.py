@@ -5,6 +5,8 @@ from itertools import product
 import pytest
 
 from pretzeltab import tcodes
+from pretzeltab.counts import columns
+from pretzeltab.necklaces import point_columns
 from pretzeltab.tcodes import (
     _least_dihedral,
     _least_rotation,
@@ -261,17 +263,22 @@ class TestGenerators:
 
 class TestCountClasses:
     def test_counts_what_enumerate_classes_lists(self):
-        # every last row, odd and even
-        expected = [tuple(len(enumerate_classes(c, t)) for t in (1, 2, 3)) for c in range(1, 17)]
+        # every last column entry, odd and even
+        listed = [[len(enumerate_classes(c, t)) for c in range(1, 17)] for t in (1, 2, 3)]
         for max_c in range(1, 17):
-            assert list(class_counts(max_c)) == expected[:max_c], max_c
+            assert class_counts(max_c) == tuple([0] + column[:max_c] for column in listed), max_c
+
+    def test_every_route_has_one_shape(self):
+        # the oracle, the cycle index and the per-point formula, index 0 included
+        for c in (1, 2, 6, 22):
+            assert class_counts(c, ceiling=c) == columns(c) == point_columns(c), c
 
     def test_refuses_above_the_ceiling(self):
         with pytest.raises(ResourceLimitError):
             class_counts(DEFAULT_ENUM_CEILING + 1)
         with pytest.raises(ResourceLimitError):
             class_counts(9, ceiling=8)
-        assert list(class_counts(10, ceiling=10))[-1] == (1, 4, 38)
+        assert [column[10] for column in class_counts(10, ceiling=10)] == [1, 4, 38]
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -280,7 +287,7 @@ class TestCountClasses:
             with pytest.raises(ValueError):
                 class_counts(5, ceiling=ceiling)
 
-    def test_enumerates_each_row_when_asked(self, monkeypatch):
+    def test_walks_once_when_called(self, monkeypatch):
         asked = []
         necklaces = tcodes._necklaces
 
@@ -289,17 +296,12 @@ class TestCountClasses:
             return necklaces(values, top, dihedral, count)
 
         monkeypatch.setattr(tcodes, "_necklaces", recording)
-        rows = class_counts(20)
         with pytest.raises(ResourceLimitError):
             class_counts(21, ceiling=20)
         assert asked == []
-        # the first row walks each type once, at the top budget, and no later
-        # row walks again
-        next(rows)
-        walks = [(tuple(tcodes._strip_values(t, 20)), 20, t > 1, True) for t in (1, 2, 3)]
-        assert asked == walks
-        assert len(list(rows)) == 19
-        assert asked == walks
+        # each type once, at the top budget, and nothing more
+        class_counts(20)
+        assert asked == [(tuple(tcodes._strip_values(t, 20)), 20, t > 1, True) for t in (1, 2, 3)]
 
     def test_count_mode_counts_the_list(self):
         # one walk counts both parities of every budget
