@@ -14,7 +14,11 @@ returns their counts, with no tuple held, as the columns of ``counts.columns``.
 Both read ``_necklaces``, an orderly generator that walks each type once, at
 the top budget, for every budget and strip count, and extends only the
 prefixes that can still be the least rotation (for types 2 and 3, the least
-dihedral image) of a strip tuple; its docstring holds the walk in full.
+dihedral image) of a strip tuple; its docstring holds the walk in full.  The
+walk runs over indices into the strip values in the order it is given:
+``class_strips`` gives the sorted values, so each class comes as its least
+tuple in integer order, and ``class_counts``, which needs only how many
+classes there are, gives them by size, where fewer prefixes fit the budget.
 
 Enumeration grows exponentially with the crossing number, so it refuses to
 run above a ceiling (``ceiling`` argument, the CLI's ``--ceiling``), and
@@ -22,7 +26,6 @@ run above a ceiling (``ceiling`` argument, the CLI's ``--ceiling``), and
 module holds the oracle only; the tests' brute-force orbit counters live in
 ``tests/brute.py``.
 """
-from bisect import bisect_left
 from itertools import accumulate
 from typing import Iterator, NamedTuple
 
@@ -114,28 +117,33 @@ def canonicalize(code: TCode) -> TCode:
 
 def _necklaces(values: list[int], top: int, dihedral: bool = False, count: bool = False
                ) -> list[list[list[list[tuple[int, ...]]]]] | list[list[int]]:
-    """Every tuple of k >= 3 entries over the sorted values whose sizes
-    (absolute values) sum to at most top and that is the least of its
-    rotations, each once, by its budget b (the sum of its sizes) and the
-    parity of its count of positive entries: entry [b][parity][k] of the
-    list holds the k-entry ones in lexicographic order.  With dihedral, only
-    the bracelets among them: those no greater than any rotation of their
+    """Every tuple of k >= 3 entries over the values whose sizes (absolute
+    values) sum to at most top and that is the least of its rotations, each
+    once, by its budget b (the sum of its sizes) and the parity of its count
+    of positive entries: entry [b][parity][k] of the list holds the k-entry
+    ones in lexicographic order.  Entries compare by their place in values,
+    so sorted values give integer order.  Any order works in which, for
+    every s, the values of size at most s form one run of the list: sorted
+    order meets it, and so does order by size.  With dihedral, only the
+    bracelets among them: those no greater than any rotation of their
     reversal.  With count, no tuple is built and entry [b] is the pair
-    [even, odd] of how many there are at budget b.  Values of size above top
-    are never taken, and a budget below three entries of the least size
-    gives no tuple.
+    [even, odd] of how many there are at budget b, which does not depend on
+    the order.  Values of size above top are never taken, and a budget below
+    three entries of the least size gives no tuple.
 
     The walk is a prenecklace generator (Cattell, Ruskey, Sawada, Serra and
-    Miers, J. Algorithms 37, 2000), and one walk at the top budget serves
-    every budget b <= top and every k.  Position t takes only values at
+    Miers, J. Algorithms 37, 2000) over the indices into values, and one
+    walk at the top budget serves every budget b <= top and every k.  It
+    reads per-index tables: the size and the sign of each value, the run
+    lo_of[s] <= i < hi_of[s] of the values of size at most s, and the least
+    size sufmin[i] at index i or after.  Position t takes only indices at
     least a[t - p], p being the period of a[1..t-1], and its frame does two
-    things for each value x, in one loop.  It closes the tuple of k = t + 1
+    things for each index x, in one loop.  It closes the tuple of k = t + 1
     entries with each last entry v of size at most s, the room that x leaves
     below top, at budget top - s + |v|: the tuple is a necklace when v is at
     least a[k - q] and, if equal, q divides k (q being the period with x).
     And it extends the prefix when s leaves room for one more entry and the
-    last, each at the least size or at a[1] once that is positive (no entry
-    is below a[1]).
+    last, each of size at least sufmin[a[1]], since no entry is below a[1].
 
     For bracelets the walk follows the reversal as the prefix grows, as in
     Sawada's bracelet generator (SIAM J. Comput. 31, 2001).  A rotation of
@@ -143,33 +151,44 @@ def _necklaces(values: list[int], top: int, dihedral: bool = False, count: bool 
     a run of m = a[1] as long as the leading run, of L entries; the walk
     makes no run longer.  Three checks follow.  A bracelet has
     a[L+1] <= a[k], else the reversal read back from a[L] is less, so once
-    a[L+1] is positive the last entry needs at least that size.  When placing
-    m ends an inner run of L at position t, a[t:0:-1] < a[1:t+1] means the
-    reversal read back from a[t] is less whatever follows, and the value is
-    skipped, for closing and extending alike; if they are equal the run is
-    kept as a tie.  A closing reads the runs of a[1..t-1]: the leading run
-    and each tie j pass when a[j+1:k+1] <= a[k:j:-1].
+    a[L+1] is placed the last entry needs a size of at least sufmin[a[L+1]].
+    When placing m ends an inner run of L at position t, a[t:0:-1] <
+    a[1:t+1] means the reversal read back from a[t] is less whatever
+    follows, and the index is skipped, for closing and extending alike; if
+    they are equal the run is kept as a tie.  A closing reads the runs of
+    a[1..t-1]: the leading run and each tie j pass when a[j+1:k+1] <=
+    a[k:j:-1].
 
     So a closing needs v at least the bound, the greatest of a[k - q] and,
     for bracelets, of a[L+1] and each a[j+1], and every v above the bound
     closes the tuple: it is above a[k - q], and each reversal comparison is
     settled at its first entries, a[j+1] (or a[L+1]) below a[k] = v.  Only
-    the bound itself is checked in full.  The values above it form one index
-    range: list mode reads it, and count mode adds it as a whole to a
-    difference array per (parity of a[1..t], s), which one pass at the end
-    turns into counts per budget.
+    the bound itself is checked in full.  The indices above it of size at
+    most s form one range: list mode reads its values, and count mode adds
+    it as a whole to a difference array per (parity of a[1..t], s), which
+    one pass at the end turns into counts per budget.
+
+    In order by size, an entry at least a[i] is also at least a[i] in size,
+    so fewer prefixes fit the budget than in sorted order:
+    ``class_counts`` walks by size, and ``class_strips`` walks the sorted
+    values, whose lists are in ``list`` order.
     """
-    # first[top + v] is bisect_left of v; for integers, first[top + v + 1] is
-    # bisect_right of v.  No entry, and so no v looked up, is of size above top.
-    first = [bisect_left(values, v) for v in range(-top, top + 2)]
-    least = min(map(abs, values), default=top + 1)  # no values: no entry fits
+    sizes = [abs(v) for v in values]
+    signs = [v > 0 for v in values]
+    sufmin = list(accumulate(reversed(sizes), min))[::-1]
+    lo_of, hi_of = [], []  # the run of size at most s, empty below the least size
+    for s in range(top + 1):
+        within = [i for i, size in enumerate(sizes) if size <= s]
+        lo_of.append(within[0] if within else 0)
+        hi_of.append(within[-1] + 1 if within else 0)
+    least = min(sizes, default=top + 1)  # no values: no entry fits
     if count:
-        # spans[par][s] is the difference array, over the values, of the last
+        # spans[par][s] is the difference array, over the indices, of the last
         # entries that close a prefix of parity par and room s
         spans = [[[0] * (len(values) + 1) for _ in range(top + 1)] for _ in (0, 1)]
     else:
         found = [[[[] for _ in range(b // least + 1)] for _ in (0, 1)] for b in range(top + 1)]
-    a = [0] * (top // least + 1)  # a[t] is the entry at position t >= 1
+    a = [0] * (top // least + 1)  # a[t] is the index of the entry at position t >= 1
 
     def extend(t, p, rem, odd, lead, run, ties):
         # t is the position to fill, p the period of a[1..t-1], rem the size
@@ -180,24 +199,26 @@ def _necklaces(values: list[int], top: int, dihedral: bool = False, count: bool 
         # ends j of the inner runs of m as long as lead whose reversal
         # a[j:0:-1] equals a[1:j+1]
         m = a[1]
-        floor = m if m > least else least  # the least size of the entries after position t
+        floor = sufmin[m]  # the least size of the entries after position t
         last = floor  # and of the last entry
-        if dihedral and lead < t - 1 and a[lead + 1] > last:
-            last = a[lead + 1]
+        if dihedral and lead < t - 1:
+            last = sufmin[a[lead + 1]]
         cap = rem - last  # the largest size position t may take
         if cap < 0:
             return
         prev = a[t - p]
-        start = first[top + prev]  # the first value at least prev and of size at most cap
-        if first[top - cap] > start:
-            start = first[top - cap]
+        start = lo_of[cap]  # the first index at least prev and of size at most cap
+        if prev > start:
+            start = prev
         deep = floor + last  # the least s that leaves room for one more entry
         k = t + 1
-        for i in range(start, first[top + cap + 1]):
-            x = a[t] = values[i]
+        if not count:  # the values of a[1..t-1], which every tuple closed here starts with
+            stem = tuple([values[i] for i in a[1:t]])
+        for x in range(start, hi_of[cap]):
+            a[t] = x
             q = p if x == prev else t
-            s = rem - abs(x)
-            par = odd ^ (x > 0)
+            s = rem - sizes[x]
+            par = odd ^ signs[x]
             if x != m or not dihedral:  # the runs of m matter only to bracelets
                 new_lead, new_run, new_ties = lead, 0, ties
             elif lead == t - 1:
@@ -222,43 +243,43 @@ def _necklaces(values: list[int], top: int, dihedral: bool = False, count: bool 
                 for j in ties:
                     if a[j + 1] > bound:
                         bound = a[j + 1]
-            if bound < -s:
-                lo = first[top - s]  # every v of size at most s is above the bound
-            else:
+            lo = lo_of[s]
+            hi = hi_of[s]
+            if bound >= lo:  # else every v of size at most s is above the bound
                 a[k] = bound
-                closes = bound <= s and (bound > low or not k % q) and (
+                closes = bound < hi and (bound > low or not k % q) and (
                     not dihedral or ((w < bound or a[lead + 1:k + 1] <= a[k:lead:-1])
                                      and not (ties and any(a[j + 1:k + 1] > a[k:j:-1]
                                                            for j in ties))))
-                lo = first[top + bound + (not closes)]
-            hi = first[top + s + 1]
+                lo = bound + (not closes)
             if lo < hi:
                 if count:
                     span = spans[par][s]
                     span[lo] += 1
                     span[hi] -= 1
                 else:
-                    head = tuple(a[1:k])
+                    head = stem + (values[x],)
                     for v in values[lo:hi]:
                         found[top - s + abs(v)][par ^ (v > 0)][k].append(head + (v,))
             if s >= deep:
                 extend(k, q, s, par, new_lead, new_run, new_ties)
 
-    # position 1 leaves room for two more entries; a positive a[1] is the
-    # least size of both
-    for x in values[first[top - max(top - 2 * least, 0)]:first[top + top // 3 + 1]]:
-        a[1] = x
-        extend(2, 1, top - abs(x), int(x > 0), 1, 0, ())
+    # position 1 leaves room for two more entries, neither of them smaller
+    # than the least size from a[1] on
+    for x, size in enumerate(sizes):
+        if size + 2 * sufmin[x] <= top:
+            a[1] = x
+            extend(2, 1, top - size, signs[x], 1, 0, ())
     if not count:
         return found
     tally = [[0, 0] for _ in range(top + 1)]
     for par, by_room in enumerate(spans):
         for s, span in enumerate(by_room):
-            closing = 0  # how many prefixes of room s the value v closes
-            for v, step in zip(values, span):
-                closing += step
+            closing = 0  # how many prefixes of room s the index closes
+            for x in range(lo_of[s], hi_of[s]):
+                closing += span[x]
                 if closing:
-                    tally[top - s + abs(v)][par ^ (v > 0)] += closing
+                    tally[top - s + sizes[x]][par ^ signs[x]] += closing
     return tally
 
 
@@ -312,15 +333,16 @@ def class_counts(max_c: int, ceiling: int = DEFAULT_ENUM_CEILING
     """The p1, p2 and p3 columns of ``counts.columns``, 0 <= c <= max_c, as the
     lengths of ``enumerate_classes``.  Refuses max_c below 1 or above the ceiling.
 
-    Each type is walked once, at budget max_c, by ``_necklaces``' count mode,
-    and the columns read the counts per budget: p1 sums type 1 over the
-    budgets up to c, p2 is type 2 at c, and p3 sums type 3 over the budgets b
-    up to c at parity c - b, less p2 for the all-negative bracelets at
-    delta = 0 (k1 = 0, so delta + k1 is below 2), which negation maps one to
-    one onto the type 2 classes at c.
+    Each type is walked once, at budget max_c, by ``_necklaces``' count mode
+    over its strip values by size (type 3's -2j before 2j; types 1 and 2 are
+    sorted by size already), and the columns read the counts per budget: p1
+    sums type 1 over the budgets up to c, p2 is type 2 at c, and p3 sums
+    type 3 over the budgets b up to c at parity c - b, less p2 for the
+    all-negative bracelets at delta = 0 (k1 = 0, so delta + k1 is below 2),
+    which negation maps one to one onto the type 2 classes at c.
     """
     check_ceiling(max_c, ceiling)
-    ones, twos, threes = (_necklaces(_strip_values(link_type, max_c), max_c,
+    ones, twos, threes = (_necklaces(sorted(_strip_values(link_type, max_c), key=abs), max_c,
                                      dihedral=link_type > 1, count=True)
                           for link_type in (1, 2, 3))
     p2 = list(map(sum, twos))

@@ -56,6 +56,22 @@ def walk_params(draw):
     return link_type, budget, draw(st.integers(3, budget // 2)), draw(st.integers(0, 1))
 
 
+@st.composite
+def walk_orders(draw):
+    """(link_type, top, dihedral, values): the type's values of size at most
+    top in an order that _necklaces takes, by increasing size, each put at a
+    drawn end, so that the values of size at most s form one run for every s."""
+    link_type = draw(st.sampled_from((1, 2, 3)))
+    top = draw(st.integers(0, 16))
+    values = []
+    for v in sorted(_strip_values(link_type, top), key=abs):
+        if draw(st.booleans()):
+            values.insert(0, v)
+        else:
+            values.append(v)
+    return link_type, top, draw(st.booleans()), values
+
+
 @PROPERTY
 @given(signed_params())
 @example((5, 3, 0, 0))
@@ -117,6 +133,23 @@ def test_two_strips_come_from_the_brute_force(params):
     necklaces = least_rotations(values, k, budget, parity)
     assert necklaces == sorted({_least_rotation(t) for t in pairs})
     assert all(s == _least_dihedral(s) for s in necklaces)
+
+
+@PROPERTY
+@given(walk_orders())
+@example((3, 16, False, sorted(_strip_values(3, 16), key=abs)))  # class_counts' order
+@example((3, 16, True, sorted(_strip_values(3, 16), key=abs)))
+@example((3, 12, True, [-12, 12, -8, 8, -4, 4, -2, 2, 3, 5, -6, 6, 7, 9, -10, 10, 11]))
+def test_count_mode_does_not_depend_on_the_order(params):
+    # the classes, so their number, do not depend on the order of the entries;
+    # the sorted walk's lists are checked by the sweeps
+    link_type, top, dihedral, values = params
+    ordered = _strip_values(link_type, top)
+    assert sorted(values) == ordered
+    counted = _necklaces(values, top, dihedral, count=True)
+    assert counted == _necklaces(ordered, top, dihedral, count=True)
+    assert counted == [[sum(map(len, by_k)) for by_k in by_parity]
+                       for by_parity in _necklaces(ordered, top, dihedral)]
 
 
 @PROPERTY

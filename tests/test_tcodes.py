@@ -299,9 +299,13 @@ class TestCountClasses:
         with pytest.raises(ResourceLimitError):
             class_counts(21, ceiling=20)
         assert asked == []
-        # each type once, at the top budget, and nothing more
+        # each type once, at the top budget, and nothing more: types 1 and 2
+        # in sorted order, type 3 by size, -2j before 2j
         class_counts(20)
-        assert asked == [(tuple(tcodes._strip_values(t, 20)), 20, t > 1, True) for t in (1, 2, 3)]
+        by_size = tuple(v for size in range(2, 21) for v in (-size, size) if v > 0 or not size % 2)
+        assert asked == [(tuple(tcodes._strip_values(1, 20)), 20, False, True),
+                         (tuple(tcodes._strip_values(2, 20)), 20, True, True),
+                         (by_size, 20, True, True)]
 
     def test_count_mode_counts_the_list(self):
         # one walk counts both parities of every budget
@@ -313,6 +317,15 @@ class TestCountClasses:
                     listed = _necklaces(values, top, dihedral)
                     assert counted == [[sum(map(len, by_k)) for by_k in by_parity]
                                        for by_parity in listed], (link_type, top, dihedral)
+
+    @pytest.mark.parametrize("top", [24, pytest.param(28, marks=pytest.mark.slow)])
+    def test_size_order_counts_what_sorted_order_counts(self, top):
+        # class_counts walks type 3 by size; about 3 s at 28, left out of the
+        # default run (see pyproject.toml)
+        values = tcodes._strip_values(3, top)
+        for dihedral in (False, True):
+            assert _necklaces(sorted(values, key=abs), top, dihedral, count=True) == \
+                _necklaces(values, top, dihedral, count=True), (top, dihedral)
 
     def test_all_negative_bracelets_match_type_2(self):
         # the identity that lets class_counts subtract p2 from type 3's
