@@ -19,7 +19,8 @@ without its dashes, as argparse names it (``--min`` is ``args.min``), and the
 metavar is ``N`` for an int and ``PATH`` for a path.
 
 Each command imports only the modules it runs: ``table`` and ``count`` never
-load the oracle in ``tcodes`` or the fit.
+load the oracle or the fit, ``verify`` loads the oracle's walk in ``walk`` but
+not the codes in ``tcodes``, and ``list`` loads both.
 
 A process that runs ``main`` ends without the interpreter's exit-time garbage
 collection (``gc.freeze`` at exit); library calls are not affected.
@@ -163,10 +164,10 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from . import tcodes
+    from .walk import class_counts
 
     # first, so that an oversized --max meets the enumeration ceiling, not MAX_C
-    enumerated_columns = tcodes.class_counts(args.max, ceiling=args.ceiling)
+    enumerated_columns = class_counts(args.max, ceiling=args.ceiling)
     columns = counts.columns(args.max)
     failures = []
     write = sys.stdout.write

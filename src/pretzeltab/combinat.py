@@ -7,7 +7,7 @@ checks that a division is exact, ``check_c`` refuses a crossing number below
 composition.  The shared limits, ``ResourceLimitError``,
 ``DEFAULT_ENUM_CEILING`` and ``MAX_C``, live here too, in the base module that
 the others build on, so that ``counts`` and the CLI can refuse oversized work
-without loading the oracle in ``tcodes``.
+without loading the oracle in ``walk`` and ``tcodes``.
 """
 import math
 

@@ -1,7 +1,7 @@
 """Brute-force references that the tests check the closed forms and the oracle against.
 
 Each counter builds the objects it counts, or asks the oracle's generator in
-``tcodes`` for them, and shares no arithmetic with the Burnside counters.
+``walk`` for them, and shares no arithmetic with the Burnside counters.
 The exception is ``count_type1_alt``, a second route to the type 1 count: it
 sums ``necklaces.necklace_count`` in another order than ``counts.columns``
 sums its series.  ``orbit`` lists the images of a code under rotation and,
@@ -11,7 +11,8 @@ from itertools import combinations
 from operator import itemgetter
 
 from pretzeltab.necklaces import _check_point_c, necklace_count
-from pretzeltab.tcodes import TCode, _least_dihedral, _least_rotation, _necklaces
+from pretzeltab.tcodes import TCode, _least_dihedral, _least_rotation
+from pretzeltab.walk import _necklaces
 
 
 def compositions(n, k):

@@ -3,7 +3,8 @@ import pytest
 from pretzeltab.combinat import binom, composition_count, exact_div, totient
 from pretzeltab.counts import columns, count_rows
 from pretzeltab.necklaces import point_columns, type3_params
-from pretzeltab.tcodes import class_counts, enumerate_classes
+from pretzeltab.tcodes import enumerate_classes
+from pretzeltab.walk import class_counts
 
 from brute import compositions
 

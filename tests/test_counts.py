@@ -18,19 +18,34 @@ from brute import count_type1_alt
 from reference_data import COUNT_TABLE
 
 
-def log_gap(p, c):
-    """|ln p - ln p~(c)| at 60 digits, where p~(c) = rho^-c sum_{j<c} rho^j / (c - j) / 4
-    and rho is the root in (0, 1) of rho^3 + 3 rho^2 - 1 (1/rho = 2 cos(pi/9))."""
+# Each root in (0, 1) of a cubic r^3 + a r^2 - 1, as (a, a float guess); the
+# singularity of a column's series that sets its growth (F&S, Ch. V-VI)
+RHO = (3, 1 / (2 * math.cos(math.pi / 9)))  # type 3 and the total: 1/rho = 2 cos(pi/9)
+SIGMA = (1, 0.7548776662466927)  # type 1: 1/sigma is the plastic number
+
+
+def cyclic_form(c, r):
+    """r^-c sum_{j<c} r^j / (c - j): [x^c] of log 1/(1 - x/r), summed by 1/(1 - x)."""
+    total, power = Decimal(0), Decimal(1)
+    for j in range(c):
+        total += power / (c - j)
+        power *= r
+    return total / r ** c
+
+
+def log_gap(p, c, form, root=None):
+    """|ln p - ln form(c, r)| at 60 digits, where r is the root of the cubic
+    that root names, refined from its guess by Newton's method (16 digits,
+    then 32, 64 and 128), or None for a form that needs no root."""
     with localcontext() as ctx:
         ctx.prec = 60
-        rho = Decimal(1 / (2 * math.cos(math.pi / 9)))
-        for _ in range(3):  # Newton's method: 16 digits, then 32, 64 and 128
-            rho -= (rho ** 3 + 3 * rho ** 2 - 1) / (3 * rho ** 2 + 6 * rho)
-        total, power = Decimal(0), Decimal(1)
-        for j in range(c):
-            total += power / (c - j)
-            power *= rho
-        return abs(Decimal(p).ln() - (total.ln() - c * rho.ln() - Decimal(4).ln()))
+        r = None
+        if root is not None:
+            a, guess = root
+            r = Decimal(guess)
+            for _ in range(3):
+                r -= (r ** 3 + a * r ** 2 - 1) / (3 * r ** 2 + 2 * a * r)
+        return abs(Decimal(p).ln() - form(c, r).ln())
 
 
 class TestType3Params:
@@ -149,13 +164,32 @@ class TestColumns:
             assert p2[2 * n] == burnside // (2 * n) - 2 - n // 2, n
             assert p2[2 * n - 1] == 0, n
 
-    def test_total_follows_its_asymptotic_form_up_to_max_c(self):
+    def test_total_follows_its_asymptotic_form_up_to_max_c(self, columns_max_c):
         # an independent check of p = p1 + p2 + p3 where no other route reaches:
         # by c = 1,000 the only gap left is the 60-digit rounding
-        p1, p2, p3 = columns(MAX_C)
+        p1, p2, p3 = columns_max_c
         bounds = {150: "1e-12", 200: "1e-17", 1000: "1e-40", 5000: "1e-40", MAX_C: "1e-40"}
         for c, bound in bounds.items():
-            assert log_gap(p1[c] + p2[c] + p3[c], c) < Decimal(bound), c
+            assert log_gap(p1[c] + p2[c] + p3[c], c, lambda c, rho: cyclic_form(c, rho) / 4,
+                           RHO) < Decimal(bound), c
+
+    def test_types_1_and_2_follow_their_asymptotic_forms_up_to_max_c(self, columns_max_c):
+        # p1 and p2 are below 1e-120 of p from c = 1,000, so the total's check
+        # cannot see them.  Type 1: 1 - Q = (1 - x^2 - x^3)/(1 - x^2), summed by
+        # 1/(1 - x).  Type 2: 1 - N = (1 - 2x^2)/(1 - x^2), so half the cyclic
+        # count, 2^(c/2)/c at even c, and none at odd c.  The next singularities
+        # leave gaps of about 0.87^c and c 0.84^c; from c = 1,000 only the
+        # 60-digit rounding is left
+        p1, p2, _ = columns_max_c
+        bounds = {150: ("2e-9", "1e-9"), 200: ("2e-12", "5e-13"), 1000: ("1e-40", "1e-40"),
+                  1001: ("1e-40", None), 5000: ("1e-40", "1e-40"), MAX_C: ("1e-40", "1e-40")}
+        for c, (bound1, bound2) in bounds.items():
+            assert log_gap(p1[c], c, cyclic_form, SIGMA) < Decimal(bound1), c
+            if bound2 is None:
+                assert p2[c] == 0, c
+            else:
+                assert log_gap(p2[c], c, lambda c, _: Decimal(2) ** (c // 2) / c) < \
+                    Decimal(bound2), c
 
     def test_digest_up_to_2000(self):
         # the decimal text of all three columns, as the column route gave it

@@ -30,7 +30,8 @@ class TestImports:
     def test_cli_loads_neither_dataclasses_nor_oracle_nor_fit(self):
         loaded = loaded_after("import pretzeltab.cli")
         assert "pretzeltab.cli" in loaded
-        assert not loaded & {"dataclasses", "pretzeltab.tcodes", "pretzeltab.fit"}
+        assert not loaded & {"dataclasses", "pretzeltab.walk", "pretzeltab.tcodes",
+                             "pretzeltab.fit"}
 
     def test_cli_loads_no_future(self):
         # every annotation the package writes is evaluated natively, so no
@@ -49,7 +50,9 @@ class TestImports:
             'cli.main(["count", "-c", "20"])': set(),
             'cli.main(["table", "--min", "6", "--max", "10"])': set(),
             'cli.main(["fit"])': {"pretzeltab.fit"},
-            'cli.main(["verify", "--max", "6"])': {"pretzeltab.tcodes"},
+            'cli.main(["verify", "--max", "6"])': {"pretzeltab.walk"},
+            'cli.main(["list", "-c", "8", "--type", "3"])': {"pretzeltab.walk",
+                                                            "pretzeltab.tcodes"},
             "from pretzeltab import point_columns\npoint_columns(10)": {"pretzeltab.necklaces"},
         }
         started = loaded_after("")
@@ -60,6 +63,11 @@ class TestImports:
                                "pretzeltab.counts"} | extra, call
             assert "__future__" not in loaded - started, call
 
+    def test_walk_loads_no_counter_and_no_code(self):
+        # the oracle's walk stays independent of the counters it checks
+        loaded = loaded_after("import pretzeltab.walk")
+        assert {name for name in loaded if name.startswith("pretzeltab.")} == {
+            "pretzeltab.walk", "pretzeltab.combinat"}
 
     def test_argparse_loads_only_for_other_spellings(self):
         plain = benchmark_commands() + [shlex.split(command)[1:] for command, _ in readme_examples()]

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from pretzeltab.counts import columns
 from pretzeltab.signed_bracelets import signed_bracelet_count
-from pretzeltab.tcodes import (
-    TCode, _least_dihedral, _least_rotation, _necklaces, _strip_values, canonicalize, violation)
+from pretzeltab.tcodes import TCode, _least_dihedral, _least_rotation, canonicalize, violation
+from pretzeltab.walk import _necklaces, _strip_values
 
 from brute import least_rotations, orbit, signed_class_count
 

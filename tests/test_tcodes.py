@@ -4,21 +4,20 @@ from itertools import product
 
 import pytest
 
-from pretzeltab import tcodes
+from pretzeltab import walk
 from pretzeltab.counts import columns
 from pretzeltab.necklaces import point_columns
 from pretzeltab.tcodes import (
     _least_dihedral,
     _least_rotation,
-    _necklaces,
     DEFAULT_ENUM_CEILING,
     ResourceLimitError,
     TCode,
     canonicalize,
-    class_counts,
     enumerate_classes,
     violation,
 )
+from pretzeltab.walk import _necklaces, class_counts
 
 from brute import composition_class_count, least_rotations, orbit, signed_class_count
 from helpers import fresh_env
@@ -205,7 +204,7 @@ class TestGenerators:
         # a walk at the top budget, read at a lower budget b, is the walk at b:
         # every prune reads the prefix's room, never the top budget alone
         for link_type in (1, 2, 3):
-            values = tcodes._strip_values(link_type, 18)
+            values = walk._strip_values(link_type, 18)
             for dihedral in (False, True):
                 for count in (False, True):
                     walks = [_necklaces(values, top, dihedral, count) for top in range(19)]
@@ -213,6 +212,19 @@ class TestGenerators:
                         assert len(walked) == top + 1
                         for b in range(top + 1):
                             assert walked[b] == walks[b][b], (link_type, dihedral, count, top, b)
+
+    def test_one_parity_keeps_only_the_parity_of_the_room(self):
+        # class_strips' type 3 walk: at budget b, the tuples of parity
+        # (top - b) % 2 as the full walk lists them, and no other
+        for link_type in (1, 2, 3):
+            for top in range(19):
+                values = walk._strip_values(link_type, top)
+                for dihedral in (False, True):
+                    full = _necklaces(values, top, dihedral)
+                    one = _necklaces(values, top, dihedral, _one_parity=True)
+                    assert one == [[by_k if parity == (top - b) % 2 else [[] for _ in by_k]
+                                    for parity, by_k in enumerate(by_parity)]
+                                   for b, by_parity in enumerate(full)], (link_type, top, dihedral)
 
     def test_each_frame_has_room_for_its_entry_and_the_last(self):
         # a looser bound on the recursion changes no tuple, only the work
@@ -223,7 +235,7 @@ class TestGenerators:
                 rems.append(frame.f_locals["rem"])
 
         for link_type in (1, 2, 3):
-            values = tcodes._strip_values(link_type, 18)
+            values = walk._strip_values(link_type, 18)
             least = min(map(abs, values))
             for dihedral in (False, True):
                 rems.clear()
@@ -289,13 +301,13 @@ class TestCountClasses:
 
     def test_walks_once_when_called(self, monkeypatch):
         asked = []
-        necklaces = tcodes._necklaces
+        necklaces = walk._necklaces
 
         def recording(values, top, dihedral=False, count=False):
             asked.append((tuple(values), top, dihedral, count))
             return necklaces(values, top, dihedral, count)
 
-        monkeypatch.setattr(tcodes, "_necklaces", recording)
+        monkeypatch.setattr(walk, "_necklaces", recording)
         with pytest.raises(ResourceLimitError):
             class_counts(21, ceiling=20)
         assert asked == []
@@ -303,8 +315,8 @@ class TestCountClasses:
         # in sorted order, type 3 by size, -2j before 2j
         class_counts(20)
         by_size = tuple(v for size in range(2, 21) for v in (-size, size) if v > 0 or not size % 2)
-        assert asked == [(tuple(tcodes._strip_values(1, 20)), 20, False, True),
-                         (tuple(tcodes._strip_values(2, 20)), 20, True, True),
+        assert asked == [(tuple(walk._strip_values(1, 20)), 20, False, True),
+                         (tuple(walk._strip_values(2, 20)), 20, True, True),
                          (by_size, 20, True, True)]
 
     def test_count_mode_counts_the_list(self):
@@ -322,7 +334,7 @@ class TestCountClasses:
     def test_size_order_counts_what_sorted_order_counts(self, top):
         # class_counts walks type 3 by size; about 3 s at 28, left out of the
         # default run (see pyproject.toml)
-        values = tcodes._strip_values(3, top)
+        values = walk._strip_values(3, top)
         for dihedral in (False, True):
             assert _necklaces(sorted(values, key=abs), top, dihedral, count=True) == \
                 _necklaces(values, top, dihedral, count=True), (top, dihedral)
