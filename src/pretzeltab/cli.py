@@ -1,7 +1,7 @@
 """Command-line interface: table, count, list, verify and fit subcommands.
 
 Exit codes: 0 success, 1 argument error, 2 verification mismatch,
-3 resource ceiling exceeded (the enumeration ceiling or ``counts.MAX_C``),
+3 resource ceiling exceeded (the enumeration ceiling or ``combinat.MAX_C``),
 4 I/O error (a failed write to stdout or to ``table --out``, also a reader
 that closes stdout early), 5 internal error (a failed exactness check,
 ``ArithmeticError``).

@@ -31,10 +31,14 @@ class ResourceLimitError(RuntimeError):
     """Raised when a computation would exceed its size ceiling."""
 
 
-def check_c(c: int) -> None:
-    """Refuse a crossing number below 1: every entry point that takes one calls this."""
+def check_c(c: int, limit: int | None = None, what: str = "", name: str = "") -> None:
+    """Refuse a crossing number below 1, and above the limit if one is given:
+    every entry point that takes one calls this.  The caller reads its limit
+    at call time; what names the work at c and name where the limit is set."""
     if c < 1:
         raise ValueError(f"crossing number must be positive, got {c}")
+    if limit is not None and c > limit:
+        raise ResourceLimitError(f"{what} {c} crossings exceeds the limit of {limit} ({name})")
 
 
 def totient(d: int) -> int:

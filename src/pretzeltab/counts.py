@@ -26,7 +26,7 @@ the paper's per-point formula.
 from itertools import accumulate, product, repeat
 from typing import NamedTuple
 
-from .combinat import MAX_C, ResourceLimitError, check_c, exact_div, totient
+from .combinat import MAX_C, check_c, exact_div, totient
 
 
 # Truncated power series are lists of coefficients, constant term first.  A
@@ -126,10 +126,7 @@ def columns(max_c: int) -> tuple[list[int], list[int], list[int]]:
     Index c of each list is the count at crossing number c.  Refuses max_c
     above MAX_C.
     """
-    check_c(max_c)
-    if max_c > MAX_C:
-        raise ResourceLimitError(
-            f"counts up to {max_c} crossings exceed the limit of {MAX_C} (counts.MAX_C)")
+    check_c(max_c, MAX_C, "the column route at", "combinat.MAX_C")
     n = max_c + 1
     series = _cyclic_sums(n)
     p2 = _dihedral(series.pop(), _N, _N, n)

@@ -20,7 +20,7 @@ import math
 from itertools import accumulate
 from typing import Iterator, NamedTuple
 
-from .combinat import ResourceLimitError, binom, check_c, composition_count, exact_div, totient
+from .combinat import binom, check_c, composition_count, exact_div, totient
 
 # Largest c that the per-point route accepts, a bound on time: point_columns
 # walks its O(c^4) type 3 families one at a time.  In a fresh process it takes
@@ -118,13 +118,6 @@ class Type3Params(NamedTuple):
     k2: int
 
 
-def _check_point_c(c: int) -> None:
-    check_c(c)
-    if c > POINT_MAX_C:
-        raise ResourceLimitError(f"the per-point route at {c} crossings exceeds the limit "
-                                 f"of {POINT_MAX_C} (necklaces.POINT_MAX_C)")
-
-
 def _type3_points(max_c: int) -> Iterator[Type3Params]:
     """Each type 3 strip family (n1, k1, n2, k2) whose least c is at most max_c,
     once, at its least delta (2 for k1 = 0, else k1 mod 2), in ascending order
@@ -143,7 +136,7 @@ def type3_params(c: int) -> list[Type3Params]:
 
     Deterministic order: ascending lexicographic on (delta, k1, n1, k2, n2).
     """
-    _check_point_c(c)
+    check_c(c, POINT_MAX_C, "the per-point route at", "necklaces.POINT_MAX_C")
     points = (p._replace(delta=c - p.k1 - p.n1 - 2 * p.n2) for p in _type3_points(c))
     # a stable sort: within one delta the families keep their (k1, n1, k2, n2) order
     return sorted((p for p in points if (p.delta + p.k1) % 2 == 0), key=lambda p: p.delta)
@@ -156,7 +149,7 @@ def point_columns(max_c: int) -> tuple[list[int], list[int], list[int]]:
     type 3 adds each family's signed bracelet count at its least c and carries
     it on to c + 2, c + 4, ...
     """
-    _check_point_c(max_c)
+    check_c(max_c, POINT_MAX_C, "the per-point route at", "necklaces.POINT_MAX_C")
     n = max_c + 1
     p1 = list(accumulate(sum(necklace_count((b - k) // 2, k)
                              for k in range(3, b // 3 + 1) if (b - k) % 2 == 0)

@@ -22,7 +22,7 @@ live in ``tests/brute.py``.
 """
 from typing import Iterator, NamedTuple
 
-from .combinat import DEFAULT_ENUM_CEILING, MAX_C, ResourceLimitError
+from .combinat import DEFAULT_ENUM_CEILING, MAX_C, check_c
 from .walk import _necklaces, _strip_values, check_ceiling
 
 
@@ -83,17 +83,14 @@ def canonicalize(code: TCode) -> TCode:
     Lexicographically least strip tuple over the class: the k rotations for
     type 1, the 2k rotations and reversed rotations for types 2 and 3.
     Entries compare in ordinary integer order, so negative strips sort first.
-    Idempotent; delta and type are preserved.  Refuses, before any work, a
-    code of more than ``combinat.MAX_C`` crossings: the cost is quadratic in
-    the strip count.
+    Idempotent; delta and type are preserved.  Refuses an invalid code, then,
+    before the quadratic step, a code of more than ``combinat.MAX_C``
+    crossings: the cost is quadratic in the strip count.
     """
-    size = code.delta + sum(map(abs, code.strips))
-    if size > MAX_C:
-        raise ResourceLimitError(
-            f"a code of {size} crossings exceeds the limit of {MAX_C} (combinat.MAX_C)")
     problem = violation(code)
     if problem is not None:
         raise ValueError(f"invalid code {code!r}: {problem}")
+    check_c(code.delta + sum(map(abs, code.strips)), MAX_C, "a code of", "combinat.MAX_C")
     least_form = _least_rotation if code.link_type == 1 else _least_dihedral
     return TCode(code.link_type, code.delta, least_form(code.strips))
 

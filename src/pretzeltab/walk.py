@@ -17,18 +17,14 @@ module imports nothing from the counters nor from the codes in ``tcodes``:
 """
 from itertools import accumulate
 
-from .combinat import DEFAULT_ENUM_CEILING, ResourceLimitError, check_c
+from .combinat import DEFAULT_ENUM_CEILING, check_c
 
 
 def check_ceiling(c: int, ceiling: int) -> None:
     """Refuse exhaustive enumeration at c crossings below 1 or above the ceiling."""
     if ceiling < 1:
         raise ValueError(f"the enumeration ceiling must be positive, got {ceiling}")
-    check_c(c)
-    if c > ceiling:
-        raise ResourceLimitError(
-            f"exhaustive enumeration at {c} crossings exceeds the ceiling of {ceiling}"
-            " (raise it with --ceiling)")
+    check_c(c, ceiling, "exhaustive enumeration at", "raise it with --ceiling")
 
 
 def _necklaces(values: list[int], top: int, dihedral: bool = False, count: bool = False,

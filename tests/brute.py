@@ -10,7 +10,9 @@ for types 2 and 3, reversal, which ``canonicalize`` must map to one form.
 from itertools import combinations
 from operator import itemgetter
 
-from pretzeltab.necklaces import _check_point_c, necklace_count
+from pretzeltab import necklaces
+from pretzeltab.combinat import check_c
+from pretzeltab.necklaces import necklace_count
 from pretzeltab.tcodes import TCode, _least_dihedral, _least_rotation
 from pretzeltab.walk import _necklaces
 
@@ -118,7 +120,7 @@ def count_type1_alt(c: int) -> int:
     inner index j = (delta + k - (c % 2)) / 2 starts at floor(k/2) for odd c
     and ceil(k/2) for even c.
     """
-    _check_point_c(c)
+    check_c(c, necklaces.POINT_MAX_C, "the per-point route at", "necklaces.POINT_MAX_C")
     q, odd = divmod(c, 2)
     total = 0
     for i in range(3, q + 1):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pretzeltab import cli, counts, tcodes
+from pretzeltab import cli, counts, tcodes, walk
 from pretzeltab.cli import (
     CSV_HEADER,
     EXIT_INTERNAL,
@@ -216,13 +216,21 @@ class TestVerify:
         assert captured.err == (
             "pretzeltab verify: first failure at c=6 type 2 (formula 2, enumerated 1)\n")
 
-    def test_counts_without_building_codes(self, capsys, monkeypatch):
-        def no_codes(*args):
-            raise AssertionError("verify built a TCode")
+    def test_walks_each_type_once_in_count_mode(self, capsys, monkeypatch):
+        # a list-mode walk, through walk or through tcodes' own binding of it,
+        # would be recorded without count=True
+        walks = []
+        necklaces = walk._necklaces
 
-        monkeypatch.setattr(tcodes, "TCode", no_codes)
+        def recording(values, top, **options):
+            walks.append(options.get("count", False))
+            return necklaces(values, top, **options)
+
+        monkeypatch.setattr(walk, "_necklaces", recording)
+        monkeypatch.setattr(tcodes, "_necklaces", recording)
         assert main(["verify", "--max", "12"]) == EXIT_OK
         assert "36/36 checks passed" in capsys.readouterr().out
+        assert walks == [True, True, True]
 
     def test_max_above_ceiling(self, capsys):
         assert main(["verify", "--max", "40"]) == EXIT_RESOURCE

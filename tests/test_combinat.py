@@ -1,9 +1,17 @@
 import pytest
 
-from pretzeltab.combinat import binom, composition_count, exact_div, totient
+from pretzeltab.combinat import (
+    DEFAULT_ENUM_CEILING,
+    MAX_C,
+    ResourceLimitError,
+    binom,
+    composition_count,
+    exact_div,
+    totient,
+)
 from pretzeltab.counts import columns, count_rows
-from pretzeltab.necklaces import point_columns, type3_params
-from pretzeltab.tcodes import enumerate_classes
+from pretzeltab.necklaces import POINT_MAX_C, point_columns, type3_params
+from pretzeltab.tcodes import TCode, canonicalize, enumerate_classes
 from pretzeltab.walk import class_counts
 
 from brute import compositions
@@ -50,14 +58,16 @@ class TestExactDiv:
         assert str(excinfo.value) == "x: remainder 1 on division by 2"
 
 
-# Each public entry point that takes a crossing number, called at c.
+# Each public entry point that takes a crossing number, called at c, and the
+# limit on c there: its value and where it is set.
 CROSSING_ENTRY_POINTS = {
-    "columns": columns,
-    "count_rows": lambda c: count_rows(c, 6),
-    "point_columns": point_columns,
-    "type3_params": type3_params,
-    "enumerate_classes": lambda c: enumerate_classes(c, 3),
-    "class_counts": class_counts,
+    "columns": (columns, MAX_C, "combinat.MAX_C"),
+    "count_rows": (lambda c: count_rows(min(c, 6), max(c, 6)), MAX_C, "combinat.MAX_C"),
+    "point_columns": (point_columns, POINT_MAX_C, "necklaces.POINT_MAX_C"),
+    "type3_params": (type3_params, POINT_MAX_C, "necklaces.POINT_MAX_C"),
+    "enumerate_classes": (lambda c: enumerate_classes(c, 3), DEFAULT_ENUM_CEILING,
+                          "raise it with --ceiling"),
+    "class_counts": (class_counts, DEFAULT_ENUM_CEILING, "raise it with --ceiling"),
 }
 
 
@@ -66,8 +76,23 @@ class TestCheckC:
     @pytest.mark.parametrize("entry", CROSSING_ENTRY_POINTS)
     def test_every_entry_point_refuses_with_one_message(self, entry, c):
         with pytest.raises(ValueError) as excinfo:
-            CROSSING_ENTRY_POINTS[entry](c)
+            CROSSING_ENTRY_POINTS[entry][0](c)
         assert str(excinfo.value) == f"crossing number must be positive, got {c}"
+
+    @pytest.mark.parametrize("entry", CROSSING_ENTRY_POINTS)
+    def test_every_entry_point_refuses_above_its_limit(self, entry):
+        call, limit, name = CROSSING_ENTRY_POINTS[entry]
+        with pytest.raises(ResourceLimitError) as excinfo:
+            call(limit + 1)
+        assert str(excinfo.value).endswith(
+            f" {limit + 1} crossings exceeds the limit of {limit} ({name})")
+
+    def test_canonicalize_refuses_above_max_c(self):
+        # three strips of 3 and MAX_C - 8 horizontal twists: one crossing over
+        with pytest.raises(ResourceLimitError) as excinfo:
+            canonicalize(TCode(1, MAX_C - 8, (3, 3, 3)))
+        assert str(excinfo.value) == (
+            f"a code of {MAX_C + 1} crossings exceeds the limit of {MAX_C} (combinat.MAX_C)")
 
 
 class TestBinom:

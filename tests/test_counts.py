@@ -5,6 +5,7 @@ from decimal import Decimal, localcontext
 import pytest
 
 from pretzeltab import counts, necklaces
+from pretzeltab.combinat import ResourceLimitError
 from pretzeltab.counts import MAX_C, CountRow, columns, count_row, count_rows
 from pretzeltab.necklaces import (
     POINT_MAX_C,
@@ -12,7 +13,7 @@ from pretzeltab.necklaces import (
     point_columns,
     type3_params,
 )
-from pretzeltab.tcodes import ResourceLimitError, enumerate_classes
+from pretzeltab.tcodes import enumerate_classes
 
 from brute import count_type1_alt
 from reference_data import COUNT_TABLE

@@ -5,13 +5,12 @@ from itertools import product
 import pytest
 
 from pretzeltab import walk
+from pretzeltab.combinat import DEFAULT_ENUM_CEILING, ResourceLimitError
 from pretzeltab.counts import columns
 from pretzeltab.necklaces import point_columns
 from pretzeltab.tcodes import (
     _least_dihedral,
     _least_rotation,
-    DEFAULT_ENUM_CEILING,
-    ResourceLimitError,
     TCode,
     canonicalize,
     enumerate_classes,
