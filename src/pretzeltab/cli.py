@@ -4,7 +4,7 @@ Exit codes: 0 success, 1 argument error, 2 verification mismatch,
 3 resource ceiling exceeded (the enumeration ceiling or ``combinat.MAX_C``),
 4 I/O error (a failed write to stdout or to ``table --out``, also a reader
 that closes stdout early), 5 internal error (a failed exactness check,
-``ArithmeticError``).
+``ArithmeticError``).  ``_run`` and ``main`` assign every one of them.
 
 Each command's help line, handler and options are described once, in
 ``_SPEC``, and ``_run`` calls the handler from there.  ``_read_plain`` reads a
@@ -12,8 +12,8 @@ plain command line (``table --min 6 --max 80``: exact ``FLAG VALUE`` pairs
 with well-formed values) directly from it.  Every other spelling
 (``-h``/``--help``, ``--max=8``, ``-c14``, an abbreviated flag, ``--``, a bad
 value, a missing or unknown command) goes to the argparse parser that
-``_build_parser`` builds from the same table, so every help text, usage
-error and exit code comes from argparse, which is imported only then.  An
+``_build_parser`` builds from the same table, so every help text and usage
+error comes from argparse, which is imported only then.  An
 option's dest and metavar are derived, not listed: the dest is the flag
 without its dashes, as argparse names it (``--min`` is ``args.min``), and the
 metavar is ``N`` for an int and ``PATH`` for a path.
@@ -98,11 +98,6 @@ def _build_parser():
     import argparse
 
     class _Parser(argparse.ArgumentParser):
-        # argparse exits with status 2 on bad arguments; the contract here is 1.
-        def error(self, message):
-            self.print_usage(sys.stderr)
-            self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
         # argparse's own print_help drops a failed write; this lets it reach main (exit 4).
         def print_help(self, file=None):
             (file or sys.stdout).write(self.format_help())
@@ -237,8 +232,8 @@ def _run(argv: list[str] | None) -> int:
     if args is None:
         try:
             args = _build_parser().parse_args(argv)
-        except SystemExit as exc:
-            return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+        except SystemExit as exc:  # argparse exits with 0 after help, 2 on a bad argument
+            return EXIT_USAGE if exc.code else EXIT_OK
     try:
         code = _SPEC[args.command][1](args)
         sys.stdout.flush()
@@ -257,20 +252,15 @@ def _run(argv: list[str] | None) -> int:
         raise
 
 
-_exit_freeze_registered = False
-
-
 def main(argv: list[str] | None = None) -> int:
-    global _exit_freeze_registered
-    if not _exit_freeze_registered:
-        # At exit, freeze every object still tracked: the interpreter's final
-        # collections then skip them, and the OS takes the memory back whole.
-        # Stdout is still flushed and the other exit handlers still run.
-        # Not at import, so that a program that only imports this module
-        # keeps its exit-time collection; once, so that repeated calls in
-        # one process add one handler.
-        atexit.register(gc.freeze)
-        _exit_freeze_registered = True
+    # At exit, freeze every object still tracked: the interpreter's final
+    # collections then skip them, and the OS takes the memory back whole.
+    # Stdout is still flushed and the other exit handlers still run.  Not at
+    # import, so that a program that only imports this module keeps its
+    # exit-time collection; unregistered first, so that repeated calls in one
+    # process leave one handler.
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     if sys.stdout is None:
         # fd 1 was closed at start-up (``>&-``): a read-only stand-in fails each write
         # with EBADF, as fd 1 would (closefd=False: no unclosed-file warning at exit)

@@ -6,7 +6,7 @@ strips).  Two codes describe the same link exactly when they have equal type
 and delta and their strip tuples agree up to rotation (type 1) or up to
 rotation and reversal (types 2 and 3).
 
-``enumerate_classes`` is the brute-force ground truth that the closed-form
+``enumerate_classes`` is the orderly exhaustive oracle that the closed-form
 counters in ``counts`` are checked against: the list of ``class_strips``,
 which yields each class once, as its canonical ``TCode``, already in
 ``list`` order, so no dedup set and no sort is needed.  It reads the walk in
@@ -61,7 +61,7 @@ def violation(code: TCode) -> str | None:
     else:
         if any(0 < s < 2 for s in code.strips):
             return "type 3 positive strips must be at least 2"
-        if any(s < 0 and (s % 2 or s > -2) for s in code.strips):
+        if any(s < 0 and s % 2 for s in code.strips):
             return "type 3 negative strips must be even and at least 2 in size"
         positive = sum(1 for s in code.strips if s > 0)
         if code.delta + positive < 2 or (code.delta + positive) % 2:
@@ -104,11 +104,12 @@ def class_strips(c: int, link_type: int,
     positive type 1 and type 2 codes are generated (one link per mirror
     pair).  One ``_necklaces`` walk at budget c lists the canonical strip
     tuples of every budget by parity and strip count, and for each delta,
-    ascending, the lists of budget c - delta are read by strip count.  Type 3
-    reads parity delta % 2 and drops, at delta = 0, the all-negative tuples,
-    whose delta + k1 is below 2; a type 1 or 2 tuple, all of whose entries
-    are positive, has parity k % 2.  The walk's classes are all held at once;
-    for type 3, the walk builds only the tuples of parity delta % 2.
+    ascending, the lists of budget c - delta are read by strip count.  At
+    most one parity of each is filled, so the two lists are read as one: a
+    type 1 or 2 tuple of k strips, all of them positive, has parity k % 2,
+    and type 3's walk keeps only the parity delta % 2 that the code needs.
+    Type 3 drops, at delta = 0, the all-negative tuples, whose delta + k1 is
+    below 2.  The walk's classes are all held at once.
 
     Refuses c below 1 or above the enumeration ceiling
     (``walk.check_ceiling``) when the first class is asked for.
@@ -119,9 +120,9 @@ def class_strips(c: int, link_type: int,
     walked = _necklaces(_strip_values(link_type, c), c, dihedral=link_type > 1,
                         _one_parity=link_type == 3)
     for delta in range(1 if link_type == 2 else c):
-        by_parity = walked[c - delta]
-        for k in range(len(by_parity[0])):
-            for strips in by_parity[(delta if link_type == 3 else k) % 2][k]:
+        even, odd = walked[c - delta]
+        for k in range(len(even)):
+            for strips in even[k] or odd[k]:
                 if link_type == 3 and not delta and max(strips) < 0:
                     continue  # k1 = 0: delta + k1 is below 2
                 yield TCode(link_type, delta, strips)

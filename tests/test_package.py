@@ -115,12 +115,18 @@ class TestLibrary:
             getattr(pretzeltab, "count_rows")  # importable from pretzeltab.counts only
 
     def test_records_are_immutable(self):
-        from pretzeltab import TCode, count_row
+        # README: named tuples, immutable, hashable and equal to the plain tuple
+        from pretzeltab import TCode, count_row, fit_growth
 
         code = TCode(1, 0, (3, 3, 3))
         row = count_row(10)
+        result = fit_growth(6, 12)
         with pytest.raises(AttributeError):
             code.delta = 1
         with pytest.raises(AttributeError):
             row.p1 = 0
+        with pytest.raises(AttributeError):
+            result.a = 0.0
         assert code == TCode(1, 0, (3, 3, 3)) and hash(code) == hash(TCode(1, 0, (3, 3, 3)))
+        for record in (code, row, result):
+            assert record == tuple(record) and hash(record) == hash(tuple(record))

@@ -63,6 +63,7 @@ class TestValidate:
     def test_type3_rules(self):
         assert violation(TCode(3, 0, (1, 2, -2))) is not None       # positive strip too small
         assert violation(TCode(3, 0, (2, 2, -3))) is not None       # odd negative strip
+        assert violation(TCode(3, 0, (2, 2, -1))) is not None       # negative strip below 2
         assert violation(TCode(3, 1, (2, 2, -2))) is not None       # delta + positives odd
         assert violation(TCode(3, 0, (-2, -2, -2))) is not None     # delta + positives below 2
         assert violation(TCode(3, 2, (-2, -2, -2))) is None
