@@ -19,7 +19,7 @@ _HOME = {
     "type3_params": "necklaces",
     "necklace_count": "necklaces",
     "bracelet_count": "necklaces",
-    "signed_bracelet_count": "signed_bracelets",
+    "signed_bracelet_count": "necklaces",
     "TCode": "tcodes",
     "canonicalize": "tcodes",
     "enumerate_classes": "tcodes",

@@ -3,11 +3,12 @@
 Everything here is pure, exact (Python big integers throughout) and safe to
 call concurrently.  Each shared rule has its one copy here: ``exact_div``
 checks that a division is exact, ``check_c`` refuses a crossing number below
-1, and ``composition_count`` gives the empty family (n = k = 0) its one
-composition.  The shared limits, ``ResourceLimitError``,
-``DEFAULT_ENUM_CEILING`` and ``MAX_C``, live here too, in the base module that
-the others build on, so that ``counts`` and the CLI can refuse oversized work
-without loading the oracle in ``walk`` and ``tcodes``.
+1 or above the caller's limit, and ``composition_count`` gives the empty
+family (n = k = 0) its one composition.  The shared limits,
+``ResourceLimitError``, ``DEFAULT_ENUM_CEILING`` and ``MAX_C``, live here too,
+in the base module that the others build on, so that ``counts`` and the CLI
+can refuse oversized work without loading the oracle in ``walk`` and
+``tcodes``.
 """
 import math
 

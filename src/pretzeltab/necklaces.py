@@ -5,11 +5,12 @@ A circle holds k1 positive beads of total weight n1 and k2 negative beads of
 total weight n2; an empty family (n = k = 0) leaves the one-family case, k
 beads whose weights are a composition of n.  ``_rotation_sum`` and
 ``_reflection_sum`` add up the arrangements fixed by each rotation and each
-reflection of the k = k1 + k2 positions; each count of necklaces, bracelets
-or signed bracelets is one exact division of them, and a remainder raises
-``ArithmeticError``.  For odd k each of the k reflection axes passes through
-one bead; for even k, k/2 axes pass through two beads and k/2 through none.
-The other beads form mirrored pairs.
+reflection of the k = k1 + k2 positions.  ``necklace_count``,
+``bracelet_count`` and ``signed_bracelet_count`` are each one exact division
+of them, and a remainder raises ``ArithmeticError``.  For odd k each of the k
+reflection axes passes through one bead, from either family; for even k, k/2
+axes pass through two beads and k/2 through none.  The other beads form
+mirrored pairs.
 
 ``point_columns`` is the paper's formula: these counts summed over every
 admissible parameter point, one walk over the O(C^4) type 3 strip families
@@ -98,6 +99,19 @@ def bracelet_count(n: int, k: int) -> int:
     if k <= 0 or n < k:
         return 0
     return _bracelets(n, k, 0, 0)
+
+
+def signed_bracelet_count(n1: int, k1: int, n2: int, k2: int) -> int:
+    """Number of dihedral classes of signed weighted arrangements.
+
+    Burnside over the dihedral group of order 2k; an empty family gives the
+    one-colour ``bracelet_count``, and no beads at all give 0.
+    """
+    if not (n1 >= k1 >= 0 and n2 >= k2 >= 0):
+        raise ValueError(f"need n1 >= k1 >= 0 and n2 >= k2 >= 0, got ({n1},{k1},{n2},{k2})")
+    if (k1 == 0 and n1 != 0) or (k2 == 0 and n2 != 0):
+        raise ValueError(f"a family with no beads carries no weight, got ({n1},{k1},{n2},{k2})")
+    return _bracelets(n1, k1, n2, k2) if k1 + k2 else 0
 
 
 class Type3Params(NamedTuple):

@@ -79,9 +79,10 @@ def _necklaces(values: list[int], top: int, dihedral: bool = False, count: bool 
     closes the tuple: it is above a[k - q], and each reversal comparison is
     settled at its first entries, a[j+1] (or a[L+1]) below a[k] = v.  Only
     the bound itself is checked in full.  The indices above it of size at
-    most s form one range: list mode reads its values, and count mode adds
-    it as a whole to a difference array per (parity of a[1..t], s), which
-    one pass at the end turns into counts per budget.  A tuple closed by v
+    most s form one range, which ends where the run of size at most s ends.
+    List mode reads its values, and count mode records only where the range
+    starts, per (parity of a[1..t], s); one pass at the end adds up the
+    ranges open at each index into counts per budget.  A tuple closed by v
     at room s, at budget b = top - s + |v|, has parity (top - b) % 2 exactly
     when (v > 0) ^ |v| % 2 equals the parity of a[1..t] ^ s % 2, so with
     _one_parity list mode builds only the tuples of the range whose v
@@ -102,9 +103,9 @@ def _necklaces(values: list[int], top: int, dihedral: bool = False, count: bool 
         hi_of.append(within[-1] + 1 if within else 0)
     least = min(sizes, default=top + 1)  # no values: no entry fits
     if count:
-        # spans[par][s] is the difference array, over the indices, of the last
-        # entries that close a prefix of parity par and room s
-        spans = [[[0] * (len(values) + 1) for _ in range(top + 1)] for _ in (0, 1)]
+        # starts[par][s][x] is how many ranges of last entries that close a
+        # prefix of parity par and room s start at index x; each ends at hi_of[s]
+        starts = [[[0] * len(values) for _ in range(top + 1)] for _ in (0, 1)]
     else:
         found = [[[[] for _ in range(b // least + 1)] for _ in (0, 1)] for b in range(top + 1)]
     a = [0] * (top // least + 1)  # a[t] is the index of the entry at position t >= 1
@@ -173,9 +174,7 @@ def _necklaces(values: list[int], top: int, dihedral: bool = False, count: bool 
                 lo = bound + (not closes)
             if lo < hi:
                 if count:
-                    span = spans[par][s]
-                    span[lo] += 1
-                    span[hi] -= 1
+                    starts[par][s][lo] += 1
                 else:
                     head = stem + (values[x],)
                     want = par ^ s & 1  # (v > 0) ^ |v| % 2 for a tuple of parity (top - b) % 2
@@ -195,11 +194,11 @@ def _necklaces(values: list[int], top: int, dihedral: bool = False, count: bool 
     if not count:
         return found
     tally = [[0, 0] for _ in range(top + 1)]
-    for par, by_room in enumerate(spans):
-        for s, span in enumerate(by_room):
+    for par, by_room in enumerate(starts):
+        for s, started in enumerate(by_room):
             closing = 0  # how many prefixes of room s the index closes
             for x in range(lo_of[s], hi_of[s]):
-                closing += span[x]
+                closing += started[x]
                 if closing:
                     tally[top - s + sizes[x]][par ^ signs[x]] += closing
     return tally

@@ -14,9 +14,9 @@ from pretzeltab.necklaces import (
     bracelet_count,
     necklace_count,
     point_columns,
+    signed_bracelet_count,
     type3_params,
 )
-from pretzeltab.signed_bracelets import signed_bracelet_count
 from pretzeltab.tcodes import TCode, canonicalize, enumerate_classes
 
 from brute import composition_class_count, count_type1_alt

@@ -1,4 +1,6 @@
 """The package namespace (README's Library section) and what each import loads."""
+import ast
+import importlib
 import json
 import shlex
 import subprocess
@@ -8,7 +10,7 @@ import pytest
 
 import pretzeltab
 
-from helpers import benchmark_commands, fresh_env, readme_examples
+from helpers import ROOT, benchmark_commands, fresh_env, readme_examples
 
 LIBRARY_NAMES = {
     "columns", "count_row", "point_columns", "type3_params",
@@ -45,7 +47,7 @@ class TestImports:
 
     def test_count_leaves_the_oracle_unloaded(self):
         # Each call loads only the modules it runs: no command loads the
-        # per-point route in necklaces, and it does not load signed_bracelets.
+        # per-point counters in necklaces, and each of them loads it alone.
         runs = {
             'cli.main(["count", "-c", "20"])': set(),
             'cli.main(["table", "--min", "6", "--max", "10"])': set(),
@@ -54,6 +56,8 @@ class TestImports:
             'cli.main(["list", "-c", "8", "--type", "3"])': {"pretzeltab.walk",
                                                             "pretzeltab.tcodes"},
             "from pretzeltab import point_columns\npoint_columns(10)": {"pretzeltab.necklaces"},
+            "from pretzeltab import signed_bracelet_count\nsigned_bracelet_count(4, 2, 2, 2)":
+                {"pretzeltab.necklaces"},
         }
         started = loaded_after("")
         for call, extra in runs.items():
@@ -68,6 +72,17 @@ class TestImports:
         loaded = loaded_after("import pretzeltab.walk")
         assert {name for name in loaded if name.startswith("pretzeltab.")} == {
             "pretzeltab.walk", "pretzeltab.combinat"}
+
+    def test_every_traced_layer_imports(self):
+        # perfbench/layertrace.py imports each module of its LAYERS by name in
+        # every traced benchmark child; read the tuple without running the file
+        tree = ast.parse((ROOT / "perfbench" / "layertrace.py").read_text())
+        layers = next(ast.literal_eval(node.value) for node in tree.body
+                      if isinstance(node, ast.Assign) and any(
+                          isinstance(target, ast.Name) and target.id == "LAYERS"
+                          for target in node.targets))
+        for layer in layers:
+            importlib.import_module(f"pretzeltab.{layer}")
 
     def test_argparse_loads_only_for_other_spellings(self):
         plain = benchmark_commands() + [shlex.split(command)[1:] for command, _ in readme_examples()]

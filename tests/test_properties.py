@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pretzeltab.counts import columns
-from pretzeltab.signed_bracelets import signed_bracelet_count
+from pretzeltab.necklaces import signed_bracelet_count
 from pretzeltab.tcodes import TCode, _least_dihedral, _least_rotation, canonicalize, violation
 from pretzeltab.walk import _necklaces, _strip_values
 

@@ -2,8 +2,7 @@ from itertools import chain
 
 import pytest
 
-from pretzeltab.necklaces import _reflection_sum, bracelet_count
-from pretzeltab.signed_bracelets import signed_bracelet_count
+from pretzeltab.necklaces import _reflection_sum, bracelet_count, signed_bracelet_count
 
 from brute import interleavings, signed_class_count
 
