@@ -8,7 +8,8 @@ family (n = k = 0) its one composition.  The shared limits,
 ``ResourceLimitError``, ``DEFAULT_ENUM_CEILING`` and ``MAX_C``, live here too,
 in the base module that the others build on, so that ``counts`` and the CLI
 can refuse oversized work without loading the oracle in ``walk`` and
-``tcodes``.
+``tcodes``; so do ``MAX_GCD`` and ``MAX_ANSWER_BITS``, which bound the
+per-point counters in ``necklaces``.
 """
 import math
 
@@ -26,6 +27,21 @@ DEFAULT_ENUM_CEILING = 22
 # needs that limit raised as well.  ``canonicalize`` is quadratic in the strip
 # count, and a code of c crossings has at most c / 2 strips.
 MAX_C = 10_000
+
+# Largest gcd of their arguments that the per-point counters in ``necklaces``
+# take.  Their rotation sum walks the divisors of the gcd up to its square
+# root and factors each by trial division, whatever the answer: a prime just
+# above 10**12 takes 0.10 s, and one just above 10**14 1.04 s (CPython 3.11,
+# x86-64 Linux, 2 shared cores).
+MAX_GCD = 10**12
+
+# Largest answer, in bits, that the per-point counters in ``necklaces``
+# compute, as estimated before any work.  The largest answers accepted, of
+# about 10**5 bits, take 0.2 s in ``necklace_count`` and ``bracelet_count``
+# (n = 100,001, k = 50,000) and 0.08 s in ``signed_bracelet_count``, while
+# ``signed_bracelet_count(10**5, 5 * 10**4, 10**5, 5 * 10**4)``, of
+# 3 * 10**5 bits, took 1.14 s (same machine).
+MAX_ANSWER_BITS = 100_000
 
 
 class ResourceLimitError(RuntimeError):

@@ -7,10 +7,11 @@ beads whose weights are a composition of n.  ``_rotation_sum`` and
 ``_reflection_sum`` add up the arrangements fixed by each rotation and each
 reflection of the k = k1 + k2 positions.  ``necklace_count``,
 ``bracelet_count`` and ``signed_bracelet_count`` are each one exact division
-of them, and a remainder raises ``ArithmeticError``.  For odd k each of the k
-reflection axes passes through one bead, from either family; for even k, k/2
-axes pass through two beads and k/2 through none.  The other beads form
-mirrored pairs.
+of them, and a remainder raises ``ArithmeticError``; each first refuses,
+with ``ResourceLimitError``, arguments whose gcd or answer is over its limit
+in ``combinat``.  For odd k each of the k reflection axes passes through one
+bead, from either family; for even k, k/2 axes pass through two beads and k/2
+through none.  The other beads form mirrored pairs.
 
 ``point_columns`` is the paper's formula: these counts summed over every
 admissible parameter point, one walk over the O(C^4) type 3 strip families
@@ -21,7 +22,8 @@ import math
 from itertools import accumulate
 from typing import Iterator, NamedTuple
 
-from .combinat import binom, check_c, composition_count, exact_div, totient
+from .combinat import (MAX_ANSWER_BITS, MAX_GCD, ResourceLimitError, binom, check_c,
+                       composition_count, exact_div, totient)
 
 # Largest c that the per-point route accepts, a bound on time: point_columns
 # walks its O(c^4) type 3 families one at a time.  In a fresh process it takes
@@ -73,6 +75,34 @@ def _reflection_sum(n1: int, k1: int, n2: int, k2: int) -> int:
     return total
 
 
+def _binom_bits(a: int, b: int) -> float:
+    """log2 C(a, b) from above, by the entropy bound j log2(a/j) + (a - j)
+    log2(a/(a - j)) with j = min(b, a - b), within log2(j) + 2 bits; no
+    binomial is computed, and no float overflows.  0 when j <= 0."""
+    j = min(b, a - b)
+    if j <= 0:
+        return 0.0
+    if j > MAX_ANSWER_BITS:  # C(a, j) >= 2**j, as a >= 2j
+        return math.inf
+    r = j / (a - j)  # in (0, 1], and 0.0 only by underflow
+    return j * (math.log2(a) - math.log2(j) + (math.log1p(r) / r if r else 1) / math.log(2))
+
+
+def _check_size(n1: int, k1: int, n2: int, k2: int) -> None:
+    """Refuse, before any work, arguments whose gcd is over ``MAX_GCD`` or
+    whose answer is estimated over ``MAX_ANSWER_BITS`` bits.  The estimate is
+    the bits of the identity's term of the rotation sum, C(k, k1)
+    C(n1 - 1, k1 - 1) C(n2 - 1, k2 - 1): the answer is at least that over 2k,
+    and about that over k or 2k when the answer is large."""
+    if math.gcd(k1, k2, n1, n2) > MAX_GCD:
+        raise ResourceLimitError(f"the gcd of the arguments exceeds the limit of {MAX_GCD} "
+                                 "(combinat.MAX_GCD)")
+    if (_binom_bits(k1 + k2, k1) + _binom_bits(n1 - 1, k1 - 1)
+            + _binom_bits(n2 - 1, k2 - 1) > MAX_ANSWER_BITS):
+        raise ResourceLimitError(f"the estimated answer exceeds the limit of {MAX_ANSWER_BITS} "
+                                 "bits (combinat.MAX_ANSWER_BITS)")
+
+
 def _bracelets(n1: int, k1: int, n2: int, k2: int) -> int:
     """Dihedral classes of arrangements with k1 + k2 >= 1 beads."""
     return exact_div(_rotation_sum(n1, k1, n2, k2) + _reflection_sum(n1, k1, n2, k2),
@@ -87,6 +117,7 @@ def necklace_count(n: int, k: int) -> int:
     """
     if k <= 0 or n < k:
         return 0
+    _check_size(n, k, 0, 0)
     return exact_div(_rotation_sum(n, k, 0, 0), k, "rotation-fixed sum")
 
 
@@ -98,6 +129,7 @@ def bracelet_count(n: int, k: int) -> int:
     """
     if k <= 0 or n < k:
         return 0
+    _check_size(n, k, 0, 0)
     return _bracelets(n, k, 0, 0)
 
 
@@ -111,7 +143,10 @@ def signed_bracelet_count(n1: int, k1: int, n2: int, k2: int) -> int:
         raise ValueError(f"need n1 >= k1 >= 0 and n2 >= k2 >= 0, got ({n1},{k1},{n2},{k2})")
     if (k1 == 0 and n1 != 0) or (k2 == 0 and n2 != 0):
         raise ValueError(f"a family with no beads carries no weight, got ({n1},{k1},{n2},{k2})")
-    return _bracelets(n1, k1, n2, k2) if k1 + k2 else 0
+    if not k1 + k2:
+        return 0
+    _check_size(n1, k1, n2, k2)
+    return _bracelets(n1, k1, n2, k2)
 
 
 class Type3Params(NamedTuple):

@@ -70,23 +70,23 @@ def _necklaces(values: list[int], top: int, dihedral: bool = False, count: bool 
     When placing m ends an inner run of L at position t, a[t:0:-1] <
     a[1:t+1] means the reversal read back from a[t] is less whatever
     follows, and the index is skipped, for closing and extending alike; if
-    they are equal the run is kept as a tie.  A closing reads the runs of
-    a[1..t-1]: the leading run and each tie j pass when a[j+1:k+1] <=
-    a[k:j:-1].
+    they are equal the run is kept as a tie.  The frame carries the ends of
+    these runs of a[1..t-1] as one tuple, L first and then each tie, and a
+    closing passes at each end j when a[j+1:k+1] <= a[k:j:-1].
 
     So a closing needs v at least the bound, the greatest of a[k - q] and,
-    for bracelets, of a[L+1] and each a[j+1], and every v above the bound
+    for bracelets, of each a[j+1] over the ends, and every v above the bound
     closes the tuple: it is above a[k - q], and each reversal comparison is
-    settled at its first entries, a[j+1] (or a[L+1]) below a[k] = v.  Only
-    the bound itself is checked in full.  The indices above it of size at
-    most s form one range, which ends where the run of size at most s ends.
-    List mode reads its values, and count mode records only where the range
-    starts, per (parity of a[1..t], s); one pass at the end adds up the
-    ranges open at each index into counts per budget.  A tuple closed by v
-    at room s, at budget b = top - s + |v|, has parity (top - b) % 2 exactly
-    when (v > 0) ^ |v| % 2 equals the parity of a[1..t] ^ s % 2, so with
-    _one_parity list mode builds only the tuples of the range whose v
-    passes that test.
+    settled at its first entries, a[j+1] below a[k] = v.  Only the bound
+    itself is checked in full, at the ends j with a[j+1] equal to it.  The
+    indices above it of size at most s form one range, which ends where the
+    run of size at most s ends.  List mode reads its values, and count mode
+    records only where the range starts, per (parity of a[1..t], s); one
+    pass at the end adds up the ranges open at each index into counts per
+    budget.  A tuple closed by v at room s, at budget b = top - s + |v|, has
+    parity (top - b) % 2 exactly when (v > 0) ^ |v| % 2 equals the parity
+    of a[1..t] ^ s % 2, so with _one_parity list mode builds only the tuples
+    of the range whose v passes that test.
 
     In order by size, an entry at least a[i] is also at least a[i] in size,
     so fewer prefixes fit the budget than in sorted order:
@@ -110,15 +110,16 @@ def _necklaces(values: list[int], top: int, dihedral: bool = False, count: bool 
         found = [[[[] for _ in range(b // least + 1)] for _ in (0, 1)] for b in range(top + 1)]
     a = [0] * (top // least + 1)  # a[t] is the index of the entry at position t >= 1
 
-    def extend(t, p, rem, odd, lead, run, ties):
+    def extend(t, p, rem, odd, ends, run):
         # t is the position to fill, p the period of a[1..t-1], rem the size
         # left below top for the entries from position t on, and odd the
-        # parity of the count of positive entries in a[1..t-1]; lead is the
-        # run of m = a[1] that starts a[1..t-1], and is final once it is below
-        # t - 1; run is the run of m that ends a[t-1] after it; ties are the
-        # ends j of the inner runs of m as long as lead whose reversal
-        # a[j:0:-1] equals a[1:j+1]
+        # parity of the count of positive entries in a[1..t-1]; ends holds the
+        # ends j of the runs of m = a[1] that a lesser reversal may start at:
+        # first lead, the run that starts a[1..t-1], final once it is below
+        # t - 1, then each inner run as long as lead whose reversal a[j:0:-1]
+        # equals a[1:j+1]; run is the run of m that ends a[t-1] after lead
         m = a[1]
+        lead = ends[0]
         floor = sufmin[m]  # the least size of the entries after position t
         last = floor  # and of the last entry
         if dihedral and lead < t - 1:
@@ -140,37 +141,36 @@ def _necklaces(values: list[int], top: int, dihedral: bool = False, count: bool 
             s = rem - sizes[x]
             par = odd ^ signs[x]
             if x != m or not dihedral:  # the runs of m matter only to bracelets
-                new_lead, new_run, new_ties = lead, 0, ties
-            elif lead == t - 1:
-                new_lead, new_run, new_ties = t, 0, ties
+                new_ends, new_run = ends, 0
+            elif lead == t - 1:  # the leading run grows, and no inner run has begun
+                new_ends, new_run = (t,), 0
             elif run + 1 < lead:
-                new_lead, new_run, new_ties = lead, run + 1, ties
+                new_ends, new_run = ends, run + 1
             else:  # an inner run as long as the leading one ends at t
                 back, ahead = a[t:0:-1], a[1:t + 1]
                 if back < ahead:
                     continue  # its reversal, read from a[t], is less
-                new_lead, new_run = lead, run + 1
-                new_ties = ties + (t,) if back == ahead else ties
+                new_ends = ends + (t,) if back == ahead else ends
+                new_run = run + 1
             # close the tuple of k entries with every last entry v from the
             # bound up to size s; the bound is a necklace if q divides k when
-            # it equals a[k - q], and a bracelet unless, for the leading run or
-            # a tie j, a[k:j:-1] is below a[j + 1:k + 1]
+            # it equals a[k - q], and a bracelet unless, for some j in ends
+            # with a[j + 1] equal to it, a[k:j:-1] is below a[j + 1:k + 1]
             low = bound = a[k - q]
             if dihedral:
-                w = a[lead + 1]
-                if w > bound:
-                    bound = w
-                for j in ties:
+                for j in ends:
                     if a[j + 1] > bound:
                         bound = a[j + 1]
             lo = lo_of[s]
             hi = hi_of[s]
             if bound >= lo:  # else every v of size at most s is above the bound
                 a[k] = bound
-                closes = bound < hi and (bound > low or not k % q) and (
-                    not dihedral or ((w < bound or a[lead + 1:k + 1] <= a[k:lead:-1])
-                                     and not (ties and any(a[j + 1:k + 1] > a[k:j:-1]
-                                                           for j in ties))))
+                closes = bound < hi and (bound > low or not k % q)
+                if closes and dihedral:
+                    for j in ends:
+                        if a[j + 1] == bound and a[j + 1:k + 1] > a[k:j:-1]:
+                            closes = False
+                            break
                 lo = bound + (not closes)
             if lo < hi:
                 if count:
@@ -183,14 +183,14 @@ def _necklaces(values: list[int], top: int, dihedral: bool = False, count: bool 
                             continue
                         found[top - s + abs(v)][par ^ (v > 0)][k].append(head + (v,))
             if s >= deep:
-                extend(k, q, s, par, new_lead, new_run, new_ties)
+                extend(k, q, s, par, new_ends, new_run)
 
     # position 1 leaves room for two more entries, neither of them smaller
     # than the least size from a[1] on
     for x, size in enumerate(sizes):
         if size + 2 * sufmin[x] <= top:
             a[1] = x
-            extend(2, 1, top - size, signs[x], 1, 0, ())
+            extend(2, 1, top - size, signs[x], (1,), 0)
     if not count:
         return found
     tally = [[0, 0] for _ in range(top + 1)]

@@ -2,7 +2,8 @@ import math
 import subprocess
 import sys
 
-from pretzeltab.necklaces import _reflection_sum, bracelet_count, necklace_count
+from pretzeltab.combinat import MAX_ANSWER_BITS, MAX_GCD, binom
+from pretzeltab.necklaces import _binom_bits, _reflection_sum, bracelet_count, necklace_count
 
 from brute import composition_class_count
 from helpers import ROOT, fresh_env
@@ -125,3 +126,58 @@ def test_huge_gcd_costs_its_square_root():
                         timeout=30)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "1 1\n"
+
+
+_REFUSED = """
+from pretzeltab.combinat import ResourceLimitError
+from pretzeltab.necklaces import bracelet_count, necklace_count, signed_bracelet_count
+for call in ({}):
+    try:
+        call()
+    except ResourceLimitError as exc:
+        print(exc)
+"""
+
+
+def test_a_gcd_over_max_gcd_is_refused_before_its_divisor_walk():
+    # at 10**24 the walk would take 10**12 steps, and the answer is 1; the
+    # first gcd over the limit too, whatever its factors
+    calls = ("lambda: necklace_count(10**24, 10**24), lambda: bracelet_count(10**24, 10**24), "
+             "lambda: signed_bracelet_count(10**24, 10**24, 0, 0), "
+             f"lambda: signed_bracelet_count({2 * (MAX_GCD + 1)}, {MAX_GCD + 1}, {MAX_GCD + 1}, "
+             f"{MAX_GCD + 1})")
+    result = _run_fresh("-c", _REFUSED.format(calls), timeout=30)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        f"the gcd of the arguments exceeds the limit of {MAX_GCD} (combinat.MAX_GCD)"] * 4
+
+
+def test_an_answer_over_max_answer_bits_is_refused_before_any_work():
+    # just over the limit, far over it (an answer of 10**8 bits takes minutes
+    # to compute) and one of more bits than a float holds
+    calls = ("lambda: necklace_count(100_003, 50_001), lambda: bracelet_count(100_003, 50_001), "
+             "lambda: signed_bracelet_count(10**5, 5 * 10**4, 10**5, 5 * 10**4), "
+             "lambda: necklace_count(10**8, 5 * 10**7), lambda: bracelet_count(10**400, 10**399 + 1)")
+    result = _run_fresh("-c", _REFUSED.format(calls), timeout=30)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        f"the estimated answer exceeds the limit of {MAX_ANSWER_BITS} bits "
+        "(combinat.MAX_ANSWER_BITS)"] * 5
+
+
+def test_an_answer_just_under_max_answer_bits_is_computed():
+    # the refusals' neighbours: the estimate errs upwards by some bits only,
+    # and a huge n with few parts has a small answer
+    assert necklace_count(100_001, 50_000).bit_length() == 99_976
+    assert necklace_count(10**1000, 3) == binom(10**1000 - 1, 2) // 3
+
+
+def test_binom_bits_bounds_the_binomial_from_above_and_closely():
+    for a in [*range(60), 1000, 10**5]:
+        for b in {*range(min(a + 1, 60)), a // 3, a // 2, max(a - 1, 0), a}:
+            exact = math.log2(binom(a, b))
+            j = min(b, a - b)
+            assert exact <= _binom_bits(a, b) <= exact + math.log2(max(j, 1)) + 2, (a, b)
+    assert _binom_bits(-1, -1) == _binom_bits(5, 0) == 0
+    # C(a, j) >= 2**j: over the limit, so not estimated further
+    assert _binom_bits(10**400, MAX_ANSWER_BITS + 1) == math.inf

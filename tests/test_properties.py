@@ -153,6 +153,27 @@ def test_count_mode_does_not_depend_on_the_order(params):
 
 
 @PROPERTY
+@given(walk_orders())
+@example((3, 16, False, sorted(_strip_values(3, 16), key=abs)))  # class_counts' order
+@example((3, 12, True, [-12, 12, -8, 8, -4, 4, -2, 2, 3, 5, -6, 6, 7, 9, -10, 10, 11]))
+def test_list_mode_keeps_exactly_the_classes_in_any_order(params):
+    # in the drawn order each listed tuple, read as ranks, is the least of its
+    # class and comes after the one before it; read as values, the tuples are
+    # the classes of the sorted walk, each once.  Both walks run, whatever
+    # the drawn flag
+    link_type, top, _, values = params
+    rank = {v: i for i, v in enumerate(values)}
+    for dihedral, least in ((False, _least_rotation), (True, _least_dihedral)):
+        walked = _necklaces(values, top, dihedral)
+        assert [[[sorted(map(least, listed)) for listed in by_k] for by_k in by_parity]
+                for by_parity in walked] == _necklaces(_strip_values(link_type, top), top, dihedral)
+        for listed in (listed for by_parity in walked for by_k in by_parity for listed in by_k):
+            ranks = [tuple(rank[v] for v in t) for t in listed]
+            assert ranks == sorted(set(ranks)), (dihedral, listed)
+            assert all(r == least(r) for r in ranks), (dihedral, listed)
+
+
+@PROPERTY
 @given(st.integers(2, 300).flatmap(lambda top: st.tuples(st.integers(1, top - 1), st.just(top))))
 @example((1, 2))
 @example((299, 300))

@@ -246,6 +246,30 @@ class TestGenerators:
                     sys.setprofile(None)
                 assert rems and min(rems) >= 2 * least, (link_type, dihedral)
 
+    def test_count_mode_makes_its_pinned_frames(self):
+        # class_counts' walks, by size, at 20 and 24: types 1, 2 and 3.  A
+        # change that prunes more moves these numbers, and says so
+        pinned = {20: [17, 58, 2_733], 24: [49, 166, 27_143]}
+        calls = 0
+
+        def profile(frame, event, arg):
+            nonlocal calls
+            if event == "call" and frame.f_code.co_name == "extend":
+                calls += 1
+
+        for top, frames in pinned.items():
+            made = []
+            for link_type in (1, 2, 3):
+                calls = 0
+                sys.setprofile(profile)
+                try:
+                    _necklaces(sorted(walk._strip_values(link_type, top), key=abs), top,
+                               dihedral=link_type > 1, count=True)
+                finally:
+                    sys.setprofile(None)
+                made.append(calls)
+            assert made == frames, top
+
     def test_short_tuples_match_a_plain_product(self):
         # the walk closes only k >= 3, and composition_class_count takes k = 2
         # from least_rotations: both are held to the product here
