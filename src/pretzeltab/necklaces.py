@@ -5,11 +5,12 @@ A circle holds k1 positive beads of total weight n1 and k2 negative beads of
 total weight n2; an empty family (n = k = 0) leaves the one-family case, k
 beads whose weights are a composition of n.  ``_rotation_sum`` and
 ``_reflection_sum`` add up the arrangements fixed by each rotation and each
-reflection of the k = k1 + k2 positions.  ``necklace_count``,
-``bracelet_count`` and ``signed_bracelet_count`` are each one exact division
-of them, and a remainder raises ``ArithmeticError``; each first refuses,
-with ``ResourceLimitError``, arguments whose gcd or answer is over its limit
-in ``combinat``.  For odd k each of the k reflection axes passes through one
+reflection of the k = k1 + k2 positions.  ``necklace_count`` and
+``signed_bracelet_count`` are each one exact division of them, and a
+remainder raises ``ArithmeticError``; ``bracelet_count`` is
+``signed_bracelet_count``'s one-family case.  Each first refuses, with
+``ResourceLimitError``, arguments whose gcd or answer is over its limit in
+``combinat``.  For odd k each of the k reflection axes passes through one
 bead, from either family; for even k, k/2 axes pass through two beads and k/2
 through none.  The other beads form mirrored pairs.
 
@@ -127,10 +128,7 @@ def bracelet_count(n: int, k: int) -> int:
     Burnside over the dihedral group: the mean of the rotation-fixed and
     reflection-fixed counts over its 2k elements; zero when k = 0 or n < k.
     """
-    if k <= 0 or n < k:
-        return 0
-    _check_size(n, k, 0, 0)
-    return _bracelets(n, k, 0, 0)
+    return signed_bracelet_count(n, k, 0, 0) if 0 < k <= n else 0
 
 
 def signed_bracelet_count(n1: int, k1: int, n2: int, k2: int) -> int:

@@ -3,9 +3,10 @@
 Each counter builds the objects it counts, or asks the oracle's generator in
 ``walk`` for them, and shares no arithmetic with the Burnside counters.
 The exception is ``count_type1_alt``, a second route to the type 1 count: it
-sums ``necklaces.necklace_count`` in another order than ``counts.columns``
-sums its series.  ``orbit`` lists the images of a code under rotation and,
-for types 2 and 3, reversal, which ``canonicalize`` must map to one form.
+sums ``necklaces.necklace_count`` in another order than the type 1 column of
+``necklaces.point_columns``, which sums it by crossing budget.  ``orbit``
+lists the images of a code under rotation and, for types 2 and 3, reversal,
+which ``canonicalize`` must map to one form.
 """
 from itertools import combinations
 from operator import itemgetter

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 from decimal import Decimal, localcontext
 
@@ -16,6 +17,7 @@ from pretzeltab.necklaces import (
 from pretzeltab.tcodes import enumerate_classes
 
 from brute import count_type1_alt
+from helpers import ROOT
 from reference_data import COUNT_TABLE
 
 
@@ -198,6 +200,17 @@ class TestColumns:
         text = "\n".join(",".join(map(str, column)) for column in columns(2000))
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "343c0affd4d55a535bd15c4ce6e6501911e77dd12d995ad21d014ef34fc2973b")
+
+    def test_matches_the_benchmarks_frozen_rows(self):
+        # perfbench/run.py checks each command's output against these rows, the
+        # ones that reference_data.COUNT_TABLE does not hold: verify's c = 1..5,
+        # table's 51..80 and point's 139..141
+        rows = json.loads((ROOT / "perfbench" / "frozen.json").read_text())["rows"]
+        assert sorted(map(int, rows)) == [*range(1, 6), *range(51, 81), 139, 140, 141]
+        p1, p2, p3 = columns(141)
+        for c, row in rows.items():
+            c = int(c)
+            assert [p1[c], p2[c], p3[c]] == row, c
 
     def test_zero_below_six(self):
         assert columns(5) == ([0] * 6, [0] * 6, [0] * 6)
