@@ -2,12 +2,13 @@
 
 Exit codes: 0 success, 1 argument error, 2 verification mismatch,
 3 resource ceiling exceeded (the enumeration ceiling or ``combinat.MAX_C``),
-4 I/O error (a failed write to stdout or to ``table --out``, also a reader
-that closes stdout early), 5 internal error (a failed exactness check,
-``ArithmeticError``).  ``_run`` and ``main`` assign every one of them.
+4 I/O error (a failed write to stdout, to stderr or to ``table --out``, also
+a reader that closes stdout early), 5 internal error (a failed exactness check,
+``ArithmeticError``).  ``main`` maps every exception to its code; a command
+returns the others.
 
 Each command's help line, handler and options are described once, in
-``_SPEC``, and ``_run`` calls the handler from there.  ``_read_plain`` reads a
+``_SPEC``, and ``main`` calls the handler from there.  ``_read_plain`` reads a
 plain command line (``table --min 6 --max 80``: exact ``FLAG VALUE`` pairs
 with well-formed values) directly from it.  Every other spelling
 (``-h``/``--help``, ``--max=8``, ``-c14``, an abbreviated flag, ``--``, a bad
@@ -62,11 +63,11 @@ def _read_plain(argv: list[str]) -> SimpleNamespace | None:
     """The arguments of a plain command line, or None for any other.
 
     Plain is a known command followed by exact ``FLAG VALUE`` pairs, every
-    required flag among them: an int value is ASCII digits that ``int``
-    converts, a choice is one of the choices word for word, and no value is
-    empty or starts with ``-``.  A repeated flag keeps its last value.  The
-    result's ``vars`` equal those of ``_build_parser().parse_args(argv)``.
-    Anything else is left to argparse: this neither prints, exits nor raises.
+    required flag among them: an int value is one that ``int`` converts, a
+    choice is one of the choices word for word, and no value starts with
+    ``-``.  A repeated flag keeps its last value.  The result's ``vars`` equal
+    those of ``_build_parser().parse_args(argv)``.  Anything else is left to
+    argparse: this neither prints, exits nor raises.
     """
     if not argv or argv[0] not in _SPEC or len(argv) % 2 == 0:
         return None
@@ -74,14 +75,12 @@ def _read_plain(argv: list[str]) -> SimpleNamespace | None:
     values = {flag: option.default for flag, option in options.items()}
     for flag, value in zip(argv[1::2], argv[2::2]):
         option = options.get(flag)
-        if option is None or not value or value[0] == "-":
+        if option is None or value.startswith("-"):
             return None
         if option.kind is int:
-            if not (value.isascii() and value.isdigit()):
-                return None
             try:
                 value = int(value)
-            except ValueError:  # more digits than int() converts
+            except ValueError:  # not a number, or more digits than int() converts
                 return None
         elif option.kind is not str and value not in option.kind:
             return None
@@ -98,9 +97,11 @@ def _build_parser():
     import argparse
 
     class _Parser(argparse.ArgumentParser):
-        # argparse's own print_help drops a failed write; this lets it reach main (exit 4).
-        def print_help(self, file=None):
-            (file or sys.stdout).write(self.format_help())
+        # argparse's one printer of help, usage and error text drops a failed
+        # write; this lets it reach main (exit 4).  main leaves no stream None.
+        def _print_message(self, message, file=None):
+            if message:
+                (file or sys.stderr).write(message)
 
     parser = _Parser(prog="pretzeltab",
                      description="Tabulate alternating oriented pretzel links by crossing number.")
@@ -198,7 +199,7 @@ def _cmd_fit(args) -> int:
 
 
 # Each command's help line, handler and options: the one table that _read_plain,
-# _build_parser and _run read.  Its order is the order of the subcommands in help.
+# _build_parser and main read.  Its order is the order of the subcommands in help.
 _SPEC = {
     "table": ("emit count rows for a crossing-number range", _cmd_table, (
         _Option("--min", int, 6),
@@ -227,31 +228,6 @@ _SPEC = {
 }
 
 
-def _run(argv: list[str] | None) -> int:
-    args = _read_plain(sys.argv[1:] if argv is None else argv)
-    if args is None:
-        try:
-            args = _build_parser().parse_args(argv)
-        except SystemExit as exc:  # argparse exits with 0 after help, 2 on a bad argument
-            return EXIT_USAGE if exc.code else EXIT_OK
-    try:
-        code = _SPEC[args.command][1](args)
-        sys.stdout.flush()
-        return code
-    except (ValueError, ResourceLimitError) as exc:
-        print(f"pretzeltab {args.command}: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE if isinstance(exc, ResourceLimitError) else EXIT_USAGE
-    except ArithmeticError as exc:
-        print(f"pretzeltab {args.command}: internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except OSError as exc:
-        # Only a write to stdout gets here (``table --out`` reports its own);
-        # a reader that closed the pipe early asked for no more, so no message.
-        if not isinstance(exc, BrokenPipeError):
-            print(f"pretzeltab {args.command}: cannot write output: {exc}", file=sys.stderr)
-        raise
-
-
 def main(argv: list[str] | None = None) -> int:
     # At exit, freeze every object still tracked: the interpreter's final
     # collections then skip them, and the OS takes the memory back whole.
@@ -261,19 +237,46 @@ def main(argv: list[str] | None = None) -> int:
     # process leave one handler.
     atexit.unregister(gc.freeze)
     atexit.register(gc.freeze)
+    # fd 1 or 2 was closed at start-up (``>&-``): a read-only stand-in fails each
+    # write with EBADF, as the fd would (closefd=False: no unclosed-file warning
+    # at exit).  Stderr's is line-buffered, as stderr is, so that a print to it
+    # fails at once, not at exit.
     if sys.stdout is None:
-        # fd 1 was closed at start-up (``>&-``): a read-only stand-in fails each write
-        # with EBADF, as fd 1 would (closefd=False: no unclosed-file warning at exit)
         sys.stdout = open(os.open(os.devnull, os.O_RDONLY), "w", closefd=False)
+    if sys.stderr is None:
+        sys.stderr = open(os.open(os.devnull, os.O_RDONLY), "w", buffering=1, closefd=False)
+    args = _read_plain(sys.argv[1:] if argv is None else argv)
     try:
-        code = _run(argv)
+        try:
+            if args is None:
+                args = _build_parser().parse_args(argv)
+            code = _SPEC[args.command][1](args)
+            sys.stdout.flush()  # here, so that a failed write gets its message
+        except SystemExit as exc:  # argparse exits with 0 after help, 2 on a bad argument
+            code = EXIT_USAGE if exc.code else EXIT_OK
+        except (ValueError, ResourceLimitError) as exc:
+            print(f"pretzeltab {args.command}: {exc}", file=sys.stderr)
+            code = EXIT_RESOURCE if isinstance(exc, ResourceLimitError) else EXIT_USAGE
+        except ArithmeticError as exc:
+            print(f"pretzeltab {args.command}: internal error: {exc}", file=sys.stderr)
+            code = EXIT_INTERNAL
+        except OSError as exc:
+            # One line for a failed write of a command's output or message
+            # (``table --out`` reports its own).  None for argparse's text, which
+            # leaves args None, nor for a reader that closed the pipe early: it
+            # asked for no more.
+            if args is not None and not isinstance(exc, BrokenPipeError):
+                print(f"pretzeltab {args.command}: cannot write output: {exc}", file=sys.stderr)
+            raise
         sys.stdout.flush()
     except OSError:
-        # stdout is closed (``| head``) or full.  As the Python docs' note on
-        # SIGPIPE advises, point stdout at devnull, so that the interpreter's
-        # last flush of the unwritten rest does not fail again at exit.
+        # stdout or stderr is closed (``| head``) or full.  As the Python docs'
+        # note on SIGPIPE advises, point both at devnull, so that the
+        # interpreter's last flush of the unwritten rest does not fail again at
+        # exit.
         devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        for stream in sys.stdout, sys.stderr:
+            os.dup2(devnull, stream.fileno())
         os.close(devnull)
         return EXIT_IO
     return code

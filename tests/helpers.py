@@ -50,6 +50,16 @@ def readme_examples() -> list[tuple[str, str]]:
     return [(command, "\n".join(out).rstrip("\n") + "\n") for command, out in examples]
 
 
+def readme_library() -> tuple[str, list[tuple[str, str]]]:
+    """README's Library block: its import statement, and each line after it
+    as the expression and the comment that follows it."""
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Library\n\n```python\n", 1)[1].split("```", 1)[0]
+    imports, lines = block.split("\n\n", 1)
+    return imports, [tuple(part.strip() for part in line.split("#", 1))
+                     for line in lines.splitlines()]
+
+
 def benchmark_commands() -> list[list[str]]:
     """The CLI arguments of every command that perfbench/run.py's workloads run."""
     spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
@@ -64,9 +74,9 @@ def benchmark_commands() -> list[list[str]]:
 
 def ci_commands() -> list[list[str]]:
     """The CLI arguments of each `pretzeltab` or `-m pretzeltab.cli` call in
-    CI's console-script step, up to its first redirection, pipe, `;`, `)` or
-    line end."""
+    CI's console-script step, up to its first redirection (``2>`` included),
+    pipe, `;`, `)` or line end."""
     workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
     step = workflow.split("name: Console script", 1)[1]
-    return [shlex.split(call)
-            for call in re.findall(r"\bpretzeltab(?:\.cli)?\b([^;|>)\n]*)", step)]
+    return [shlex.split(call) for call in
+            re.findall(r"\bpretzeltab(?:\.cli)?\b(.*?)(?:\s\d*>|[;|)]|$)", step, re.M)]

@@ -357,8 +357,8 @@ class TestDirectRoute:
 
     def test_ci_leaves_only_its_other_spellings_to_argparse(self):
         declined = [argv for argv in ci_commands() if cli._read_plain(argv) is None]
-        assert declined == [["--help"], ["table", "--max=10"], ["count", "-c14", "--ty", "2"],
-                            ["table", "--max", "abc"]]
+        assert declined == [["--help"], ["table", "--max", "abc"], ["table", "--max=10"],
+                            ["count", "-c14", "--ty", "2"], ["table", "--max", "abc"]]
 
 
 class TestDeclinedSpellings:
@@ -368,7 +368,7 @@ class TestDeclinedSpellings:
     def test_overlong_int_is_a_usage_error(self, capsys):
         argv = ["table", "--max", "9" * 5000]
         assert cli._read_plain(argv) is None
-        assert argparse_outcome(argv) == 2  # argparse's own status; _run maps it to EXIT_USAGE
+        assert argparse_outcome(argv) == 2  # argparse's own status; main maps it to EXIT_USAGE
         expected = capsys.readouterr().err
         assert "argument --max: invalid int value: '999" in expected
         assert main(argv) == EXIT_USAGE
@@ -393,6 +393,19 @@ class TestDeclinedSpellings:
         assert vars(cli._read_plain(argv)) == argparse_outcome(argv)
         assert main(argv) == EXIT_OK
         assert capsys.readouterr().out == CSV_HEADER + "\n7,0,0,3,3,6\n8,0,2,10,12,24\n"
+
+
+class TestIntSpellings:
+    # the reader's int values are whatever int() reads, as argparse's type=int
+    @pytest.mark.parametrize("argv", [
+        ["count", "-c", "+14"],
+        ["count", "-c", "\u0661\u0664"],  # Arabic-Indic digits
+        ["count", "-c", "1_4"],
+        ["table", "--out", "", "--max", "8"],
+    ])
+    def test_reader_reads_what_int_reads(self, argv):
+        args = cli._read_plain(argv)
+        assert args is not None and vars(args) == argparse_outcome(argv)
 
 
 class TestBrokenPipe:
@@ -455,6 +468,32 @@ class TestFullDevice:
         with open("/dev/full", "w") as full:
             return subprocess.run([sys.executable, *flags, "-m", "pretzeltab.cli", *args],
                                   stdout=full, stderr=subprocess.PIPE, env=fresh_env(), timeout=60)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+class TestFailureMatrix:
+    # A write that fails ends the command with EXIT_IO, whichever stream it was
+    # for and whoever wrote it: a command, main or argparse.
+    @pytest.mark.parametrize("command, output", [
+        ("count -c 10", b"1 4 38\n"),  # output only
+        ("verify --max 23", None),  # a refusal
+        ("count -c 0", None),  # a usage error that the plain reader reads
+        ("table --max abc", None),  # a usage error that argparse reads
+        ("--help", b"usage: pretzeltab [-h]"),
+    ])
+    @pytest.mark.parametrize("redirect", ["2>/dev/full", "2>&-", ">/dev/full 2>&1"])
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_failed_write_is_io_error(self, command, output, redirect, unbuffered):
+        flags = ["-u"] if unbuffered else []
+        line = shlex.join([sys.executable, *flags, "-m", "pretzeltab.cli", *command.split()])
+        child = subprocess.run(["sh", "-c", f"{line} {redirect}"], stdout=subprocess.PIPE,
+                               env=fresh_env(), timeout=60)
+        if redirect.startswith(">"):  # stdout fails too, and every command writes
+            assert child.returncode == EXIT_IO
+        elif output is None:  # an error, whose text cannot be written
+            assert (child.returncode, child.stdout) == (EXIT_IO, b"")
+        else:  # nothing for stderr
+            assert child.returncode == EXIT_OK and child.stdout.startswith(output)
 
 
 class TestClosedStdout:

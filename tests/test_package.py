@@ -10,7 +10,7 @@ import pytest
 
 import pretzeltab
 
-from helpers import ROOT, benchmark_commands, fresh_env, readme_examples
+from helpers import ROOT, benchmark_commands, fresh_env, readme_examples, readme_library
 
 LIBRARY_NAMES = {
     "columns", "count_row", "point_columns", "type3_params",
@@ -119,6 +119,23 @@ class TestLibrary:
         assert str(canonicalize(TCode(3, 0, (3, -2, 3, -2)))) == "P3(0;-2,3,-2,3)"
         assert len(enumerate_classes(10, 3)) == 38
         assert fit_growth(6, 50).b == pytest.approx(0.588059, abs=1e-6)
+
+    def test_readme_block_prints_what_its_comments_say(self):
+        imports, lines = readme_library()
+        namespace = {}
+        exec(imports, namespace)
+        values = {expression: eval(expression, namespace) for expression, _ in lines}
+        # the three columns for c = 0..10, and the same by the per-point route
+        assert [column[-1] for column in values["columns(10)"]] == [1, 4, 38]
+        assert values.pop("point_columns(10)") == values.pop("columns(10)")
+        comments = dict(lines)
+        for expression, value in values.items():
+            comment = comments[expression]
+            if comment.endswith("..."):  # a float's leading digits
+                assert repr(value).startswith(comment[:-3]), expression
+            else:  # the value's repr, then the end or a space
+                assert (comment + " ").startswith(repr(value) + " "), expression
+        assert len(values) == 6
 
     def test_all_is_the_documented_names(self):
         assert set(pretzeltab.__all__) == LIBRARY_NAMES
