@@ -19,8 +19,8 @@ DEFAULT_ENUM_CEILING = 22
 # Largest crossing number that ``counts.columns`` and ``tcodes.canonicalize``
 # accept.  The columns hold big integers of up to about 0.9 * c bits each, so
 # their memory grows as c^2.  At 10,000 a fresh process running ``columns``
-# alone peaks at 52 MiB of RSS, and ``table --min 6 --max 10000``, which also
-# holds the rows and their text, at 149 MiB (CPython 3.11, x86-64 Linux).
+# alone peaks at 46 MiB of RSS, and ``table --min 6 --max 10000``, which also
+# holds the rows and their text, at 146 MiB (CPython 3.11, x86-64 Linux).
 # ``table`` and ``count`` print the counts with str(), which refuses integers
 # longer than sys.get_int_max_str_digits() (4,300 by default).  ``total`` has
 # 2,737 digits at 10,000 and passes 4,300 near c = 15,700, so a larger MAX_C

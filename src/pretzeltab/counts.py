@@ -129,6 +129,8 @@ def columns(max_c: int) -> tuple[list[int], list[int], list[int]]:
     check_c(max_c, MAX_C, "the column route at", "combinat.MAX_C")
     n = max_c + 1
     series = _cyclic_sums(n)
+    # popping frees each cyclic series once its dihedral sum is done: bound to
+    # four names, they stay alive and columns(10000) peaks at 57 MiB, not 46
     p2 = _dihedral(series.pop(), _N, _N, n)
     b_minus1 = _dihedral(series.pop(), _N_MINUS_P, _P_PLUS_N, n)
     b1 = _dihedral(series.pop(), _P_PLUS_N, _P_PLUS_N, n)

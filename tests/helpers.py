@@ -1,10 +1,10 @@
-"""What several test modules share: the environment of the fresh interpreters
-that some tests start, and the command lines that the README, the benchmark
-and CI run."""
+"""What several test modules share: the fresh interpreters that some tests
+start, and the command lines that the README, the benchmark and CI run."""
 import importlib.util
 import os
 import re
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -19,6 +19,20 @@ def fresh_env():
     env = dict(os.environ, PYTHONPATH=SRC)
     env.pop("PYTHONUNBUFFERED", None)
     return env
+
+
+def run_python(*argv, timeout=60):
+    """Run this interpreter on argv in a child with fresh_env(), output captured as text."""
+    return subprocess.run([sys.executable, *argv], env=fresh_env(), capture_output=True,
+                          text=True, timeout=timeout)
+
+
+def run_cli(args, redirect="", unbuffered=False):
+    """Run `python [-u] -m pretzeltab.cli args` like run_python, under `sh -c` with
+    the shell redirection redirect (`>&-` starts the child with fd 1 closed)."""
+    line = shlex.join([sys.executable, *(["-u"] if unbuffered else []), "-m", "pretzeltab.cli", *args])
+    return subprocess.run(["sh", "-c", f"{line} {redirect}"], env=fresh_env(),
+                          capture_output=True, text=True, timeout=60)
 
 
 def counts_faults(counts) -> dict[str, tuple[str, object]]:

@@ -22,7 +22,15 @@ from pretzeltab.cli import (
     main,
 )
 
-from helpers import benchmark_commands, ci_commands, counts_faults, fresh_env, readme_examples
+from helpers import (
+    benchmark_commands,
+    ci_commands,
+    counts_faults,
+    fresh_env,
+    readme_examples,
+    run_cli,
+    run_python,
+)
 from reference_data import COUNT_TABLE
 
 
@@ -435,91 +443,61 @@ class TestBrokenPipe:
         assert child.returncode == EXIT_IO and err == b""
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
-class TestFullDevice:
-    @pytest.mark.parametrize("args", [
-        ["table", "--min", "6", "--max", "12"],
-        ["count", "-c", "10"],
-        ["list", "-c", "12", "--type", "3"],
-        ["verify", "--max", "10"],
-        ["fit", "--max", "20"],
-    ])
-    @pytest.mark.parametrize("unbuffered", [False, True])
-    def test_failed_write_is_io_error_with_one_line(self, args, unbuffered):
-        # buffered, the write fails at the flush after the command; under -u, at
-        # the first print
-        child = self.run_on_full_device(args, unbuffered)
-        assert child.returncode == EXIT_IO
-        lines = child.stderr.decode().splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith(f"pretzeltab {args[0]}: cannot write output: ")
-
-    @pytest.mark.parametrize("args", [["--help"], ["table", "-h"]])
-    @pytest.mark.parametrize("unbuffered", [False, True])
-    def test_lost_help_text_is_io_error(self, args, unbuffered):
-        # argparse's own help printer would swallow the failed write and exit 0
-        child = self.run_on_full_device(args, unbuffered)
-        assert child.returncode == EXIT_IO
-        assert b"Traceback" not in child.stderr
-
-    @staticmethod
-    def run_on_full_device(args, unbuffered):
-        flags = ["-u"] if unbuffered else []
-        with open("/dev/full", "w") as full:
-            return subprocess.run([sys.executable, *flags, "-m", "pretzeltab.cli", *args],
-                                  stdout=full, stderr=subprocess.PIPE, env=fresh_env(), timeout=60)
+# Each cell: a shell redirection, a command line, and what the stream that the
+# redirection leaves readable starts with, or None where it stays empty.
+FAILED_WRITES = [
+    # stdout fails, stderr is readable.  Buffered, the write fails at the flush
+    # after the command; under -u, at the first print.  `>&-` starts the child
+    # with fd 1 closed, so Python sets sys.stdout to None.
+    *[(redirect, command, f"pretzeltab {command.split()[0]}: cannot write output: ")
+      for redirect, command in [
+          (">/dev/full", "table --min 6 --max 12"), (">/dev/full", "count -c 10"),
+          (">/dev/full", "list -c 12 --type 3"), (">/dev/full", "verify --max 10"),
+          (">/dev/full", "fit --max 20"), (">&-", "count -c 10"), (">&-", "verify --max 10")]],
+    # argparse's own help printer would swallow the failed write and exit 0
+    (">/dev/full", "--help", None),
+    (">/dev/full", "table -h", None),
+    # stderr fails, or both streams do
+    *[(redirect, command, output)
+      for redirect in ["2>/dev/full", "2>&-", ">/dev/full 2>&1"]
+      for command, output in [
+          ("count -c 10", "1 4 38\n"),  # output only
+          ("verify --max 23", None),  # a refusal
+          ("count -c 0", None),  # a usage error that the plain reader reads
+          ("table --max abc", None),  # a usage error that argparse reads
+          ("--help", "usage: pretzeltab [-h]"),
+      ]],
+]
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
 class TestFailureMatrix:
     # A write that fails ends the command with EXIT_IO, whichever stream it was
     # for and whoever wrote it: a command, main or argparse.
-    @pytest.mark.parametrize("command, output", [
-        ("count -c 10", b"1 4 38\n"),  # output only
-        ("verify --max 23", None),  # a refusal
-        ("count -c 0", None),  # a usage error that the plain reader reads
-        ("table --max abc", None),  # a usage error that argparse reads
-        ("--help", b"usage: pretzeltab [-h]"),
-    ])
-    @pytest.mark.parametrize("redirect", ["2>/dev/full", "2>&-", ">/dev/full 2>&1"])
+    @pytest.mark.parametrize("redirect, command, output", FAILED_WRITES)
     @pytest.mark.parametrize("unbuffered", [False, True])
-    def test_failed_write_is_io_error(self, command, output, redirect, unbuffered):
-        flags = ["-u"] if unbuffered else []
-        line = shlex.join([sys.executable, *flags, "-m", "pretzeltab.cli", *command.split()])
-        child = subprocess.run(["sh", "-c", f"{line} {redirect}"], stdout=subprocess.PIPE,
-                               env=fresh_env(), timeout=60)
-        if redirect.startswith(">"):  # stdout fails too, and every command writes
+    def test_failed_write_is_io_error(self, redirect, command, output, unbuffered):
+        if "/dev/full" in redirect and not os.path.exists("/dev/full"):
+            pytest.skip("needs the /dev/full device")
+        child = run_cli(command.split(), redirect, unbuffered)
+        if redirect.startswith(">"):  # stdout fails, and every command writes
             assert child.returncode == EXIT_IO
+            if "2>" not in redirect:  # one line on stderr, or none for help text
+                lines = child.stderr.splitlines()
+                assert len(lines) == (output is not None) and all(
+                    line.startswith(output) for line in lines), lines
         elif output is None:  # an error, whose text cannot be written
-            assert (child.returncode, child.stdout) == (EXIT_IO, b"")
+            assert (child.returncode, child.stdout) == (EXIT_IO, "")
         else:  # nothing for stderr
             assert child.returncode == EXIT_OK and child.stdout.startswith(output)
 
 
 class TestClosedStdout:
-    # `>&-` starts the child with fd 1 closed, so Python sets sys.stdout to None
-    @pytest.mark.parametrize("args", [["count", "-c", "10"], ["verify", "--max", "10"]])
-    @pytest.mark.parametrize("unbuffered", [False, True])
-    def test_lost_output_is_io_error_with_one_line(self, args, unbuffered):
-        child = self.run_without_stdout(args, unbuffered)
-        assert child.returncode == EXIT_IO
-        lines = child.stderr.decode().splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith(f"pretzeltab {args[0]}: cannot write output: ")
-
     def test_table_to_a_file_needs_no_stdout(self, tmp_path, capsys):
         out = tmp_path / "t.csv"
-        child = self.run_without_stdout(["table", "--min", "6", "--max", "8", "--out", str(out)])
-        assert (child.returncode, child.stderr) == (EXIT_OK, b"")
+        child = run_cli(["table", "--min", "6", "--max", "8", "--out", str(out)], ">&-")
+        assert (child.returncode, child.stderr) == (EXIT_OK, "")
         assert main(["table", "--min", "6", "--max", "8"]) == EXIT_OK
         assert out.read_text() == capsys.readouterr().out
-
-    @staticmethod
-    def run_without_stdout(args, unbuffered=False):
-        flags = ["-u"] if unbuffered else []
-        command = shlex.join([sys.executable, *flags, "-m", "pretzeltab.cli", *args])
-        return subprocess.run(["sh", "-c", f"{command} >&-"], stderr=subprocess.PIPE,
-                              env=fresh_env(), timeout=60)
 
 
 class TestExitHandler:
@@ -541,10 +519,9 @@ print("frozen before exit:", gc.get_freeze_count() > 0, "exit codes:", codes)
 """
 
     def test_main_freezes_at_exit_with_one_handler(self):
-        child = subprocess.run([sys.executable, "-c", self.PROBE], capture_output=True,
-                               env=fresh_env(), timeout=60)
-        assert (child.returncode, child.stderr) == (0, b"")
-        assert child.stdout.decode().splitlines() == [
+        child = run_python("-c", self.PROBE)
+        assert (child.returncode, child.stderr) == (0, "")
+        assert child.stdout.splitlines() == [
             "0 1 1",
             "0 1 1",
             "frozen before exit: False exit codes: [0, 0]",

@@ -1,12 +1,19 @@
 import math
-import subprocess
-import sys
+from itertools import chain
+
+import pytest
 
 from pretzeltab.combinat import MAX_ANSWER_BITS, MAX_GCD, binom
-from pretzeltab.necklaces import _binom_bits, _reflection_sum, bracelet_count, necklace_count
+from pretzeltab.necklaces import (
+    _binom_bits,
+    _reflection_sum,
+    bracelet_count,
+    necklace_count,
+    signed_bracelet_count,
+)
 
-from brute import composition_class_count
-from helpers import ROOT, fresh_env
+from brute import composition_class_count, interleavings, signed_class_count
+from helpers import ROOT, run_python
 
 TESTS = ROOT / "tests"
 
@@ -72,6 +79,70 @@ class TestBraceletCount:
                 assert b <= necklaces <= 2 * b
 
 
+def brute_reflection_average(n1, k1, n2, k2):
+    """Independent oracle: mean number of signed tuples fixed per reflection."""
+    family = list(interleavings(n1, k1, n2, k2))
+    k = k1 + k2
+    total = sum(all(t[i] == t[(axis - i) % k] for i in range(k))
+                for axis in range(k) for t in family)
+    assert total % k == 0
+    return total // k
+
+
+def param_grid(max_k, max_n):
+    for k1 in range(1, max_k):
+        for k2 in range(1, max_k - k1 + 1):
+            for n1 in range(k1, max_n + 1):
+                for n2 in range(k2, max_n + 1):
+                    yield n1, k1, n2, k2
+
+
+class TestSignedReflectionSum:
+    # _reflection_sum adds up the fixed signed tuples over all k1 + k2 reflections.
+    def test_examples(self):
+        assert _reflection_sum(3, 1, 3, 1) == 2
+        assert _reflection_sum(3, 3, 2, 2) == 10
+
+    def test_matches_brute_force(self):
+        # one family (k2 = 0) for n <= 12, then both families
+        one_family = ((n, k, 0, 0) for n in range(1, 13) for k in range(1, n + 1))
+        for n1, k1, n2, k2 in chain(one_family, param_grid(max_k=6, max_n=7)):
+            assert _reflection_sum(n1, k1, n2, k2) == \
+                (k1 + k2) * brute_reflection_average(n1, k1, n2, k2), (n1, k1, n2, k2)
+
+
+class TestSignedBraceletCount:
+    def test_examples(self):
+        assert signed_bracelet_count(2, 2, 1, 1) == 1
+        assert signed_bracelet_count(4, 2, 2, 2) == 4
+        assert signed_bracelet_count(6, 3, 0, 0) == 3
+
+    def test_degenerate_cases_reduce_to_one_colour(self):
+        for n in range(1, 19):
+            for k in range(1, n + 1):
+                assert signed_bracelet_count(n, k, 0, 0) == bracelet_count(n, k)
+                assert signed_bracelet_count(0, 0, n, k) == bracelet_count(n, k)
+
+    def test_colour_swap_symmetry(self):
+        for n1, k1, n2, k2 in param_grid(max_k=6, max_n=7):
+            assert signed_bracelet_count(n1, k1, n2, k2) == \
+                signed_bracelet_count(n2, k2, n1, k1)
+
+    def test_matches_brute_force(self):
+        # full sweep of the documented verification range
+        for n1, k1, n2, k2 in param_grid(max_k=7, max_n=9):
+            assert signed_bracelet_count(n1, k1, n2, k2) == \
+                signed_class_count(n1, k1, n2, k2), (n1, k1, n2, k2)
+
+    def test_rejects_invalid_params(self):
+        with pytest.raises(ValueError):
+            signed_bracelet_count(1, 2, 0, 0)  # n1 < k1
+        with pytest.raises(ValueError):
+            signed_bracelet_count(3, 0, 2, 2)  # weight without beads
+        with pytest.raises(ValueError):
+            signed_bracelet_count(2, 2, 5, 0)
+
+
 def test_divisibility_assertions_hold_up_to_40():
     # evaluating triggers the internal exact-division checks
     for n in range(1, 41):
@@ -103,15 +174,10 @@ for name, fault in counts_faults(counts).values():
 """
 
 
-def _run_fresh(*args: str, timeout: float) -> subprocess.CompletedProcess:
-    return subprocess.run([sys.executable, *args], env=fresh_env(), capture_output=True,
-                          text=True, timeout=timeout)
-
-
 def test_exactness_checks_survive_optimize_flag():
     # the necklace counter's check, then each check of counts.columns, each
     # naming its own sum
-    result = _run_fresh("-O", "-c", _FAULTS_UNDER_O, timeout=60)
+    result = run_python("-O", "-c", _FAULTS_UNDER_O)
     assert result.returncode == 0, result.stderr
     lines = result.stdout.splitlines()
     assert len(lines) == 4 and lines[0].startswith("ArithmeticError:"), lines
@@ -121,7 +187,7 @@ def test_exactness_checks_survive_optimize_flag():
 
 def test_huge_gcd_costs_its_square_root():
     # the rotation sum walks the divisors of gcd = 10**12 up to 10**6 only
-    result = _run_fresh("-c", "from pretzeltab.necklaces import bracelet_count, necklace_count;"
+    result = run_python("-c", "from pretzeltab.necklaces import bracelet_count, necklace_count;"
                               "print(necklace_count(10**12, 10**12), bracelet_count(10**12, 10**12))",
                         timeout=30)
     assert result.returncode == 0, result.stderr
@@ -146,7 +212,7 @@ def test_a_gcd_over_max_gcd_is_refused_before_its_divisor_walk():
              "lambda: signed_bracelet_count(10**24, 10**24, 0, 0), "
              f"lambda: signed_bracelet_count({2 * (MAX_GCD + 1)}, {MAX_GCD + 1}, {MAX_GCD + 1}, "
              f"{MAX_GCD + 1})")
-    result = _run_fresh("-c", _REFUSED.format(calls), timeout=30)
+    result = run_python("-c", _REFUSED.format(calls), timeout=30)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == [
         f"the gcd of the arguments exceeds the limit of {MAX_GCD} (combinat.MAX_GCD)"] * 4
@@ -158,7 +224,7 @@ def test_an_answer_over_max_answer_bits_is_refused_before_any_work():
     calls = ("lambda: necklace_count(100_003, 50_001), lambda: bracelet_count(100_003, 50_001), "
              "lambda: signed_bracelet_count(10**5, 5 * 10**4, 10**5, 5 * 10**4), "
              "lambda: necklace_count(10**8, 5 * 10**7), lambda: bracelet_count(10**400, 10**399 + 1)")
-    result = _run_fresh("-c", _REFUSED.format(calls), timeout=30)
+    result = run_python("-c", _REFUSED.format(calls), timeout=30)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == [
         f"the estimated answer exceeds the limit of {MAX_ANSWER_BITS} bits "

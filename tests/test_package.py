@@ -2,28 +2,27 @@
 import ast
 import importlib
 import json
+import re
 import shlex
-import subprocess
-import sys
 
 import pytest
 
 import pretzeltab
 
-from helpers import ROOT, benchmark_commands, fresh_env, readme_examples, readme_library
+from helpers import ROOT, benchmark_commands, readme_examples, readme_library, run_python
 
 LIBRARY_NAMES = {
     "columns", "count_row", "point_columns", "type3_params",
     "necklace_count", "bracelet_count", "signed_bracelet_count",
     "TCode", "canonicalize", "enumerate_classes", "fit_growth",
 }
+SUPERSCRIPTS = str.maketrans("⁰¹²³⁴⁵⁶⁷⁸⁹", "0123456789")
 
 
 def loaded_after(code: str) -> set[str]:
     """The modules in sys.modules after running code in a fresh interpreter."""
     script = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
-    result = subprocess.run([sys.executable, "-c", script], env=fresh_env(),
-                            capture_output=True, text=True, timeout=60)
+    result = run_python("-c", script)
     assert result.returncode == 0, result.stderr
     return set(json.loads(result.stdout.splitlines()[-1]))
 
@@ -136,6 +135,24 @@ class TestLibrary:
             else:  # the value's repr, then the end or a space
                 assert (comment + " ").startswith(repr(value) + " "), expression
         assert len(values) == 6
+
+    def test_readme_limits_are_the_values_the_code_sets(self):
+        table = (ROOT / "README.md").read_text().split("| Limit |", 1)[1].split("\n\n", 1)[0]
+        seen = []
+        for row in table.splitlines()[2:]:
+            limit, value, set_in, _ = (cell.strip() for cell in row.strip("|").split("|"))
+            # `combinat`, or `combinat.DEFAULT_ENUM_CEILING` for a limit named in words
+            module, name = re.match(r"`(\w+)(?:\.(\w+))?`", set_in).groups()
+            # "10,000", "22 by default", "10¹², 100,000 bits"
+            numbers = re.findall(r"(\d[\d,]*)([⁰¹²³⁴⁵⁶⁷⁸⁹]*)", value)
+            for name, (base, power) in zip(re.findall(r"`(\w+)`", limit) or [name], numbers,
+                                           strict=True):
+                source = (ROOT / "src" / "pretzeltab" / f"{module}.py").read_text()
+                assert re.search(rf"^{name} = ", source, re.M), name
+                assert getattr(importlib.import_module(f"pretzeltab.{module}"), name) == int(
+                    base.replace(",", "")) ** int(power.translate(SUPERSCRIPTS) or 1), name
+                seen.append(name)
+        assert seen == ["MAX_C", "POINT_MAX_C", "DEFAULT_ENUM_CEILING", "MAX_GCD", "MAX_ANSWER_BITS"]
 
     def test_all_is_the_documented_names(self):
         assert set(pretzeltab.__all__) == LIBRARY_NAMES

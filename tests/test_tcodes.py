@@ -1,4 +1,3 @@
-import subprocess
 import sys
 from itertools import product
 
@@ -19,7 +18,7 @@ from pretzeltab.tcodes import (
 from pretzeltab.walk import _necklaces, class_counts
 
 from brute import composition_class_count, least_rotations, orbit, signed_class_count
-from helpers import fresh_env
+from helpers import run_python
 
 
 def strip_values(link_type, top):
@@ -86,15 +85,14 @@ class TestCanonicalize:
         # 3,400 strips of 3 make 10,200 crossings, over MAX_C = 10,000
         script = ("from pretzeltab.tcodes import TCode, canonicalize\n"
                   f"print(len(canonicalize(TCode(1, 0, (3,) * {k})).strips))")
-        child = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                               env=fresh_env(), timeout=30)
+        child = run_python("-c", script, timeout=30)
         if refused:
-            assert child.returncode == 1 and child.stdout == b""
-            assert child.stderr.decode().splitlines()[-1] == (
+            assert child.returncode == 1 and child.stdout == ""
+            assert child.stderr.splitlines()[-1] == (
                 "pretzeltab.combinat.ResourceLimitError: a code of 10200 crossings exceeds"
                 " the limit of 10000 (combinat.MAX_C)")
         else:
-            assert child.returncode == 0 and child.stdout == b"3333\n"
+            assert child.returncode == 0 and child.stdout == "3333\n"
 
     def test_rejects_invalid_code(self):
         with pytest.raises(ValueError) as excinfo:
