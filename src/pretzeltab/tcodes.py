@@ -103,13 +103,12 @@ def class_strips(c: int, link_type: int,
     Each class comes once, ordered by (delta, strip count, strips).  Only
     positive type 1 and type 2 codes are generated (one link per mirror
     pair).  One ``_necklaces`` walk at budget c lists the canonical strip
-    tuples of every budget by parity and strip count, and for each delta,
-    ascending, the lists of budget c - delta are read by strip count.  At
-    most one parity of each is filled, so the two lists are read as one: a
-    type 1 or 2 tuple of k strips, all of them positive, has parity k % 2,
-    and type 3's walk keeps only the parity delta % 2 that the code needs.
-    Type 3 drops, at delta = 0, the all-negative tuples, whose delta + k1 is
-    below 2.  The walk's classes are all held at once.
+    tuples of every budget by strip count, and for each delta, ascending,
+    the lists of budget c - delta are read by strip count.  Type 3's walk
+    keeps in them only the tuples whose count of positive strips has the
+    parity delta % 2 that a code needs.  Type 3 drops, at delta = 0, the
+    all-negative tuples, whose delta + k1 is below 2.  The walk's classes
+    are all held at once.
 
     Refuses c below 1 or above the enumeration ceiling
     (``walk.check_ceiling``) when the first class is asked for.
@@ -120,9 +119,8 @@ def class_strips(c: int, link_type: int,
     walked = _necklaces(_strip_values(link_type, c), c, dihedral=link_type > 1,
                         _one_parity=link_type == 3)
     for delta in range(1 if link_type == 2 else c):
-        even, odd = walked[c - delta]
-        for k in range(len(even)):
-            for strips in even[k] or odd[k]:
+        for listed in walked[c - delta]:
+            for strips in listed:
                 if link_type == 3 and not delta and max(strips) < 0:
                     continue  # k1 = 0: delta + k1 is below 2
                 yield TCode(link_type, delta, strips)

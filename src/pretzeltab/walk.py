@@ -29,22 +29,21 @@ def check_ceiling(c: int, ceiling: int) -> None:
 
 def _necklaces(values: list[int], top: int, dihedral: bool = False, count: bool = False,
                _one_parity: bool = False
-               ) -> list[list[list[list[tuple[int, ...]]]]] | list[list[int]]:
+               ) -> list[list[list[tuple[int, ...]]]] | list[list[int]]:
     """Every tuple of k >= 3 entries over the values whose sizes (absolute
     values) sum to at most top and that is the least of its rotations, each
-    once, by its budget b (the sum of its sizes) and the parity of its count
-    of positive entries: entry [b][parity][k] of the list holds the k-entry
-    ones in lexicographic order.  Entries compare by their place in values,
-    so sorted values give integer order.  Any order works in which, for
-    every s, the values of size at most s form one run of the list: sorted
-    order meets it, and so does order by size.  With dihedral, only the
-    bracelets among them: those no greater than any rotation of their
-    reversal.  With count, no tuple is built and entry [b] is the pair
-    [even, odd] of how many there are at budget b, which does not depend on
-    the order.  With _one_parity, in list mode, entry [b] holds only the
-    tuples of parity (top - b) % 2, and the other parity's lists stay empty.
-    Values of size above top are never taken, and a budget below three
-    entries of the least size gives no tuple.
+    once, by its budget b (the sum of its sizes): entry [b][k] of the list
+    holds the k-entry ones in lexicographic order.  Entries compare by their
+    place in values, so sorted values give integer order.  Any order works
+    in which, for every s, the values of size at most s form one run of the
+    list: sorted order meets it, and so does order by size.  With dihedral,
+    only the bracelets among them: those no greater than any rotation of
+    their reversal.  With count, no tuple is built and entry [b] is the pair
+    [even, odd] of how many there are at budget b, by the parity of their
+    count of positive entries, which does not depend on the order.  With
+    _one_parity, in list mode, entry [b] holds only the tuples of parity
+    (top - b) % 2.  Values of size above top are never taken, and a budget
+    below three entries of the least size gives no tuple.
 
     The walk is a prenecklace generator (Cattell, Ruskey, Sawada, Serra and
     Miers, J. Algorithms 37, 2000) over the indices into values, and one
@@ -80,10 +79,12 @@ def _necklaces(values: list[int], top: int, dihedral: bool = False, count: bool 
     settled at its first entries, a[j+1] below a[k] = v.  Only the bound
     itself is checked in full, at the ends j with a[j+1] equal to it.  The
     indices above it of size at most s form one range, which ends where the
-    run of size at most s ends.  List mode reads its values, and count mode
-    records only where the range starts, per (parity of a[1..t], s); one
-    pass at the end adds up the ranges open at each index into counts per
-    budget.  A tuple closed by v at room s, at budget b = top - s + |v|, has
+    run of size at most s ends.  List mode appends its values, in order, to
+    the list of their budget and k, which both parities share and which
+    stays in lexicographic order, since the walk closes in prefix order;
+    count mode records only where the range starts, per (parity of a[1..t],
+    s); one pass at the end adds up the ranges open at each index into
+    counts per budget.  A tuple closed by v at room s, at budget b = top - s + |v|, has
     parity (top - b) % 2 exactly when (v > 0) ^ |v| % 2 equals the parity
     of a[1..t] ^ s % 2, so with _one_parity list mode builds only the tuples
     of the range whose v passes that test.
@@ -107,7 +108,7 @@ def _necklaces(values: list[int], top: int, dihedral: bool = False, count: bool 
         # prefix of parity par and room s start at index x; each ends at hi_of[s]
         starts = [[[0] * len(values) for _ in range(top + 1)] for _ in (0, 1)]
     else:
-        found = [[[[] for _ in range(b // least + 1)] for _ in (0, 1)] for b in range(top + 1)]
+        found = [[[] for _ in range(b // least + 1)] for b in range(top + 1)]
     a = [0] * (top // least + 1)  # a[t] is the index of the entry at position t >= 1
 
     def extend(t, p, rem, odd, ends, run):
@@ -181,7 +182,7 @@ def _necklaces(values: list[int], top: int, dihedral: bool = False, count: bool 
                     for v in values[lo:hi]:
                         if _one_parity and (v > 0) ^ (v & 1) != want:
                             continue
-                        found[top - s + abs(v)][par ^ (v > 0)][k].append(head + (v,))
+                        found[top - s + abs(v)][k].append(head + (v,))
             if s >= deep:
                 extend(k, q, s, par, new_ends, new_run)
 

@@ -83,8 +83,13 @@ def composition_class_count(n, k, dihedral=False):
     if k == 2:
         return len([t for t in least_rotations(values, 2, n, 0)
                     if not dihedral or t == _least_dihedral(t)])
-    # all parts are positive, so a k-part composition has parity k % 2
-    return len(_necklaces(values, n, dihedral)[n][k % 2][k])
+    return len(_necklaces(values, n, dihedral)[n][k])
+
+
+def by_parity(tuples, parity):
+    """The tuples whose count of positive entries has the parity, in their
+    order: a list of ``_necklaces`` holds both parities."""
+    return [t for t in tuples if sum(s > 0 for s in t) % 2 == parity]
 
 
 def signed_class_count(n1, k1, n2, k2):

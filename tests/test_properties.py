@@ -13,7 +13,7 @@ from pretzeltab.necklaces import signed_bracelet_count
 from pretzeltab.tcodes import TCode, _least_dihedral, _least_rotation, canonicalize, violation
 from pretzeltab.walk import _necklaces, _strip_values
 
-from brute import least_rotations, orbit, signed_class_count
+from brute import by_parity, least_rotations, orbit, signed_class_count
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=200)
 
@@ -112,10 +112,10 @@ def test_canonical_form_starts_with_its_least_entry(code):
 def test_dihedral_walk_keeps_exactly_the_bracelets(params):
     link_type, budget, k, parity = params
     values = _strip_values(link_type, budget)
-    necklaces = _necklaces(values, budget)[budget][parity][k]
+    necklaces = by_parity(_necklaces(values, budget)[budget][k], parity)
     # both walks share the parity test, so the necklaces are checked on their own
     assert necklaces == least_rotations(values, k, budget, parity)
-    assert _necklaces(values, budget, dihedral=True)[budget][parity][k] == \
+    assert by_parity(_necklaces(values, budget, dihedral=True)[budget][k], parity) == \
         [s for s in necklaces if s == _least_dihedral(s)]
 
 
@@ -127,7 +127,7 @@ def test_two_strips_come_from_the_brute_force(params):
     # least_rotations, whose pairs are all bracelets
     link_type, budget, k, parity = params
     values = _strip_values(link_type, budget)
-    assert _necklaces(values, budget)[budget][parity][k] == []
+    assert by_parity(_necklaces(values, budget)[budget][k], parity) == []
     pairs = [t for t in product(values, repeat=k)
              if sum(map(abs, t)) == budget and sum(s > 0 for s in t) % 2 == parity]
     necklaces = least_rotations(values, k, budget, parity)
@@ -142,14 +142,12 @@ def test_two_strips_come_from_the_brute_force(params):
 @example((3, 12, True, [-12, 12, -8, 8, -4, 4, -2, 2, 3, 5, -6, 6, 7, 9, -10, 10, 11]))
 def test_count_mode_does_not_depend_on_the_order(params):
     # the classes, so their number, do not depend on the order of the entries;
-    # the sorted walk's lists are checked by the sweeps
+    # test_count_mode_counts_the_list holds the sorted walk's counts to its lists
     link_type, top, dihedral, values = params
     ordered = _strip_values(link_type, top)
     assert sorted(values) == ordered
-    counted = _necklaces(values, top, dihedral, count=True)
-    assert counted == _necklaces(ordered, top, dihedral, count=True)
-    assert counted == [[sum(map(len, by_k)) for by_k in by_parity]
-                       for by_parity in _necklaces(ordered, top, dihedral)]
+    assert _necklaces(values, top, dihedral, count=True) == \
+        _necklaces(ordered, top, dihedral, count=True)
 
 
 @PROPERTY
@@ -165,9 +163,9 @@ def test_list_mode_keeps_exactly_the_classes_in_any_order(params):
     rank = {v: i for i, v in enumerate(values)}
     for dihedral, least in ((False, _least_rotation), (True, _least_dihedral)):
         walked = _necklaces(values, top, dihedral)
-        assert [[[sorted(map(least, listed)) for listed in by_k] for by_k in by_parity]
-                for by_parity in walked] == _necklaces(_strip_values(link_type, top), top, dihedral)
-        for listed in (listed for by_parity in walked for by_k in by_parity for listed in by_k):
+        assert [[sorted(map(least, listed)) for listed in by_k] for by_k in walked] == \
+            _necklaces(_strip_values(link_type, top), top, dihedral)
+        for listed in (listed for by_k in walked for listed in by_k):
             ranks = [tuple(rank[v] for v in t) for t in listed]
             assert ranks == sorted(set(ranks)), (dihedral, listed)
             assert all(r == least(r) for r in ranks), (dihedral, listed)

@@ -17,7 +17,7 @@ from pretzeltab.tcodes import (
 )
 from pretzeltab.walk import _necklaces, class_counts
 
-from brute import composition_class_count, least_rotations, orbit, signed_class_count
+from brute import by_parity, composition_class_count, least_rotations, orbit, signed_class_count
 from helpers import run_python
 
 
@@ -155,7 +155,7 @@ class TestEnumerateClasses:
 
 
 def group(walked, k):
-    """The k-entry tuples of one budget and parity of a walk; the list stops
+    """The k-entry tuples of one budget of a walk; the list stops
     at the most entries the budget holds."""
     return walked[k] if k < len(walked) else []
 
@@ -170,7 +170,8 @@ class TestGenerators:
                 for delta in range(1 if link_type == 2 else c):
                     for parity in (delta % 2,) if link_type == 3 else (0, 1):
                         case = (link_type, c, delta, parity)
-                        for k, raw in enumerate(walked[c - delta][parity]):
+                        for k, listed in enumerate(walked[c - delta]):
+                            raw = by_parity(listed, parity)
                             assert k >= 3 or raw == [], (case, k)
                             # distinct and in lexicographic order
                             assert all(a < b for a, b in zip(raw, raw[1:])), (case, k)
@@ -187,16 +188,15 @@ class TestGenerators:
 
     def test_dihedral_filter_keeps_exactly_the_bracelets(self):
         # the inline reversal checks against the definition, a necklace that is
-        # its own least dihedral image, over the raw necklaces of every budget,
-        # parity and strip count of one walk
+        # its own least dihedral image, over the raw necklaces of every budget
+        # and strip count of one walk
         for link_type in (1, 2, 3):
             for c in range(6, 17):
                 values = list(strip_values(link_type, c))
                 raw = _necklaces(values, c)
                 bracelets = _necklaces(values, c, dihedral=True)
-                assert bracelets == [[[[s for s in necklaces if s == _least_dihedral(s)]
-                                       for necklaces in by_k] for by_k in by_parity]
-                                     for by_parity in raw], (link_type, c)
+                assert bracelets == [[[s for s in necklaces if s == _least_dihedral(s)]
+                                      for necklaces in by_k] for by_k in raw], (link_type, c)
 
     def test_one_walk_serves_every_budget(self):
         # a walk at the top budget, read at a lower budget b, is the walk at b:
@@ -220,9 +220,8 @@ class TestGenerators:
                 for dihedral in (False, True):
                     full = _necklaces(values, top, dihedral)
                     one = _necklaces(values, top, dihedral, _one_parity=True)
-                    assert one == [[by_k if parity == (top - b) % 2 else [[] for _ in by_k]
-                                    for parity, by_k in enumerate(by_parity)]
-                                   for b, by_parity in enumerate(full)], (link_type, top, dihedral)
+                    assert one == [[by_parity(listed, (top - b) % 2) for listed in by_k]
+                                   for b, by_k in enumerate(full)], (link_type, top, dihedral)
 
     def test_each_frame_has_room_for_its_entry_and_the_last(self):
         # a looser bound on the recursion changes no tuple, only the work
@@ -284,8 +283,8 @@ class TestGenerators:
                         necklaces = sorted({_least_rotation(t) for t in tuples})
                         bracelets = sorted({_least_dihedral(t) for t in tuples})
                         case = (link_type, budget, k, parity)
-                        listed = group(walked[budget][parity], k)
-                        listed_bracelets = group(walked_bracelets[budget][parity], k)
+                        listed = by_parity(group(walked[budget], k), parity)
+                        listed_bracelets = by_parity(group(walked_bracelets[budget], k), parity)
                         if k == 2:
                             assert listed == listed_bracelets == [], case
                             assert least_rotations(values, k, budget, parity) == necklaces, case
@@ -349,8 +348,9 @@ class TestCountClasses:
                 for dihedral in (False, True):
                     counted = _necklaces(values, top, dihedral, count=True)
                     listed = _necklaces(values, top, dihedral)
-                    assert counted == [[sum(map(len, by_k)) for by_k in by_parity]
-                                       for by_parity in listed], (link_type, top, dihedral)
+                    assert counted == [[sum(len(by_parity(tuples, parity)) for tuples in by_k)
+                                        for parity in (0, 1)]
+                                       for by_k in listed], (link_type, top, dihedral)
 
     @pytest.mark.parametrize("top", [24, pytest.param(28, marks=pytest.mark.slow)])
     def test_size_order_counts_what_sorted_order_counts(self, top):
@@ -366,7 +366,8 @@ class TestCountClasses:
         # delta = 0 count: negation maps those bracelets onto the type 2 classes
         walked = _necklaces(list(range(-20, -1, 2)), 20, dihedral=True)
         for c in range(1, 21):
-            assert sum(map(len, walked[c][0])) == len(enumerate_classes(c, 2)), c
+            assert sum(len(by_parity(listed, 0)) for listed in walked[c]) == \
+                len(enumerate_classes(c, 2)), c
 
 
 class TestCeiling:
