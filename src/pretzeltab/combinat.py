@@ -1,17 +1,15 @@
-"""Exact integer combinatorics shared by all counters, and the shared limits.
+"""Exact integer combinatorics and limits shared by the counters and the CLI.
 
 Everything here is pure, exact (Python big integers throughout) and safe to
-call concurrently.  Each shared rule has its one copy here: ``exact_div``
-checks that a division is exact, ``check_c`` refuses a crossing number below
-1 or above the caller's limit, and ``composition_count`` gives the empty
-family (n = k = 0) its one composition.  The shared limits,
-``ResourceLimitError``, ``DEFAULT_ENUM_CEILING`` and ``MAX_C``, live here too,
-in the base module that the others build on, so that ``counts`` and the CLI
-can refuse oversized work without loading the oracle in ``walk`` and
-``tcodes``; so do ``MAX_GCD`` and ``MAX_ANSWER_BITS``, which bound the
-per-point counters in ``necklaces``.
+call concurrently.  A name lives here only when at least two modules import
+it; a rule or limit of one module lives in that module.  Each shared rule has
+its one copy here: ``exact_div`` checks that a division is exact, and
+``check_c`` refuses a crossing number below 1 or above the caller's limit.
+The shared limits, ``ResourceLimitError``, ``DEFAULT_ENUM_CEILING`` and
+``MAX_C``, live here too, in the base module that the others build on, so
+that ``counts`` and the CLI can refuse oversized work without loading the
+oracle in ``walk`` and ``tcodes``.
 """
-import math
 
 # Largest crossing number the exhaustive oracle enumerates unless told otherwise.
 DEFAULT_ENUM_CEILING = 22
@@ -27,21 +25,6 @@ DEFAULT_ENUM_CEILING = 22
 # needs that limit raised as well.  ``canonicalize`` is quadratic in the strip
 # count, and a code of c crossings has at most c / 2 strips.
 MAX_C = 10_000
-
-# Largest gcd of their arguments that the per-point counters in ``necklaces``
-# take.  Their rotation sum walks the divisors of the gcd up to its square
-# root and factors each by trial division, whatever the answer: a prime just
-# above 10**12 takes 0.10 s, and one just above 10**14 1.04 s (CPython 3.11,
-# x86-64 Linux, 2 shared cores).
-MAX_GCD = 10**12
-
-# Largest answer, in bits, that the per-point counters in ``necklaces``
-# compute, as estimated before any work.  The largest answers accepted, of
-# about 10**5 bits, take 0.2 s in ``necklace_count`` and ``bracelet_count``
-# (n = 100,001, k = 50,000) and 0.08 s in ``signed_bracelet_count``, while
-# ``signed_bracelet_count(10**5, 5 * 10**4, 10**5, 5 * 10**4)``, of
-# 3 * 10**5 bits, took 1.14 s (same machine).
-MAX_ANSWER_BITS = 100_000
 
 
 class ResourceLimitError(RuntimeError):
@@ -79,17 +62,6 @@ def totient(d: int) -> int:
     return result
 
 
-def binom(a: int, b: int) -> int:
-    """Binomial coefficient C(a, b), total over all integer arguments.
-
-    Returns 0 whenever a < 0, b < 0 or b > a, so callers can sum binomials
-    without guarding index ranges; C(0, 0) = 1.
-    """
-    if a < 0 or b < 0 or b > a:
-        return 0
-    return math.comb(a, b)
-
-
 def exact_div(value: int, divisor: int, what: str) -> int:
     """value / divisor, raising ArithmeticError unless the division is exact.
 
@@ -101,10 +73,3 @@ def exact_div(value: int, divisor: int, what: str) -> int:
     if rem:
         raise ArithmeticError(f"{what}: remainder {rem} on division by {divisor}")
     return quotient
-
-
-def composition_count(n: int, k: int) -> int:
-    """Number of k-part compositions of n: binom(n - 1, k - 1), and 1 for the
-    empty family n = k = 0, which has exactly one composition, the empty tuple."""
-    return 1 if n == k == 0 else binom(n - 1, k - 1)
-

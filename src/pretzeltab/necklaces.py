@@ -9,10 +9,10 @@ reflection of the k = k1 + k2 positions.  ``necklace_count`` and
 ``signed_bracelet_count`` are each one exact division of them, and a
 remainder raises ``ArithmeticError``; ``bracelet_count`` is
 ``signed_bracelet_count``'s one-family case.  Each first refuses, with
-``ResourceLimitError``, arguments whose gcd or answer is over its limit in
-``combinat``.  For odd k each of the k reflection axes passes through one
-bead, from either family; for even k, k/2 axes pass through two beads and k/2
-through none.  The other beads form mirrored pairs.
+``ResourceLimitError``, arguments whose gcd is over ``MAX_GCD`` or whose
+answer is over ``MAX_ANSWER_BITS``.  For odd k each of the k reflection axes
+passes through one bead, from either family; for even k, k/2 axes pass
+through two beads and k/2 through none.  The other beads form mirrored pairs.
 
 ``point_columns`` is the paper's formula: these counts summed over every
 admissible parameter point, one walk over the O(C^4) type 3 strip families
@@ -23,14 +23,45 @@ import math
 from itertools import accumulate
 from typing import Iterator, NamedTuple
 
-from .combinat import (MAX_ANSWER_BITS, MAX_GCD, ResourceLimitError, binom, check_c,
-                       composition_count, exact_div, totient)
+from .combinat import ResourceLimitError, check_c, exact_div, totient
 
 # Largest c that the per-point route accepts, a bound on time: point_columns
 # walks its O(c^4) type 3 families one at a time.  In a fresh process it takes
 # 3.8 s at 100 and 20.0 s at 150, both at 13.7 MiB of peak RSS, the bare
 # interpreter's (CPython 3.11, x86-64 Linux, 2 shared cores).
 POINT_MAX_C = 150
+
+# Largest gcd of their arguments that the per-point counters take.  Their
+# rotation sum walks the divisors of the gcd up to its square root and factors
+# each by trial division, whatever the answer: a prime just above 10**12 takes
+# 0.10 s, and one just above 10**14 1.04 s (CPython 3.11, x86-64 Linux, 2
+# shared cores).
+MAX_GCD = 10**12
+
+# Largest answer, in bits, that the per-point counters compute, as estimated
+# before any work.  The largest answers accepted, of about 10**5 bits, take
+# 0.2 s in ``necklace_count`` and ``bracelet_count`` (n = 100,001,
+# k = 50,000) and 0.08 s in ``signed_bracelet_count``, while
+# ``signed_bracelet_count(10**5, 5 * 10**4, 10**5, 5 * 10**4)``, of
+# 3 * 10**5 bits, took 1.14 s (same machine).
+MAX_ANSWER_BITS = 100_000
+
+
+def binom(a: int, b: int) -> int:
+    """Binomial coefficient C(a, b), total over all integer arguments.
+
+    Returns 0 whenever a < 0, b < 0 or b > a, so callers can sum binomials
+    without guarding index ranges; C(0, 0) = 1.
+    """
+    if a < 0 or b < 0 or b > a:
+        return 0
+    return math.comb(a, b)
+
+
+def composition_count(n: int, k: int) -> int:
+    """Number of k-part compositions of n: binom(n - 1, k - 1), and 1 for the
+    empty family n = k = 0, which has exactly one composition, the empty tuple."""
+    return 1 if n == k == 0 else binom(n - 1, k - 1)
 
 
 def _weightings(n: int, a: int, m: int) -> int:
@@ -97,11 +128,11 @@ def _check_size(n1: int, k1: int, n2: int, k2: int) -> None:
     and about that over k or 2k when the answer is large."""
     if math.gcd(k1, k2, n1, n2) > MAX_GCD:
         raise ResourceLimitError(f"the gcd of the arguments exceeds the limit of {MAX_GCD} "
-                                 "(combinat.MAX_GCD)")
+                                 "(necklaces.MAX_GCD)")
     if (_binom_bits(k1 + k2, k1) + _binom_bits(n1 - 1, k1 - 1)
             + _binom_bits(n2 - 1, k2 - 1) > MAX_ANSWER_BITS):
         raise ResourceLimitError(f"the estimated answer exceeds the limit of {MAX_ANSWER_BITS} "
-                                 "bits (combinat.MAX_ANSWER_BITS)")
+                                 "bits (necklaces.MAX_ANSWER_BITS)")
 
 
 def _bracelets(n1: int, k1: int, n2: int, k2: int) -> int:

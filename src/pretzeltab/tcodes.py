@@ -6,13 +6,13 @@ strips).  Two codes describe the same link exactly when they have equal type
 and delta and their strip tuples agree up to rotation (type 1) or up to
 rotation and reversal (types 2 and 3).
 
-``enumerate_classes`` is the orderly exhaustive oracle that the closed-form
-counters in ``counts`` are checked against: the list of ``class_strips``,
-which yields each class once, as its canonical ``TCode``, already in
-``list`` order, so no dedup set and no sort is needed.  It reads the walk in
-``walk``, over the sorted strip values, so each class comes as its least
-tuple in integer order; ``walk.class_counts`` counts the same classes from
-the same walk without building a code, and ``verify`` loads ``walk`` alone.
+``enumerate_classes`` lists the orderly exhaustive oracle's classes: the
+list of ``class_strips``, which yields each class once, as its canonical
+``TCode``, already in ``list`` order, so no dedup set and no sort is needed.
+It reads the walk in ``walk``, over the sorted strip values, so each class
+comes as its least tuple in integer order.  ``walk.class_counts`` counts the
+same classes from the same walk without building a code; ``verify`` checks
+the closed-form counters in ``counts`` against it and loads ``walk`` alone.
 
 Enumeration grows exponentially with the crossing number, so it refuses to
 run above a ceiling (``ceiling`` argument, the CLI's ``--ceiling``), and
@@ -44,6 +44,9 @@ def violation(code: TCode) -> str | None:
     """None if the code is structurally valid, else the first violated rule."""
     if code.link_type not in (1, 2, 3):
         return f"link type must be 1, 2 or 3, got {code.link_type}"
+    wrong = [x for x in (code.link_type, code.delta, *code.strips) if type(x) is not int]
+    if wrong:
+        return f"the link type, delta and strip entries must be ints, got {wrong[0]!r}"
     if code.delta < 0:
         return "delta must be non-negative"
     if len(code.strips) < 3:
@@ -92,7 +95,7 @@ def canonicalize(code: TCode) -> TCode:
         raise ValueError(f"invalid code {code!r}: {problem}")
     check_c(code.delta + sum(map(abs, code.strips)), MAX_C, "a code of", "combinat.MAX_C")
     least_form = _least_rotation if code.link_type == 1 else _least_dihedral
-    return TCode(code.link_type, code.delta, least_form(code.strips))
+    return TCode(code.link_type, code.delta, least_form(tuple(code.strips)))
 
 
 def class_strips(c: int, link_type: int,

@@ -1,16 +1,8 @@
 import pytest
 
-from pretzeltab.combinat import (
-    DEFAULT_ENUM_CEILING,
-    MAX_C,
-    ResourceLimitError,
-    binom,
-    composition_count,
-    exact_div,
-    totient,
-)
+from pretzeltab.combinat import DEFAULT_ENUM_CEILING, MAX_C, ResourceLimitError, exact_div, totient
 from pretzeltab.counts import columns, count_rows
-from pretzeltab.necklaces import POINT_MAX_C, point_columns, type3_params
+from pretzeltab.necklaces import POINT_MAX_C, binom, composition_count, point_columns, type3_params
 from pretzeltab.tcodes import TCode, canonicalize, enumerate_classes
 from pretzeltab.walk import class_counts
 

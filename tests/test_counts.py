@@ -91,16 +91,6 @@ class TestTypeCounters:
         assert p3[6] == 1
         assert p3[50] == 549639730670
 
-    def test_parity_nulls(self, point_60):
-        p1, p2, p3 = point_60
-        for c in range(1, 61, 2):
-            assert p2[c] == 0, c
-        for c in range(1, 9):
-            assert p1[c] == 0, c
-        for c in range(1, 6):
-            assert p2[c] == 0
-            assert p3[c] == 0
-
     def test_counters_match_enumeration_on_small_range(self):
         for c in range(1, 21):
             for link_type in (1, 2, 3):

@@ -3,10 +3,12 @@ from itertools import chain
 
 import pytest
 
-from pretzeltab.combinat import MAX_ANSWER_BITS, MAX_GCD, binom
 from pretzeltab.necklaces import (
+    MAX_ANSWER_BITS,
+    MAX_GCD,
     _binom_bits,
     _reflection_sum,
+    binom,
     bracelet_count,
     necklace_count,
     signed_bracelet_count,
@@ -155,9 +157,10 @@ _FAULTS_UNDER_O = f"""
 import sys
 sys.path.insert(0, {str(TESTS)!r})
 from helpers import counts_faults
-from pretzeltab import combinat, counts, necklaces
+from pretzeltab import counts, necklaces
 assert False, "assert statements must be stripped by -O"
-necklaces.composition_count = lambda n, k: combinat.composition_count(n, k) + 1
+composition_count = necklaces.composition_count
+necklaces.composition_count = lambda n, k: composition_count(n, k) + 1
 
 def report(call):
     try:
@@ -215,7 +218,7 @@ def test_a_gcd_over_max_gcd_is_refused_before_its_divisor_walk():
     result = run_python("-c", _REFUSED.format(calls), timeout=30)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == [
-        f"the gcd of the arguments exceeds the limit of {MAX_GCD} (combinat.MAX_GCD)"] * 4
+        f"the gcd of the arguments exceeds the limit of {MAX_GCD} (necklaces.MAX_GCD)"] * 4
 
 
 def test_an_answer_over_max_answer_bits_is_refused_before_any_work():
@@ -228,7 +231,7 @@ def test_an_answer_over_max_answer_bits_is_refused_before_any_work():
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == [
         f"the estimated answer exceeds the limit of {MAX_ANSWER_BITS} bits "
-        "(combinat.MAX_ANSWER_BITS)"] * 5
+        "(necklaces.MAX_ANSWER_BITS)"] * 5
 
 
 def test_an_answer_just_under_max_answer_bits_is_computed():

@@ -72,6 +72,24 @@ class TestImports:
         assert {name for name in loaded if name.startswith("pretzeltab.")} == {
             "pretzeltab.walk", "pretzeltab.combinat"}
 
+    def test_combinat_defines_only_names_two_modules_import(self):
+        # a rule or limit that one module alone imports lives in that module
+        package = ROOT / "src" / "pretzeltab"
+        tree = ast.parse((package / "combinat.py").read_text())
+        defined = {node.name for node in tree.body
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        defined |= {target.id for node in tree.body if isinstance(node, ast.Assign)
+                    for target in node.targets if isinstance(target, ast.Name)}
+        importers = {name: set() for name in defined}
+        for path in package.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom) and node.level == 1 \
+                        and node.module == "combinat":
+                    for alias in node.names:
+                        importers.setdefault(alias.name, set()).add(path.stem)
+        lonely = sorted(name for name in defined if len(importers[name]) < 2)
+        assert defined and not lonely, f"imported by fewer than two modules: {lonely}"
+
     def test_every_traced_layer_imports(self):
         # perfbench/layertrace.py imports each module of its LAYERS by name in
         # every traced benchmark child; read the tuple without running the file
@@ -92,33 +110,6 @@ class TestImports:
 
 
 class TestLibrary:
-    def test_documented_values(self):
-        from pretzeltab import (
-            TCode,
-            bracelet_count,
-            canonicalize,
-            columns,
-            count_row,
-            enumerate_classes,
-            fit_growth,
-            necklace_count,
-            point_columns,
-            signed_bracelet_count,
-            type3_params,
-        )
-
-        p1, p2, p3 = columns(10)
-        assert (p1[10], p2[10], p3[10]) == (1, 4, 38)
-        assert repr(count_row(10)) == "CountRow(c=10, p1=1, p2=4, p3=38, p=43, total=86)"
-        assert point_columns(10) == columns(10)
-        assert len(type3_params(10)) == 23
-        assert necklace_count(7, 3) == 5
-        assert bracelet_count(7, 3) == 4
-        assert signed_bracelet_count(4, 2, 2, 2) == 4
-        assert str(canonicalize(TCode(3, 0, (3, -2, 3, -2)))) == "P3(0;-2,3,-2,3)"
-        assert len(enumerate_classes(10, 3)) == 38
-        assert fit_growth(6, 50).b == pytest.approx(0.588059, abs=1e-6)
-
     def test_readme_block_prints_what_its_comments_say(self):
         imports, lines = readme_library()
         namespace = {}

@@ -71,6 +71,19 @@ class TestValidate:
     def test_bad_type_tag(self):
         assert violation(TCode(4, 0, (2, 2, 2))) is not None
 
+    def test_entries_that_are_not_ints(self):
+        assert violation(TCode(1, 0, (3, 3, 3.5))) == \
+            "the link type, delta and strip entries must be ints, got 3.5"
+        assert violation(TCode(1, 0, ("3", "3", "3"))) == \
+            "the link type, delta and strip entries must be ints, got '3'"
+        assert violation(TCode(1, 1.0, (3, 3, 3))) == \
+            "the link type, delta and strip entries must be ints, got 1.0"
+        assert violation(TCode(1.0, 0, (3, 3, 3))) == \
+            "the link type, delta and strip entries must be ints, got 1.0"
+        # a bool is an int subclass, but would print as P1(True;3,3,3)
+        assert violation(TCode(1, True, (3, 3, 3))) == \
+            "the link type, delta and strip entries must be ints, got True"
+
 
 class TestCanonicalize:
     def test_examples(self):
@@ -99,6 +112,16 @@ class TestCanonicalize:
             canonicalize(TCode(2, 0, (2, 2)))
         assert str(excinfo.value) == ("invalid code TCode(link_type=2, delta=0, strips=(2, 2)):"
                                       " a pretzel code needs at least 3 strips")
+
+    @pytest.mark.parametrize("strips", [(3, 3, 3.5), ("3", "3", "3")])
+    def test_rejects_entries_that_are_not_ints(self, strips):
+        with pytest.raises(ValueError, match="must be ints"):
+            canonicalize(TCode(1, 0, strips))
+
+    def test_returns_tuple_strips(self):
+        code = canonicalize(TCode(2, 0, [2, 4, 2]))
+        assert code == TCode(2, 0, (2, 2, 4)) and type(code.strips) is tuple
+        assert hash(code) == hash(TCode(2, 0, (2, 2, 4)))
 
     def test_type1_ignores_reversal(self):
         # (3,5,7) reversed is (7,5,3); rotations of the two differ
