@@ -228,6 +228,22 @@ _SPEC = {
 }
 
 
+def _run(args) -> int:
+    """Run the command with str() free to convert the counts it computed (up
+    to 2,737 digits, at ``MAX_C``) whatever the process's int digit limit,
+    which is then put back.  The arguments were read under that limit, so an
+    over-long number there stays a usage error."""
+    handler = _SPEC[args.command][1]
+    if not hasattr(sys, "set_int_max_str_digits"):  # Python 3.10.0-3.10.6: no limit
+        return handler(args)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return handler(args)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def main(argv: list[str] | None = None) -> int:
     # At exit, freeze every object still tracked: the interpreter's final
     # collections then skip them, and the OS takes the memory back whole.
@@ -250,7 +266,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             if args is None:
                 args = _build_parser().parse_args(argv)
-            code = _SPEC[args.command][1](args)
+            code = _run(args)
             sys.stdout.flush()  # here, so that a failed write gets its message
         except SystemExit as exc:  # argparse exits with 0 after help, 2 on a bad argument
             code = EXIT_USAGE if exc.code else EXIT_OK

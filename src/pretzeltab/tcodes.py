@@ -9,10 +9,10 @@ rotation and reversal (types 2 and 3).
 ``enumerate_classes`` lists the orderly exhaustive oracle's classes: the
 list of ``class_strips``, which yields each class once, as its canonical
 ``TCode``, already in ``list`` order, so no dedup set and no sort is needed.
-It reads the walk in ``walk``, over the sorted strip values, so each class
-comes as its least tuple in integer order.  ``walk.class_counts`` counts the
-same classes from the same walk without building a code; ``verify`` checks
-the closed-form counters in ``counts`` against it and loads ``walk`` alone.
+It reads the walk that ``walk._walk_type`` makes, and states no rule of it.
+``walk.class_counts`` counts the same classes from the same walk without
+building a code; ``verify`` checks the closed-form counters in ``counts``
+against it and loads ``walk`` alone.
 
 Enumeration grows exponentially with the crossing number, so it refuses to
 run above a ceiling (``ceiling`` argument, the CLI's ``--ceiling``), and
@@ -23,7 +23,7 @@ live in ``tests/brute.py``.
 from typing import Iterator, NamedTuple
 
 from .combinat import DEFAULT_ENUM_CEILING, MAX_C, check_c
-from .walk import _necklaces, _strip_values, check_ceiling
+from .walk import _walk_type
 
 
 class TCode(NamedTuple):
@@ -105,22 +105,16 @@ def class_strips(c: int, link_type: int,
 
     Each class comes once, ordered by (delta, strip count, strips).  Only
     positive type 1 and type 2 codes are generated (one link per mirror
-    pair).  One ``_necklaces`` walk at budget c lists the canonical strip
-    tuples of every budget by strip count, and for each delta, ascending,
-    the lists of budget c - delta are read by strip count.  Type 3's walk
-    keeps in them only the tuples whose count of positive strips has the
-    parity delta % 2 that a code needs.  Type 3 drops, at delta = 0, the
-    all-negative tuples, whose delta + k1 is below 2.  The walk's classes
-    are all held at once.
+    pair).  One walk at budget c (``walk._walk_type``) lists the canonical
+    strip tuples of every budget by strip count, and for each delta,
+    ascending, the lists of budget c - delta are read by strip count.  Type
+    3 drops, at delta = 0, the all-negative tuples, whose delta + k1 is
+    below 2.  The walk's classes are all held at once.
 
-    Refuses c below 1 or above the enumeration ceiling
-    (``walk.check_ceiling``) when the first class is asked for.
+    Refuses, when the first class is asked for, a link type other than the
+    ints 1, 2 and 3, a ceiling below 1, and c below 1 or above the ceiling.
     """
-    if link_type not in (1, 2, 3):
-        raise ValueError(f"link type must be 1, 2 or 3, got {link_type}")
-    check_ceiling(c, ceiling)
-    walked = _necklaces(_strip_values(link_type, c), c, dihedral=link_type > 1,
-                        _one_parity=link_type == 3)
+    walked = _walk_type(link_type, c, ceiling)
     for delta in range(1 if link_type == 2 else c):
         for listed in walked[c - delta]:
             for strips in listed:

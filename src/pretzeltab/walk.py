@@ -3,12 +3,12 @@
 ``_necklaces`` is an orderly generator that walks each type once, at the top
 budget, for every budget and strip count, and extends only the prefixes that
 can still be the least rotation (for types 2 and 3, the least dihedral image)
-of a strip tuple; its docstring holds the walk in full.  The walk runs over
-indices into the strip values in the order it is given: ``tcodes.class_strips``
-gives the sorted values, so each class comes as its least tuple in integer
-order, and ``class_counts``, which needs only how many classes there are,
-gives them by size, where fewer prefixes fit the budget.  ``class_counts``
-returns those counts, with no tuple held, as the columns of ``counts.columns``.
+of a strip tuple; its docstring holds the walk in full.  ``_walk_type``
+alone decides how each link type is walked, for ``class_counts`` and
+``tcodes.class_strips``: sorted values for a listing, so each class comes
+as its least tuple in integer order, and values by size for a count, where
+fewer prefixes fit the budget.  ``class_counts`` returns those counts, with
+no tuple held, as the columns of ``counts.columns``.
 
 Enumeration grows exponentially with the crossing number, so it refuses to
 run above a ceiling (``ceiling`` argument, the CLI's ``--ceiling``).  The
@@ -18,13 +18,6 @@ module imports nothing from the counters nor from the codes in ``tcodes``:
 from itertools import accumulate
 
 from .combinat import DEFAULT_ENUM_CEILING, check_c
-
-
-def check_ceiling(c: int, ceiling: int) -> None:
-    """Refuse exhaustive enumeration at c crossings below 1 or above the ceiling."""
-    if ceiling < 1:
-        raise ValueError(f"the enumeration ceiling must be positive, got {ceiling}")
-    check_c(c, ceiling, "exhaustive enumeration at", "raise it with --ceiling")
 
 
 def _necklaces(values: list[int], top: int, dihedral: bool = False, count: bool = False,
@@ -90,9 +83,8 @@ def _necklaces(values: list[int], top: int, dihedral: bool = False, count: bool 
     of the range whose v passes that test.
 
     In order by size, an entry at least a[i] is also at least a[i] in size,
-    so fewer prefixes fit the budget than in sorted order:
-    ``class_counts`` walks by size, and ``tcodes.class_strips`` walks the
-    sorted values, whose lists are in ``list`` order.
+    so fewer prefixes fit the budget than in sorted order: ``_walk_type``
+    counts by size and lists in sorted order, which is ``list`` order.
     """
     sizes = [abs(v) for v in values]
     signs = [v > 0 for v in values]
@@ -214,23 +206,37 @@ def _strip_values(link_type: int, top: int) -> list[int]:
     return list(range(-top + top % 2, -1, 2)) + list(range(2, top + 1))
 
 
+def _walk_type(link_type: int, top: int, ceiling: int, count: bool = False) -> list:
+    """``_necklaces``' walk of the type's classes at budget top: bracelets for
+    types 2 and 3, and a type 3 listing keeps at budget b only the parity
+    (top - b) % 2 that its codes need.  Refuses a link type other than the
+    ints 1, 2 and 3, a ceiling below 1, and a top below 1 or above it."""
+    if type(link_type) is not int or link_type not in (1, 2, 3):
+        raise ValueError(f"link type must be 1, 2 or 3, got {link_type}")
+    if ceiling < 1:
+        raise ValueError(f"the enumeration ceiling must be positive, got {ceiling}")
+    check_c(top, ceiling, "exhaustive enumeration at", "raise it with --ceiling")
+    values = _strip_values(link_type, top)
+    if count:
+        return _necklaces(sorted(values, key=abs), top, dihedral=link_type > 1, count=True)
+    return _necklaces(values, top, dihedral=link_type > 1, _one_parity=link_type == 3)
+
+
 def class_counts(max_c: int, ceiling: int = DEFAULT_ENUM_CEILING
                  ) -> tuple[list[int], list[int], list[int]]:
     """The p1, p2 and p3 columns of ``counts.columns``, 0 <= c <= max_c, as the
     lengths of ``tcodes.enumerate_classes``.  Refuses max_c below 1 or above
     the ceiling.
 
-    Each type is walked once, at budget max_c, by ``_necklaces``' count mode
-    over its strip values by size (type 3's -2j before 2j; types 1 and 2 are
-    sorted by size already), and the columns read the counts per budget: p1
-    sums type 1 over the budgets up to c, p2 is type 2 at c, and p3 sums
-    type 3 over the budgets b up to c at parity c - b, less p2 for the
-    all-negative bracelets at delta = 0 (k1 = 0, so delta + k1 is below 2),
-    which negation maps one to one onto the type 2 classes at c.
+    Each type is walked once, at budget max_c, by ``_walk_type``'s count
+    mode, over its strip values by size (type 3's -2j before 2j), and the
+    columns read the counts per budget: p1 sums type 1 over the budgets up
+    to c, p2 is type 2 at c, and p3 sums type 3 over the budgets b up to c
+    at parity c - b, less p2 for the all-negative bracelets at delta = 0
+    (k1 = 0, so delta + k1 is below 2), which negation maps one to one onto
+    the type 2 classes at c.
     """
-    check_ceiling(max_c, ceiling)
-    ones, twos, threes = (_necklaces(sorted(_strip_values(link_type, max_c), key=abs), max_c,
-                                     dihedral=link_type > 1, count=True)
+    ones, twos, threes = (_walk_type(link_type, max_c, ceiling, count=True)
                           for link_type in (1, 2, 3))
     p2 = list(map(sum, twos))
     return (list(accumulate(map(sum, ones))), p2,

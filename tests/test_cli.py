@@ -78,7 +78,7 @@ class TestTable:
         assert row["p3"] == "162274113329"
 
     def test_row_at_max_c(self, capsys):
-        # the longest count that table prints must fit str()'s digit limit
+        # the longest counts that table prints, 2,737 digits for total
         top = str(counts.MAX_C)
         assert main(["table", "--min", top, "--max", top]) == EXIT_OK
         row = counts.count_row(counts.MAX_C)
@@ -129,6 +129,29 @@ class TestCount:
         assert len(err) == 3
         for command, line in zip(("count", "table", "fit"), err):
             assert line.startswith(f"pretzeltab {command}: ") and "MAX_C" in line
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="str() converts any number of digits")
+    def test_counts_print_whatever_the_digit_limit(self, capsys):
+        # p3 has 819 digits at 3000; the process keeps its own limit
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert main(["count", "-c", "3000"]) == EXIT_OK
+            assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert capsys.readouterr() == (
+            " ".join(str(column[3000]) for column in counts.columns(3000)) + "\n", "")
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="str() converts any number of digits")
+    def test_a_lowered_digit_limit_changes_no_byte(self, columns_max_c):
+        top = str(counts.MAX_C)
+        lowered = run_python("-X", "int_max_str_digits=640", "-m", "pretzeltab.cli",
+                             "count", "-c", top)
+        assert (lowered.returncode, lowered.stderr) == (EXIT_OK, "")
+        assert lowered.stdout == " ".join(str(column[-1]) for column in columns_max_c) + "\n"
 
 
 class TestList:
@@ -225,8 +248,7 @@ class TestVerify:
             "pretzeltab verify: first failure at c=6 type 2 (formula 2, enumerated 1)\n")
 
     def test_walks_each_type_once_in_count_mode(self, capsys, monkeypatch):
-        # a list-mode walk, through walk or through tcodes' own binding of it,
-        # would be recorded without count=True
+        # a list-mode walk would be recorded without count=True
         walks = []
         necklaces = walk._necklaces
 
@@ -235,7 +257,6 @@ class TestVerify:
             return necklaces(values, top, **options)
 
         monkeypatch.setattr(walk, "_necklaces", recording)
-        monkeypatch.setattr(tcodes, "_necklaces", recording)
         assert main(["verify", "--max", "12"]) == EXIT_OK
         assert "36/36 checks passed" in capsys.readouterr().out
         assert walks == [True, True, True]

@@ -2,24 +2,14 @@ import pytest
 
 from pretzeltab.combinat import DEFAULT_ENUM_CEILING, MAX_C, ResourceLimitError, exact_div, totient
 from pretzeltab.counts import columns, count_rows
-from pretzeltab.necklaces import POINT_MAX_C, binom, composition_count, point_columns, type3_params
+from pretzeltab.necklaces import POINT_MAX_C, point_columns, type3_params
 from pretzeltab.tcodes import TCode, canonicalize, enumerate_classes
 from pretzeltab.walk import class_counts
-
-from brute import compositions
 
 
 def brute_totient(d):
     from math import gcd
     return sum(1 for i in range(1, d + 1) if gcd(i, d) == 1)
-
-
-def pascal_triangle(rows):
-    tri = [[1]]
-    for _ in range(rows):
-        prev = tri[-1]
-        tri.append([1] + [prev[i] + prev[i + 1] for i in range(len(prev) - 1)] + [1])
-    return tri
 
 
 class TestTotient:
@@ -71,6 +61,13 @@ class TestCheckC:
             CROSSING_ENTRY_POINTS[entry][0](c)
         assert str(excinfo.value) == f"crossing number must be positive, got {c}"
 
+    @pytest.mark.parametrize("c", [5.0, True])
+    @pytest.mark.parametrize("entry", CROSSING_ENTRY_POINTS)
+    def test_every_entry_point_refuses_what_is_not_an_int(self, entry, c):
+        with pytest.raises(ValueError) as excinfo:
+            CROSSING_ENTRY_POINTS[entry][0](c)
+        assert str(excinfo.value) == f"crossing number must be an int, got {c!r}"
+
     @pytest.mark.parametrize("entry", CROSSING_ENTRY_POINTS)
     def test_every_entry_point_refuses_above_its_limit(self, entry):
         call, limit, name = CROSSING_ENTRY_POINTS[entry]
@@ -85,86 +82,3 @@ class TestCheckC:
             canonicalize(TCode(1, MAX_C - 8, (3, 3, 3)))
         assert str(excinfo.value) == (
             f"a code of {MAX_C + 1} crossings exceeds the limit of {MAX_C} (combinat.MAX_C)")
-
-
-class TestBinom:
-    def test_examples(self):
-        assert binom(6, 2) == 15
-        assert binom(0, 1) == 0
-        assert binom(0, 0) == 1
-
-    def test_out_of_range_is_zero(self):
-        assert binom(-1, 0) == 0
-        assert binom(5, -2) == 0
-        assert binom(3, 4) == 0
-        assert binom(-3, -3) == 0
-
-    def test_matches_pascal_triangle(self):
-        tri = pascal_triangle(60)
-        for a in range(61):
-            for b in range(a + 1):
-                assert binom(a, b) == tri[a][b]
-
-    def test_pascal_recurrence_with_conventions(self):
-        # the recurrence needs a >= 1; at (0, 0) the conventions fix the value directly
-        for a in range(1, 61):
-            for b in range(a + 1):
-                assert binom(a, b) == binom(a - 1, b - 1) + binom(a - 1, b)
-        assert binom(0, 0) == 1
-
-    def test_hockey_stick_identity(self):
-        # sum of C(i, k) for k <= i <= n telescopes to C(n+1, k+1)
-        for n in range(1, 41):
-            for k in range(1, n + 1):
-                assert sum(binom(i, k) for i in range(k, n + 1)) == binom(n + 1, k + 1)
-
-    def test_weighted_hockey_stick_identity(self):
-        # sum of j * C(n-j, k) for 1 <= j <= n-k equals C(n+1, k+2)
-        for n in range(1, 41):
-            for k in range(1, n + 1):
-                lhs = sum(j * binom(n - j, k) for j in range(1, n - k + 1))
-                assert lhs == binom(n + 1, k + 2)
-
-
-class TestCompositionCount:
-    def test_examples(self):
-        assert composition_count(0, 0) == 1
-        assert composition_count(3, 0) == 0
-        assert composition_count(0, 2) == 0
-        assert composition_count(7, 3) == 15
-
-
-class TestCompositions:
-    def test_examples(self):
-        assert list(compositions(4, 3)) == [(1, 1, 2), (1, 2, 1), (2, 1, 1)]
-        assert list(compositions(3, 4)) == []
-        assert list(compositions(3, 3)) == [(1, 1, 1)]
-
-    def test_degenerate(self):
-        assert list(compositions(0, 0)) == [()]
-        assert list(compositions(2, 0)) == []
-        assert list(compositions(0, 2)) == []
-
-    def test_stream_length_is_binomial(self):
-        # excludes (0, 0), where the one empty tuple beats binom(-1, -1) = 0
-        for n in range(19):
-            for k in range(n + 1):
-                if (n, k) == (0, 0):
-                    continue
-                assert sum(1 for _ in compositions(n, k)) == binom(n - 1, k - 1), (n, k)
-
-    def test_stream_length_is_composition_count(self):
-        # includes (0, 0): one empty tuple, where binom(-1, -1) = 0
-        for n in range(19):
-            for k in range(n + 2):
-                assert sum(1 for _ in compositions(n, k)) == composition_count(n, k), (n, k)
-
-    def test_each_tuple_once_sorted_and_valid(self):
-        for n, k in [(7, 3), (9, 4), (6, 6), (8, 1)]:
-            seen = list(compositions(n, k))
-            assert len(seen) == len(set(seen))
-            assert seen == sorted(seen)
-            for t in seen:
-                assert len(t) == k
-                assert sum(t) == n
-                assert all(part >= 1 for part in t)

@@ -10,14 +10,106 @@ from pretzeltab.necklaces import (
     _reflection_sum,
     binom,
     bracelet_count,
+    composition_count,
     necklace_count,
     signed_bracelet_count,
 )
 
-from brute import composition_class_count, interleavings, signed_class_count
+from brute import composition_class_count, compositions, interleavings, signed_class_count
 from helpers import ROOT, run_python
 
 TESTS = ROOT / "tests"
+
+
+def pascal_triangle(rows):
+    tri = [[1]]
+    for _ in range(rows):
+        prev = tri[-1]
+        tri.append([1] + [prev[i] + prev[i + 1] for i in range(len(prev) - 1)] + [1])
+    return tri
+
+
+class TestBinom:
+    def test_examples(self):
+        assert binom(6, 2) == 15
+        assert binom(0, 1) == 0
+        assert binom(0, 0) == 1
+
+    def test_out_of_range_is_zero(self):
+        assert binom(-1, 0) == 0
+        assert binom(5, -2) == 0
+        assert binom(3, 4) == 0
+        assert binom(-3, -3) == 0
+
+    def test_matches_pascal_triangle(self):
+        tri = pascal_triangle(60)
+        for a in range(61):
+            for b in range(a + 1):
+                assert binom(a, b) == tri[a][b]
+
+    def test_pascal_recurrence_with_conventions(self):
+        # the recurrence needs a >= 1; at (0, 0) the conventions fix the value directly
+        for a in range(1, 61):
+            for b in range(a + 1):
+                assert binom(a, b) == binom(a - 1, b - 1) + binom(a - 1, b)
+        assert binom(0, 0) == 1
+
+    def test_hockey_stick_identity(self):
+        # sum of C(i, k) for k <= i <= n telescopes to C(n+1, k+1)
+        for n in range(1, 41):
+            for k in range(1, n + 1):
+                assert sum(binom(i, k) for i in range(k, n + 1)) == binom(n + 1, k + 1)
+
+    def test_weighted_hockey_stick_identity(self):
+        # sum of j * C(n-j, k) for 1 <= j <= n-k equals C(n+1, k+2)
+        for n in range(1, 41):
+            for k in range(1, n + 1):
+                lhs = sum(j * binom(n - j, k) for j in range(1, n - k + 1))
+                assert lhs == binom(n + 1, k + 2)
+
+
+class TestCompositionCount:
+    def test_examples(self):
+        assert composition_count(0, 0) == 1
+        assert composition_count(3, 0) == 0
+        assert composition_count(0, 2) == 0
+        assert composition_count(7, 3) == 15
+
+
+class TestCompositions:
+    def test_examples(self):
+        assert list(compositions(4, 3)) == [(1, 1, 2), (1, 2, 1), (2, 1, 1)]
+        assert list(compositions(3, 4)) == []
+        assert list(compositions(3, 3)) == [(1, 1, 1)]
+
+    def test_degenerate(self):
+        assert list(compositions(0, 0)) == [()]
+        assert list(compositions(2, 0)) == []
+        assert list(compositions(0, 2)) == []
+
+    def test_stream_length_is_binomial(self):
+        # excludes (0, 0), where the one empty tuple beats binom(-1, -1) = 0
+        for n in range(19):
+            for k in range(n + 1):
+                if (n, k) == (0, 0):
+                    continue
+                assert sum(1 for _ in compositions(n, k)) == binom(n - 1, k - 1), (n, k)
+
+    def test_stream_length_is_composition_count(self):
+        # includes (0, 0): one empty tuple, where binom(-1, -1) = 0
+        for n in range(19):
+            for k in range(n + 2):
+                assert sum(1 for _ in compositions(n, k)) == composition_count(n, k), (n, k)
+
+    def test_each_tuple_once_sorted_and_valid(self):
+        for n, k in [(7, 3), (9, 4), (6, 6), (8, 1)]:
+            seen = list(compositions(n, k))
+            assert len(seen) == len(set(seen))
+            assert seen == sorted(seen)
+            for t in seen:
+                assert len(t) == k
+                assert sum(t) == n
+                assert all(part >= 1 for part in t)
 
 
 class TestNecklaceCount:

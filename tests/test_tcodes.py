@@ -175,6 +175,8 @@ class TestEnumerateClasses:
             enumerate_classes(0, 3)
         with pytest.raises(ValueError):
             enumerate_classes(10, 5)
+        with pytest.raises(ValueError):
+            enumerate_classes(9, True)
 
 
 def group(walked, k):
