@@ -9,7 +9,8 @@ reflection of the k = k1 + k2 positions.  ``necklace_count`` and
 ``signed_bracelet_count`` are each one exact division of them, and a
 remainder raises ``ArithmeticError``; ``bracelet_count`` is
 ``signed_bracelet_count``'s one-family case.  Each first refuses, with
-``ResourceLimitError``, arguments whose gcd is over ``MAX_GCD`` or whose
+``ValueError``, an argument that is not an int (bools included), and then,
+with ``ResourceLimitError``, arguments whose gcd is over ``MAX_GCD`` or whose
 answer is over ``MAX_ANSWER_BITS``.  For odd k each of the k reflection axes
 passes through one bead, from either family; for even k, k/2 axes pass
 through two beads and k/2 through none.  The other beads form mirrored pairs.
@@ -120,6 +121,14 @@ def _binom_bits(a: int, b: int) -> float:
     return j * (math.log2(a) - math.log2(j) + (math.log1p(r) / r if r else 1) / math.log(2))
 
 
+def _check_ints(*args: int) -> None:
+    """Refuse an argument of a per-point counter that is not an int, bools
+    included, before the counter's zero-extension guards."""
+    for arg in args:
+        if type(arg) is not int:
+            raise ValueError(f"the per-point counters take int arguments, got {arg!r}")
+
+
 def _check_size(n1: int, k1: int, n2: int, k2: int) -> None:
     """Refuse, before any work, arguments whose gcd is over ``MAX_GCD`` or
     whose answer is estimated over ``MAX_ANSWER_BITS`` bits.  The estimate is
@@ -147,6 +156,7 @@ def necklace_count(n: int, k: int) -> int:
     Equals (1/k) * sum over d | gcd(n, k) of phi(d) * C(n/d - 1, k/d - 1);
     zero when k = 0 or n < k.
     """
+    _check_ints(n, k)
     if k <= 0 or n < k:
         return 0
     _check_size(n, k, 0, 0)
@@ -159,6 +169,7 @@ def bracelet_count(n: int, k: int) -> int:
     Burnside over the dihedral group: the mean of the rotation-fixed and
     reflection-fixed counts over its 2k elements; zero when k = 0 or n < k.
     """
+    _check_ints(n, k)
     return signed_bracelet_count(n, k, 0, 0) if 0 < k <= n else 0
 
 
@@ -168,6 +179,7 @@ def signed_bracelet_count(n1: int, k1: int, n2: int, k2: int) -> int:
     Burnside over the dihedral group of order 2k; an empty family gives the
     one-colour ``bracelet_count``, and no beads at all give 0.
     """
+    _check_ints(n1, k1, n2, k2)
     if not (n1 >= k1 >= 0 and n2 >= k2 >= 0):
         raise ValueError(f"need n1 >= k1 >= 0 and n2 >= k2 >= 0, got ({n1},{k1},{n2},{k2})")
     if (k1 == 0 and n1 != 0) or (k2 == 0 and n2 != 0):

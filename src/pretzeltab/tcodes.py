@@ -112,7 +112,8 @@ def class_strips(c: int, link_type: int,
     below 2.  The walk's classes are all held at once.
 
     Refuses, when the first class is asked for, a link type other than the
-    ints 1, 2 and 3, a ceiling below 1, and c below 1 or above the ceiling.
+    ints 1, 2 and 3, a ceiling that is not an int or is below 1, and c below
+    1 or above the ceiling.
     """
     walked = _walk_type(link_type, c, ceiling)
     for delta in range(1 if link_type == 2 else c):

@@ -210,9 +210,12 @@ def _walk_type(link_type: int, top: int, ceiling: int, count: bool = False) -> l
     """``_necklaces``' walk of the type's classes at budget top: bracelets for
     types 2 and 3, and a type 3 listing keeps at budget b only the parity
     (top - b) % 2 that its codes need.  Refuses a link type other than the
-    ints 1, 2 and 3, a ceiling below 1, and a top below 1 or above it."""
+    ints 1, 2 and 3, a ceiling that is not an int (bools included) or is
+    below 1, and a top below 1 or above the ceiling."""
     if type(link_type) is not int or link_type not in (1, 2, 3):
         raise ValueError(f"link type must be 1, 2 or 3, got {link_type}")
+    if type(ceiling) is not int:
+        raise ValueError(f"the enumeration ceiling must be an int, got {ceiling!r}")
     if ceiling < 1:
         raise ValueError(f"the enumeration ceiling must be positive, got {ceiling}")
     check_c(top, ceiling, "exhaustive enumeration at", "raise it with --ceiling")

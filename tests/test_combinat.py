@@ -2,8 +2,15 @@ import pytest
 
 from pretzeltab.combinat import DEFAULT_ENUM_CEILING, MAX_C, ResourceLimitError, exact_div, totient
 from pretzeltab.counts import columns, count_rows
-from pretzeltab.necklaces import POINT_MAX_C, point_columns, type3_params
-from pretzeltab.tcodes import TCode, canonicalize, enumerate_classes
+from pretzeltab.necklaces import (
+    POINT_MAX_C,
+    bracelet_count,
+    necklace_count,
+    point_columns,
+    signed_bracelet_count,
+    type3_params,
+)
+from pretzeltab.tcodes import TCode, canonicalize, class_strips, enumerate_classes
 from pretzeltab.walk import class_counts
 
 
@@ -54,7 +61,7 @@ CROSSING_ENTRY_POINTS = {
 
 
 class TestCheckC:
-    @pytest.mark.parametrize("c", [0, -1])
+    @pytest.mark.parametrize("c", [0, -1, -7])
     @pytest.mark.parametrize("entry", CROSSING_ENTRY_POINTS)
     def test_every_entry_point_refuses_with_one_message(self, entry, c):
         with pytest.raises(ValueError) as excinfo:
@@ -82,3 +89,37 @@ class TestCheckC:
             canonicalize(TCode(1, MAX_C - 8, (3, 3, 3)))
         assert str(excinfo.value) == (
             f"a code of {MAX_C + 1} crossings exceeds the limit of {MAX_C} (combinat.MAX_C)")
+
+
+def first_class(*args):
+    """class_strips refuses when its first class is asked for."""
+    return next(class_strips(*args))
+
+
+# Each library refusal of an argument other than the crossing number, by the
+# call that makes it: the function, its arguments and the ValueError's message.
+ORACLE = {"class_counts": (class_counts, (9,)), "enumerate_classes": (enumerate_classes, (9, 3)),
+          "class_strips": (first_class, (9, 3))}
+PER_POINT = {"necklace_count": (necklace_count, (7, 3)), "bracelet_count": (bracelet_count, (7, 3)),
+             "signed_bracelet_count": (signed_bracelet_count, (4, 2, 2, 2))}
+LIBRARY_REFUSALS = {f"{name}{args}": (call, args, message) for name, call, args, message in [
+    *[(name, call, (*args, ceiling), f"the enumeration ceiling must be positive, got {ceiling}")
+      for ceiling in (0, -2) for name, (call, args) in ORACLE.items()],
+    *[(name, call, (*args, ceiling), f"the enumeration ceiling must be an int, got {ceiling!r}")
+      for ceiling in (9.0, True, None) for name, (call, args) in ORACLE.items()],
+    *[(name, ORACLE[name][0], (9, link_type), f"link type must be 1, 2 or 3, got {link_type}")
+      for link_type in (0, 4, True, 3.0) for name in ("enumerate_classes", "class_strips")],
+    *[(name, call, args[:at] + (bad,) + args[at + 1:],
+       f"the per-point counters take int arguments, got {bad!r}")
+      for name, (call, args) in PER_POINT.items()
+      for at in range(len(args)) for bad in (float(args[at]), True)],
+]}
+
+
+class TestLibraryRefusals:
+    @pytest.mark.parametrize("cell", LIBRARY_REFUSALS)
+    def test_refuses_with_its_message(self, cell):
+        call, args, message = LIBRARY_REFUSALS[cell]
+        with pytest.raises(ValueError) as excinfo:
+            call(*args)
+        assert (excinfo.type, str(excinfo.value)) == (ValueError, message)

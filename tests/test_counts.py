@@ -97,10 +97,6 @@ class TestTypeCounters:
                 assert columns(c)[link_type - 1][c] == len(enumerate_classes(c, link_type)), \
                     (c, link_type)
 
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            point_columns(0)
-
     def test_refuses_c_above_the_point_limit(self, monkeypatch):
         for counter in (type3_params, count_type1_alt, point_columns):
             with pytest.raises(ResourceLimitError, match="necklaces.POINT_MAX_C"):
@@ -204,11 +200,6 @@ class TestColumns:
 
     def test_zero_below_six(self):
         assert columns(5) == ([0] * 6, [0] * 6, [0] * 6)
-
-    def test_rejects_non_positive_max(self):
-        for max_c in (0, -1, -7):
-            with pytest.raises(ValueError):
-                columns(max_c)
 
     def test_rows_read_a_longer_column(self):
         p1, p2, p3 = columns(40)

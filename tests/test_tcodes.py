@@ -170,14 +170,6 @@ class TestEnumerateClasses:
         assert enumerate_classes(8, 1) == []
         assert enumerate_classes(7, 2) == []
 
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            enumerate_classes(0, 3)
-        with pytest.raises(ValueError):
-            enumerate_classes(10, 5)
-        with pytest.raises(ValueError):
-            enumerate_classes(9, True)
-
 
 def group(walked, k):
     """The k-entry tuples of one budget of a walk; the list stops
@@ -338,13 +330,6 @@ class TestCountClasses:
             class_counts(9, ceiling=8)
         assert [column[10] for column in class_counts(10, ceiling=10)] == [1, 4, 38]
 
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            class_counts(0)
-        for ceiling in (0, -2):
-            with pytest.raises(ValueError):
-                class_counts(5, ceiling=ceiling)
-
     def test_walks_once_when_called(self, monkeypatch):
         asked = []
         necklaces = walk._necklaces
@@ -396,10 +381,6 @@ class TestCountClasses:
 
 
 class TestCeiling:
-    def test_default_ceiling_enforced(self):
-        with pytest.raises(ResourceLimitError):
-            enumerate_classes(DEFAULT_ENUM_CEILING + 1, 3)
-
     def test_explicit_argument_wins(self):
         # over the default, both below it and above it
         with pytest.raises(ResourceLimitError):
@@ -407,11 +388,6 @@ class TestCeiling:
         assert enumerate_classes(8, 2, ceiling=8)  # at the ceiling is allowed
         assert len(enumerate_classes(10, 3, ceiling=10)) == 38
         assert enumerate_classes(DEFAULT_ENUM_CEILING + 1, 1, ceiling=DEFAULT_ENUM_CEILING + 1)
-
-    def test_rejects_ceiling_below_one(self):
-        for ceiling in (0, -2):
-            with pytest.raises(ValueError):
-                enumerate_classes(5, 1, ceiling=ceiling)
 
 
 class TestOrbitCounts:
