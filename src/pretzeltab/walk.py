@@ -11,13 +11,19 @@ fewer prefixes fit the budget.  ``class_counts`` returns those counts, with
 no tuple held, as the columns of ``counts.columns``.
 
 Enumeration grows exponentially with the crossing number, so it refuses to
-run above a ceiling (``ceiling`` argument, the CLI's ``--ceiling``).  The
-module imports nothing from the counters nor from the codes in ``tcodes``:
-``verify`` runs it alone.
+run above a ceiling (``ceiling`` argument, the CLI's ``--ceiling``), and
+above ``MAX_WALK_C`` whatever the ceiling.  The module imports nothing from
+the counters nor from the codes in ``tcodes``: ``verify`` runs it alone.
 """
 from itertools import accumulate
 
 from .combinat import DEFAULT_ENUM_CEILING, check_c
+
+# Largest top budget the walk takes, whatever the ceiling: ``extend`` recurses
+# once per strip, to top // 2 nested frames for types 2 and 3, and Python's
+# default recursion limit is 1,000 frames.  At 1,000 the walk stays within
+# 500, with room for its callers (a test runner's included).
+MAX_WALK_C = 1_000
 
 
 def _necklaces(values: list[int], top: int, dihedral: bool = False, count: bool = False,
@@ -211,7 +217,7 @@ def _walk_type(link_type: int, top: int, ceiling: int, count: bool = False) -> l
     types 2 and 3, and a type 3 listing keeps at budget b only the parity
     (top - b) % 2 that its codes need.  Refuses a link type other than the
     ints 1, 2 and 3, a ceiling that is not an int (bools included) or is
-    below 1, and a top below 1 or above the ceiling."""
+    below 1, and a top below 1 or above the ceiling, then above MAX_WALK_C."""
     if type(link_type) is not int or link_type not in (1, 2, 3):
         raise ValueError(f"link type must be 1, 2 or 3, got {link_type}")
     if type(ceiling) is not int:
@@ -219,6 +225,7 @@ def _walk_type(link_type: int, top: int, ceiling: int, count: bool = False) -> l
     if ceiling < 1:
         raise ValueError(f"the enumeration ceiling must be positive, got {ceiling}")
     check_c(top, ceiling, "exhaustive enumeration at", "raise it with --ceiling")
+    check_c(top, MAX_WALK_C, "exhaustive enumeration at", "walk.MAX_WALK_C")
     values = _strip_values(link_type, top)
     if count:
         return _necklaces(sorted(values, key=abs), top, dihedral=link_type > 1, count=True)

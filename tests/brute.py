@@ -8,6 +8,7 @@ sums ``necklaces.necklace_count`` in another order than the type 1 column of
 lists the images of a code under rotation and, for types 2 and 3, reversal,
 which ``canonicalize`` must map to one form.
 """
+from functools import cache
 from itertools import combinations
 from operator import itemgetter
 
@@ -71,6 +72,12 @@ def least_rotations(values, k, budget, parity):
     return found
 
 
+@cache
+def _composition_walk(n, dihedral):
+    """The oracle generator's walk of the parts 1..n at n: it serves every k."""
+    return _necklaces(list(range(1, n + 1)), n, dihedral)
+
+
 def composition_class_count(n, k, dihedral=False):
     """Orbit count of k-part compositions of n under rotation: the oracle
     generator's necklaces, or with dihedral its bracelets.  The generator
@@ -79,11 +86,10 @@ def composition_class_count(n, k, dihedral=False):
         return 0
     if k == 1:
         return 1
-    values = list(range(1, n + 1))
     if k == 2:
-        return len([t for t in least_rotations(values, 2, n, 0)
+        return len([t for t in least_rotations(list(range(1, n + 1)), 2, n, 0)
                     if not dihedral or t == _least_dihedral(t)])
-    return len(_necklaces(values, n, dihedral)[n][k])
+    return len(_composition_walk(n, dihedral)[n][k])
 
 
 def by_parity(tuples, parity):

@@ -53,12 +53,6 @@ class TestTable:
         lines = capsys.readouterr().out.splitlines()
         assert lines[1] == "50,111794,675174,549639730670,549640517638,1099281035276"
 
-    def test_csv_is_byte_stable(self, capsys):
-        main(["table", "--max", "20"])
-        first = capsys.readouterr().out
-        main(["table", "--max", "20"])
-        assert capsys.readouterr().out == first
-
     def test_json_matches_csv(self, capsys):
         main(["table", "--min", "6", "--max", "12", "--format", "json"])
         rows = json.loads(capsys.readouterr().out)
@@ -208,6 +202,11 @@ class TestVerify:
         assert captured.err == (
             "pretzeltab verify: first failure at c=6 type 2 (formula 2, enumerated 1)\n")
 
+    def test_a_ceiling_over_the_walks_limit_is_not_refused(self, capsys):
+        # only the walk's top budget is held to walk.MAX_WALK_C
+        assert main(["verify", "--max", "23", "--ceiling", "5000"]) == EXIT_OK
+        assert capsys.readouterr().out.endswith("\nverify: 69/69 checks passed\n")
+
     def test_walks_each_type_once_in_count_mode(self, capsys, monkeypatch):
         # a list-mode walk would be recorded without count=True
         walks = []
@@ -255,6 +254,9 @@ CLI_REFUSALS = {
     "count -c 10 --type 9": (EXIT_USAGE, "pretzeltab count: error: argument --type..."),
     "list -c 40 --type 3": (EXIT_RESOURCE, "pretzeltab list: exhaustive enumeration at 40 "
                             "crossings exceeds the limit of 22 (raise it with --ceiling)"),
+    "list -c 2001 --type 2 --ceiling 2001": (EXIT_RESOURCE, "pretzeltab list: exhaustive "
+                                             "enumeration at 2001 crossings exceeds the limit "
+                                             "of 1000 (walk.MAX_WALK_C)"),
     "list -c 5 --type 1 --ceiling 0": (EXIT_USAGE, "pretzeltab list: the enumeration ceiling "
                                        "must be positive, got 0"),
     "list -c 9": (EXIT_USAGE, "pretzeltab list: error: the following arguments are required: "

@@ -73,24 +73,6 @@ class TestType3Params:
 
 
 class TestTypeCounters:
-    def test_type1_examples(self, point_60):
-        p1 = point_60[0]
-        assert p1[9] == 1
-        assert p1[8] == 0
-        assert p1[20] == 47
-
-    def test_type2_examples(self, point_60):
-        p2 = point_60[1]
-        assert p2[14] == 13
-        assert p2[7] == 0
-        assert p2[50] == 675174
-
-    def test_type3_examples(self, point_60):
-        p3 = point_60[2]
-        assert p3[10] == 38
-        assert p3[6] == 1
-        assert p3[50] == 549639730670
-
     def test_counters_match_enumeration_on_small_range(self):
         for c in range(1, 21):
             for link_type in (1, 2, 3):
@@ -112,12 +94,6 @@ class TestCountRow:
         assert count_row(10) == CountRow(10, 1, 4, 38, 43, 86)
         assert count_row(5) == CountRow(5, 0, 0, 0, 0, 0)
         assert count_row(26) == CountRow(26, 241, 372, 293479, 294092, 588184)
-
-    def test_row_consistency(self):
-        for c in (6, 11, 24, 37):
-            row = count_row(c)
-            assert row.p == row.p1 + row.p2 + row.p3
-            assert row.total == 2 * row.p
 
     def test_sample_against_count_table(self):
         for c in (6, 7, 12, 19, 30, 44):

@@ -17,7 +17,7 @@ from pretzeltab.tcodes import (
 )
 from pretzeltab.walk import _necklaces, class_counts
 
-from brute import by_parity, composition_class_count, least_rotations, orbit, signed_class_count
+from brute import by_parity, least_rotations, orbit
 from helpers import run_python
 
 
@@ -131,23 +131,11 @@ class TestCanonicalize:
         assert reverse.strips == (3, 7, 5)
         assert code != reverse
 
-    def test_idempotent(self):
-        for code in enumerate_classes(10, 3) + enumerate_classes(12, 2) + enumerate_classes(13, 1):
-            assert canonicalize(code) == code
-
-    def test_constant_on_each_orbit(self):
-        for code in enumerate_classes(10, 3) + enumerate_classes(13, 1):
-            for image in orbit(code):
-                assert canonicalize(image) == code
-
 
 class TestEnumerateClasses:
-    def test_single_class_examples(self):
-        assert enumerate_classes(9, 1) == [TCode(1, 0, (3, 3, 3))]
-        assert enumerate_classes(6, 2) == [TCode(2, 0, (2, 2, 2))]
-
     def test_representatives_are_valid_and_sized(self):
-        # each class once, in output order: strictly increasing without a set or a sort
+        # each class once, in output order: strictly increasing without a set or
+        # a sort; and the canonical form of every image in its orbit
         for c in range(1, 15):
             for link_type in (1, 2, 3):
                 classes = enumerate_classes(c, link_type)
@@ -156,6 +144,8 @@ class TestEnumerateClasses:
                     assert code.link_type == link_type
                     assert code.delta + sum(map(abs, code.strips)) == c, code
                     assert canonicalize(code) == code, code
+                    for image in orbit(code):
+                        assert canonicalize(image) == code, (code, image)
                 keys = [(code.delta, len(code.strips), code.strips) for code in classes]
                 assert all(a < b for a, b in zip(keys, keys[1:])), (c, link_type)
 
@@ -164,11 +154,6 @@ class TestEnumerateClasses:
             for link_type in (1, 2, 3):
                 expected = {canonicalize(code) for code in brute_force_codes(c, link_type)}
                 assert set(enumerate_classes(c, link_type)) == expected, (c, link_type)
-
-    def test_empty_below_thresholds(self):
-        assert enumerate_classes(5, 3) == []
-        assert enumerate_classes(8, 1) == []
-        assert enumerate_classes(7, 2) == []
 
 
 def group(walked, k):
@@ -323,13 +308,6 @@ class TestCountClasses:
         for c in (1, 2, 6, 22):
             assert class_counts(c, ceiling=c) == columns(c) == point_columns(c), c
 
-    def test_refuses_above_the_ceiling(self):
-        with pytest.raises(ResourceLimitError):
-            class_counts(DEFAULT_ENUM_CEILING + 1)
-        with pytest.raises(ResourceLimitError):
-            class_counts(9, ceiling=8)
-        assert [column[10] for column in class_counts(10, ceiling=10)] == [1, 4, 38]
-
     def test_walks_once_when_called(self, monkeypatch):
         asked = []
         necklaces = walk._necklaces
@@ -385,18 +363,25 @@ class TestCeiling:
         # over the default, both below it and above it
         with pytest.raises(ResourceLimitError):
             enumerate_classes(9, 2, ceiling=8)
+        with pytest.raises(ResourceLimitError):
+            class_counts(9, ceiling=8)
         assert enumerate_classes(8, 2, ceiling=8)  # at the ceiling is allowed
         assert len(enumerate_classes(10, 3, ceiling=10)) == 38
         assert enumerate_classes(DEFAULT_ENUM_CEILING + 1, 1, ceiling=DEFAULT_ENUM_CEILING + 1)
 
-
-class TestOrbitCounts:
-    def test_composition_examples(self):
-        assert composition_class_count(7, 3) == 5
-        assert composition_class_count(7, 3, dihedral=True) == 4
-
-    def test_signed_example(self):
-        assert signed_class_count(4, 2, 2, 2) == 4
+    def test_the_walk_refuses_past_its_limit_whatever_the_ceiling(self, monkeypatch):
+        # refused before any walk starts (extend recurses once per strip); at the limit it starts
+        asked = []
+        monkeypatch.setattr(walk, "_necklaces", lambda *args, **options: asked.append(args))
+        top = walk.MAX_WALK_C + 1
+        for call in (class_counts, lambda c, ceiling: enumerate_classes(c, 2, ceiling)):
+            with pytest.raises(ResourceLimitError) as excinfo:
+                call(top, ceiling=10**6)
+            assert (str(excinfo.value), asked) == (
+                f"exhaustive enumeration at {top} crossings exceeds the limit of {top - 1} "
+                "(walk.MAX_WALK_C)", [])
+        walk._walk_type(2, top - 1, 10**6)
+        assert len(asked) == 1
 
 
 class TestRendering:
