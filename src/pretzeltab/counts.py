@@ -155,6 +155,7 @@ class CountRow(NamedTuple):
 def count_rows(min_c: int, max_c: int) -> list[CountRow]:
     """Rows for min_c <= c <= max_c, all read from one ``columns(max_c)``."""
     check_c(min_c)
+    check_c(max_c)
     if min_c > max_c:
         raise ValueError(f"need min_c <= max_c, got {min_c} > {max_c}")
     p1, p2, p3 = columns(max_c)

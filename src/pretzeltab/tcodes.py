@@ -44,6 +44,8 @@ def violation(code: TCode) -> str | None:
     """None if the code is structurally valid, else the first violated rule."""
     if code.link_type not in (1, 2, 3):
         return f"link type must be 1, 2 or 3, got {code.link_type}"
+    if not isinstance(code.strips, (tuple, list)):
+        return f"the strips must be a tuple or list, got {code.strips!r}"
     wrong = [x for x in (code.link_type, code.delta, *code.strips) if type(x) is not int]
     if wrong:
         return f"the link type, delta and strip entries must be ints, got {wrong[0]!r}"

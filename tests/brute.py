@@ -6,10 +6,13 @@ The exception is ``count_type1_alt``, a second route to the type 1 count: it
 sums ``necklaces.necklace_count`` in another order than the type 1 column of
 ``necklaces.point_columns``, which sums it by crossing budget.  ``orbit``
 lists the images of a code under rotation and, for types 2 and 3, reversal,
-which ``canonicalize`` must map to one form.
+which ``canonicalize`` must map to one form.  The divisor sums are checked
+against ``totient``, which counts by the definition, and
+``binary_bracelets``, a textbook Burnside count of other objects.
 """
 from functools import cache
 from itertools import combinations
+from math import gcd
 from operator import itemgetter
 
 from pretzeltab import necklaces
@@ -17,6 +20,21 @@ from pretzeltab.combinat import check_c
 from pretzeltab.necklaces import necklace_count
 from pretzeltab.tcodes import TCode, _least_dihedral, _least_rotation
 from pretzeltab.walk import _necklaces
+
+
+@cache
+def totient(d):
+    """Euler's totient by its definition: how many of 1..d are coprime to d."""
+    return sum(1 for i in range(1, d + 1) if gcd(i, d) == 1)
+
+
+def binary_bracelets(n):
+    """The binary bracelets of length n (OEIS A000029), the empty one
+    included: Burnside's average over the n rotations and n reflections."""
+    total = sum(totient(d) * 2 ** (n // d) for d in range(1, n + 1) if n % d == 0)
+    total += n * 2 ** ((n + 1) // 2) if n % 2 else 3 * n * 2 ** (n // 2 - 1)
+    assert total % (2 * n) == 0, n
+    return total // (2 * n)
 
 
 def compositions(n, k):

@@ -13,26 +13,13 @@ from pretzeltab.necklaces import (
 from pretzeltab.tcodes import TCode, canonicalize, class_strips, enumerate_classes
 from pretzeltab.walk import class_counts
 
-
-def brute_totient(d):
-    from math import gcd
-    return sum(1 for i in range(1, d + 1) if gcd(i, d) == 1)
+import brute
 
 
 class TestTotient:
-    def test_examples(self):
-        assert totient(1) == 1
-        assert totient(6) == 2
-        assert totient(7) == 6
-
     def test_matches_brute_force(self):
         for d in range(1, 201):
-            assert totient(d) == brute_totient(d)
-
-    def test_divisor_sum_identity(self):
-        # sum of totient(d) over d | m recovers m
-        for m in range(1, 201):
-            assert sum(totient(d) for d in range(1, m + 1) if m % d == 0) == m
+            assert totient(d) == brute.totient(d)
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -52,6 +39,7 @@ class TestExactDiv:
 CROSSING_ENTRY_POINTS = {
     "columns": (columns, MAX_C, "combinat.MAX_C"),
     "count_rows": (lambda c: count_rows(min(c, 6), max(c, 6)), MAX_C, "combinat.MAX_C"),
+    "count_rows_max_c": (lambda c: count_rows(1, c), MAX_C, "combinat.MAX_C"),
     "point_columns": (point_columns, POINT_MAX_C, "necklaces.POINT_MAX_C"),
     "type3_params": (type3_params, POINT_MAX_C, "necklaces.POINT_MAX_C"),
     "enumerate_classes": (lambda c: enumerate_classes(c, 3), DEFAULT_ENUM_CEILING,

@@ -14,9 +14,8 @@ from pretzeltab.necklaces import (
     point_columns,
     type3_params,
 )
-from pretzeltab.tcodes import enumerate_classes
 
-from brute import count_type1_alt
+from brute import binary_bracelets, count_type1_alt
 from helpers import ROOT
 from reference_data import COUNT_TABLE
 
@@ -73,12 +72,6 @@ class TestType3Params:
 
 
 class TestTypeCounters:
-    def test_counters_match_enumeration_on_small_range(self):
-        for c in range(1, 21):
-            for link_type in (1, 2, 3):
-                assert columns(c)[link_type - 1][c] == len(enumerate_classes(c, link_type)), \
-                    (c, link_type)
-
     def test_refuses_c_above_the_point_limit(self, monkeypatch):
         for counter in (type3_params, count_type1_alt, point_columns):
             with pytest.raises(ResourceLimitError, match="necklaces.POINT_MAX_C"):
@@ -87,18 +80,6 @@ class TestTypeCounters:
         assert point_columns(10)[2][10] == 38
         with pytest.raises(ResourceLimitError):
             point_columns(11)
-
-
-class TestCountRow:
-    def test_examples(self):
-        assert count_row(10) == CountRow(10, 1, 4, 38, 43, 86)
-        assert count_row(5) == CountRow(5, 0, 0, 0, 0, 0)
-        assert count_row(26) == CountRow(26, 241, 372, 293479, 294092, 588184)
-
-    def test_sample_against_count_table(self):
-        for c in (6, 7, 12, 19, 30, 44):
-            row = count_row(c)
-            assert (row.p1, row.p2, row.p3, row.p) == COUNT_TABLE[c]
 
 
 class TestColumns:
@@ -117,16 +98,11 @@ class TestColumns:
             assert p1[c] == count_type1_alt(c), c
 
     def test_type2_counts_binary_bracelets_up_to_2000(self):
-        # at c = 2n: the binary bracelets of length n (OEIS A000029), less the
-        # empty one and the 1 and n // 2 with one or two ones (k = 1, 2)
+        # at c = 2n: the binary bracelets of length n, less the empty one and
+        # the 1 and n // 2 with one or two ones (k = 1, 2)
         p2 = columns(2000)[1]
-        phi = [0] + [sum(1 for i in range(1, d + 1) if math.gcd(i, d) == 1)
-                     for d in range(1, 1001)]
         for n in range(1, 1001):
-            burnside = sum(phi[d] * 2 ** (n // d) for d in range(1, n + 1) if n % d == 0)
-            burnside += n * 2 ** ((n + 1) // 2) if n % 2 else 3 * n * 2 ** (n // 2 - 1)
-            assert burnside % (2 * n) == 0, n
-            assert p2[2 * n] == burnside // (2 * n) - 2 - n // 2, n
+            assert p2[2 * n] == binary_bracelets(n) - 2 - n // 2, n
             assert p2[2 * n - 1] == 0, n
 
     def test_total_follows_its_asymptotic_form_up_to_max_c(self, columns_max_c):

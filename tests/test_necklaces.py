@@ -15,7 +15,8 @@ from pretzeltab.necklaces import (
     signed_bracelet_count,
 )
 
-from brute import composition_class_count, compositions, interleavings, signed_class_count
+from brute import (binary_bracelets, composition_class_count, compositions, interleavings,
+                   signed_class_count, totient)
 from helpers import ROOT, run_python
 
 TESTS = ROOT / "tests"
@@ -40,6 +41,7 @@ class TestBinom:
         assert binom(5, -2) == 0
         assert binom(3, 4) == 0
         assert binom(-3, -3) == 0
+        assert binom(-1, -1) == 0
 
     def test_matches_pascal_triangle(self):
         tri = pascal_triangle(60)
@@ -85,11 +87,6 @@ class TestCompositions:
 
 
 class TestNecklaceCount:
-    def test_examples(self):
-        assert necklace_count(7, 3) == 5
-        assert necklace_count(3, 3) == 1
-        assert necklace_count(2, 3) == 0
-
     def test_zero_extension(self):
         assert necklace_count(0, 0) == 0
         assert necklace_count(5, 0) == 0
@@ -105,15 +102,13 @@ class TestNecklaceCount:
     def test_cyclic_compositions_up_to_60(self):
         # summed over k, the classes of all compositions of n (OEIS A008965):
         # (1/n) * sum over d | n of phi(d) * (2^(n/d) - 1); their bracelets are
-        # the binary bracelets of length n (OEIS A000029) less the empty one
+        # the binary bracelets of length n less the empty one
         for n in range(1, 61):
-            phi = {d: sum(1 for i in range(1, d + 1) if math.gcd(i, d) == 1)
-                   for d in range(1, n + 1) if n % d == 0}
-            burnside = sum(f * (2 ** (n // d) - 1) for d, f in phi.items())
+            burnside = sum(totient(d) * (2 ** (n // d) - 1)
+                           for d in range(1, n + 1) if n % d == 0)
             assert n * sum(necklace_count(n, k) for k in range(1, n + 1)) == burnside, n
-            reflected = n * 2 ** ((n + 1) // 2) if n % 2 else 3 * n * 2 ** (n // 2 - 1)
-            assert 2 * n * (sum(bracelet_count(n, k) for k in range(1, n + 1)) + 1) == \
-                burnside + n + reflected, n
+            bracelets = sum(bracelet_count(n, k) for k in range(1, n + 1))
+            assert bracelets + 1 == binary_bracelets(n), n
             assert necklace_count(n, n) == bracelet_count(n, n) == 1, n
 
 
@@ -131,14 +126,6 @@ class TestBraceletCount:
         for n in range(1, 19):
             for k in range(1, n + 1):
                 assert bracelet_count(n, k) == composition_class_count(n, k, dihedral=True), (n, k)
-
-    def test_bracelet_necklace_sandwich(self):
-        # merging orbits under reversal can at most halve the count
-        for n in range(1, 19):
-            for k in range(1, n + 1):
-                b = bracelet_count(n, k)
-                necklaces = necklace_count(n, k)
-                assert b <= necklaces <= 2 * b
 
 
 def brute_reflection_average(n1, k1, n2, k2):
@@ -161,10 +148,6 @@ def param_grid(max_k, max_n):
 
 class TestSignedReflectionSum:
     # _reflection_sum adds up the fixed signed tuples over all k1 + k2 reflections.
-    def test_examples(self):
-        assert _reflection_sum(3, 1, 3, 1) == 2
-        assert _reflection_sum(3, 3, 2, 2) == 10
-
     def test_matches_brute_force(self):
         # one family (k2 = 0) for n <= 12, then both families
         one_family = ((n, k, 0, 0) for n in range(1, 13) for k in range(1, n + 1))
@@ -174,21 +157,11 @@ class TestSignedReflectionSum:
 
 
 class TestSignedBraceletCount:
-    def test_examples(self):
-        assert signed_bracelet_count(2, 2, 1, 1) == 1
-        assert signed_bracelet_count(4, 2, 2, 2) == 4
-        assert signed_bracelet_count(6, 3, 0, 0) == 3
-
     def test_degenerate_cases_reduce_to_one_colour(self):
         for n in range(1, 19):
             for k in range(1, n + 1):
                 assert signed_bracelet_count(n, k, 0, 0) == bracelet_count(n, k)
                 assert signed_bracelet_count(0, 0, n, k) == bracelet_count(n, k)
-
-    def test_colour_swap_symmetry(self):
-        for n1, k1, n2, k2 in param_grid(max_k=6, max_n=7):
-            assert signed_bracelet_count(n1, k1, n2, k2) == \
-                signed_bracelet_count(n2, k2, n1, k1)
 
     def test_matches_brute_force(self):
         # full sweep of the documented verification range

@@ -83,6 +83,7 @@ class TestValidate:
         # a bool is an int subclass, but would print as P1(True;3,3,3)
         assert violation(TCode(1, True, (3, 3, 3))) == \
             "the link type, delta and strip entries must be ints, got True"
+        assert violation(TCode(1, 0, 5)) == "the strips must be a tuple or list, got 5"
 
 
 class TestCanonicalize:
@@ -112,6 +113,8 @@ class TestCanonicalize:
             canonicalize(TCode(2, 0, (2, 2)))
         assert str(excinfo.value) == ("invalid code TCode(link_type=2, delta=0, strips=(2, 2)):"
                                       " a pretzel code needs at least 3 strips")
+        with pytest.raises(ValueError, match="the strips must be a tuple or list, got 5$"):
+            canonicalize(TCode(1, 0, 5))
 
     @pytest.mark.parametrize("strips", [(3, 3, 3.5), ("3", "3", "3")])
     def test_rejects_entries_that_are_not_ints(self, strips):
@@ -299,8 +302,8 @@ class TestGenerators:
 class TestCountClasses:
     def test_counts_what_enumerate_classes_lists(self):
         # every last column entry, odd and even
-        listed = [[len(enumerate_classes(c, t)) for c in range(1, 17)] for t in (1, 2, 3)]
-        for max_c in range(1, 17):
+        listed = [[len(enumerate_classes(c, t)) for c in range(1, 21)] for t in (1, 2, 3)]
+        for max_c in range(1, 21):
             assert class_counts(max_c) == tuple([0] + column[:max_c] for column in listed), max_c
 
     def test_every_route_has_one_shape(self):
